@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import InfeasibleProtocolError, IntegrationError
 from .model import PhysConsts, SGridProtocol, TimeProtocol
@@ -313,24 +312,14 @@ def time_of_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
 # time-domain emission
 # ---------------------------------------------------------------------------
 
-def _d_dt_nonuniform(t, f):
-    """Three-point finite difference on a nonuniform grid (one-sided ends)."""
-    n = t.size
-    df = np.empty(n)
-    h1 = t[1:-1] - t[:-2]
-    h2 = t[2:] - t[1:-1]
-    df[1:-1] = (-h2 / (h1 * (h1 + h2)) * f[:-2]
-                + (h2 - h1) / (h1 * h2) * f[1:-1]
-                + h1 / (h2 * (h1 + h2)) * f[2:])
-    a, b = t[1] - t[0], t[2] - t[1]
-    df[0] = (-(2 * a + b) / (a * (a + b)) * f[0]
-             + (a + b) / (a * b) * f[1]
-             - a / (b * (a + b)) * f[2])
-    a, b = t[-2] - t[-3], t[-1] - t[-2]
-    df[-1] = (b / (a * (a + b)) * f[-3]
-              - (a + b) / (a * b) * f[-2]
-              + (2 * b + a) / (b * (a + b)) * f[-1])
-    return df
+def _hermite(t_nodes, y, dy, t):
+    """Cubic Hermite interpolant through (t_nodes, y) with slopes dy, at t."""
+    j = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, t_nodes.size - 2)
+    h = t_nodes[j + 1] - t_nodes[j]
+    x = (t - t_nodes[j]) / h
+    x2, x3 = x * x, x * x * x
+    return ((2.0 * x3 - 3.0 * x2 + 1.0) * y[j] + (x3 - 2.0 * x2 + x) * h * dy[j]
+            + (3.0 * x2 - 2.0 * x3) * y[j + 1] + (x3 - x2) * h * dy[j + 1])
 
 
 @dataclass
@@ -362,16 +351,17 @@ def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int = 2001) -> TimeDoma
     """Emit time-domain protocols on n_t samples from an s-grid schedule.
 
     The node times come from the duration quadrature.  Resampling uses
-    cubic Hermite interpolation with *exact* node derivatives: sdot is
-    known in closed form from the flow, and d(kbar)/dt comes from
-    finite differences in t, where the schedule is smooth even at
-    equilibrium-pinned endpoints (in s it has infinite slope there, which
-    is why differencing in s near the ends is avoided).  The samples sit at
-    t = T (eta - a sin(2 pi eta) / (2 pi)) for uniform eta and a =
-    _EMIT_GRADING, so spacing near either end is 1 - a times uniform: the
-    quantum stiffness ramps hardest there, and a uniform grid would
-    interpolate it too coarsely for the schedule to land.  The quantum
-    schedule is then produced by the time-domain map on that grid.
+    cubic Hermite interpolation, evaluated in numpy by _hermite, with
+    *exact* node derivatives: sdot is known in closed form from the flow,
+    and d(kbar)/dt comes from finite differences in t (np.gradient), where
+    the schedule is smooth even at equilibrium-pinned endpoints (in s it
+    has infinite slope there, which is why differencing in s near the ends
+    is avoided).  The samples sit at t = T (eta - a sin(2 pi eta) / (2 pi))
+    for uniform eta and a = _EMIT_GRADING, so spacing near either end is
+    1 - a times uniform: the quantum stiffness ramps hardest there, and a
+    uniform grid would interpolate it too coarsely for the schedule to
+    land.  The quantum schedule is then produced by the time-domain map on
+    that grid.
     """
     c.require_quantum()
     if n_t < 9:
@@ -379,7 +369,7 @@ def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int = 2001) -> TimeDoma
     t_nodes = time_of_s(p, c)
     g = flow_gap(p, c)
     sdot_nodes = 2.0 * g / c.gamma
-    kbar_dot_nodes = _d_dt_nonuniform(t_nodes, p.kbar)
+    kbar_dot_nodes = np.gradient(p.kbar, t_nodes, edge_order=2)
     # at an equilibrium-pinned end kbar approaches its boundary value
     # quadratically in time, so the true endpoint rate is zero; the
     # one-sided estimate extrapolates across the layer-stretched first
@@ -395,19 +385,16 @@ def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int = 2001) -> TimeDoma
                    + (c.m / c.gamma) * kbar_dot_nodes
                    - (c.m / c.gamma**2) * p.kbar**2)
 
-    s_spline = CubicHermiteSpline(t_nodes, p.s_nodes, sdot_nodes)
-    kbar_spline = CubicHermiteSpline(t_nodes, p.kbar, kbar_dot_nodes)
-
     # graded toward both ends, where kappa(t) ramps hardest; spacing runs
     # from 0.2 to 1.8 times uniform
     eta = np.linspace(0.0, 1.0, n_t)
     t_u = t_nodes[-1] * (eta - _EMIT_GRADING * np.sin(2.0 * np.pi * eta) / (2.0 * np.pi))
     t_u[0], t_u[-1] = 0.0, t_nodes[-1]
-    s_u = s_spline(t_u)
+    s_u = _hermite(t_nodes, p.s_nodes, sdot_nodes, t_u)
     # interpolation can only undershoot positivity near pathological data
     if np.any(s_u <= 0.0):
         raise InfeasibleProtocolError("resampled variance left the positive axis")
-    kbar_u = kbar_spline(t_u)
+    kbar_u = _hermite(t_nodes, p.kbar, kbar_dot_nodes, t_u)
     classical = TimeProtocol(t_u, kbar_u, "classical")
     quantum = quantum_from_classical_t(classical, s_u, c)
     return TimeDomainProtocols(classical=classical, quantum=quantum, s=s_u,

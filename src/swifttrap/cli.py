@@ -30,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -389,26 +388,20 @@ def _cmd_sweep(args) -> int:
     outdir = _resolve_outdir(args)
     mus = _parse_mu_range(args.mu_range)
 
-    def solve_one(mu: float):
+    rows: list[list[str]] = []
+    failures: list[dict] = []
+    for mu in mus:
         prob = OptimizationProblem(cost=args.cost, lam=args.lam, mu=float(mu),
                                    s_i=args.si, s_f=args.sf, n_grid=args.grid)
-        result = solve_bvp(prob, c)
-        return j_total(result.protocol, prob, c)
+        try:
+            rep = j_total(solve_bvp(prob, c).protocol, prob, c)
+        except (ConvergenceError, InfeasibleProtocolError,
+                SingularManifoldError, ValueError) as err:
+            failures.append({"mu": float(mu), "error": str(err)})
+            continue
+        rows.append([_fmt(mu), _fmt(rep.duration), _fmt(rep.f_absorbed),
+                     _fmt(rep.g_penalty), _fmt(rep.j_total)])
 
-    reports: list = [None] * mus.size
-    failures: list[dict] = []
-    with ThreadPoolExecutor(max_workers=min(4, mus.size)) as pool:
-        futures = [pool.submit(solve_one, mu) for mu in mus]
-        for j, fut in enumerate(futures):
-            try:
-                reports[j] = fut.result()
-            except (ConvergenceError, InfeasibleProtocolError,
-                    SingularManifoldError, ValueError) as err:
-                failures.append({"mu": float(mus[j]), "error": str(err)})
-
-    rows = [[_fmt(mus[j]), _fmt(rep.duration), _fmt(rep.f_absorbed),
-             _fmt(rep.g_penalty), _fmt(rep.j_total)]
-            for j, rep in enumerate(reports) if rep is not None]
     _write_csv(os.path.join(outdir, "sweep.csv"),
                ["mu", "duration", "f_value", "g_penalty", "j_total"], rows)
     _write_json(os.path.join(outdir, "sweep.json"), {

@@ -24,7 +24,7 @@ path across step sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,7 +171,6 @@ class BornReport:
     z_kurtosis: np.ndarray
     worst_abs_z: float
     threshold: float = 3.0
-    notes: str = field(default="")
 
 
 def verify_born(stats: EnsembleStats, reference_s: np.ndarray,

@@ -79,13 +79,7 @@ class BvpOptions:
 
 
 def _gap_or_raise(s, kbar, c):
-    # at the first graded nodes the gap is ~1e-5 from operands ~1, so a
-    # plain float64 subtraction loses digits that Newton then cannot
-    # recover; extended precision keeps the residual at rounding level
-    ld = np.longdouble
-    g = np.asarray(
-        ld(c.D) * ld(c.gamma) - np.asarray(s).astype(ld) * np.asarray(kbar).astype(ld)
-    ).astype(float)
+    g = c.D * c.gamma - s * kbar
     if np.any(g == 0.0):
         raise SingularManifoldError(
             "evaluation on the singular manifold D*gamma = s*kbar")

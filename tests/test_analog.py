@@ -19,6 +19,7 @@ from swifttrap import (
     to_time_domain,
     variance_rate,
 )
+from swifttrap.analog import _hermite
 
 
 def _pinned_analytic(amplitude=0.5, n=2001):
@@ -142,6 +143,29 @@ def test_emission_round_trip(consts):
     # driving the flow with the emitted schedule reproduces the emitted s
     traj = evolve_variance(td.classical, 1.0, consts)
     assert np.max(np.abs(traj.s - td.s)) <= 2e-4
+
+
+def test_hermite_evaluator_on_nonuniform_nodes():
+    from scipy.interpolate import CubicHermiteSpline  # reference only
+
+    t_nodes = 3.0 * np.linspace(0.0, 1.0, 41) ** 1.7
+    t = np.linspace(0.0, t_nodes[-1], 1001)
+
+    def cubic(x):
+        return 2.0 - 1.5 * x + 0.7 * x**2 - 0.3 * x**3
+
+    def cubic_dot(x):
+        return -1.5 + 1.4 * x - 0.9 * x**2
+
+    exact = cubic(t)
+    got = _hermite(t_nodes, cubic(t_nodes), cubic_dot(t_nodes), t)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    y, dy = np.sin(2.0 * t_nodes), 2.0 * np.cos(2.0 * t_nodes)
+    # node values come back exactly, t_nodes[-1] (the clipped last cell) too
+    assert np.array_equal(_hermite(t_nodes, y, dy, t_nodes), y)
+    ref = CubicHermiteSpline(t_nodes, y, dy)(t)
+    assert np.max(np.abs(_hermite(t_nodes, y, dy, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_emission_endpoint_stiffness_is_equilibrium(cache):

@@ -1,10 +1,14 @@
 """Command-line interface: artifacts, exit codes, determinism hooks."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import swifttrap
 from swifttrap import adiabatic_reference, equilibrium_kbar
 from swifttrap.cli import main
 
@@ -206,3 +210,14 @@ def test_sweep_all_failures_exit_three(tmp_path, capsys):
     meta = json.loads((tmp_path / "sweep.json").read_text())
     assert meta["n_converged"] == 0 and len(meta["failures"]) == 2
     capsys.readouterr()
+
+
+def test_cli_import_skips_scipy_interpolate():
+    # every command pays the cold import of swifttrap.cli, which
+    # scipy.interpolate makes about 0.4 s slower on a 2-core host
+    src = os.path.dirname(os.path.dirname(swifttrap.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, swifttrap.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
