@@ -301,7 +301,9 @@ def _cmd_verify(args) -> int:
             "threshold": born.threshold,
             "n_particles": args.particles,
             "seed": args.seed,
-            "dt": dt,
+            "dt": stats.h,
+            "n_steps": stats.n_steps,
+            "stability_margin": stats.stability_margin,
             "passed": born.passed,
         }
         if args.method == "both":
@@ -315,6 +317,9 @@ def _cmd_verify(args) -> int:
                 "max_joint_z": float(np.max(joint)),
                 "threshold": 3.0,
                 "seed": args.seed + 1,
+                "dt": twin.h,
+                "n_steps": twin.n_steps,
+                "stability_margin": twin.stability_margin,
                 "passed": bool(np.max(joint) <= 3.0),
             }
 

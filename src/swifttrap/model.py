@@ -195,7 +195,12 @@ class OptimizationProblem:
 
 @dataclass
 class EnsembleStats:
-    """Moment summaries of a simulated ensemble at checkpoint times."""
+    """Moment summaries of a simulated ensemble at checkpoint times.
+
+    h and n_steps are the Euler-Maruyama step actually used and the number
+    of steps over the span; stability_margin is h * max|drift rate| over
+    those steps, which stays below 1 for a stable chain.
+    """
 
     times: np.ndarray
     mean: np.ndarray
@@ -203,6 +208,9 @@ class EnsembleStats:
     excess_kurtosis: np.ndarray
     stderr_variance: np.ndarray
     n_particles: int = 0
+    h: float = 0.0
+    n_steps: int = 0
+    stability_margin: float = 0.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)

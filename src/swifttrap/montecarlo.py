@@ -14,12 +14,19 @@ into z-scores against a reference variance curve (variance against the
 Gaussian standard error s*sqrt(2/(N-1)), excess kurtosis against
 sqrt(24/N)).
 
+The drift is linear in x, so the Euler-Maruyama chain
+x_{k+1} = g_k x_k + sqrt(2 D h) xi_k, g_k = 1 + rate_k h, is sampled exactly
+at its checkpoint steps instead of being stepped (Gillespie, Phys. Rev. E
+54, 2084 (1996)): between checkpoint steps a < b, x_b = G x_a + sqrt(V) eta
+with G = prod g_k and V from the scalar recursion V <- g_k^2 V + 2 D h.  The
+joint law at the checkpoints is the one stepping gives, so the step h, its
+stability bound and the checkpoint rounding keep their meaning.
+
 Randomness is a counter-based Philox stream keyed by the seed.  The draw
-order is fixed (initial positions, then one row of increments per step),
-so results are a pure function of (inputs, seed, particle count); no
-execution schedule can reorder them.  The simulate functions accept a
-pre-drawn increment array so refinement studies can reuse one Brownian
-path across step sizes.
+order is fixed (initial positions, then one row of normals per checkpoint
+interval; an interval of zero steps draws nothing), so results are a pure
+function of (inputs, seed, particle count); no execution schedule can
+reorder them.
 """
 
 from __future__ import annotations
@@ -78,8 +85,9 @@ def _checkpoint_steps(cfg: McConfig, t0: float, h: float, n_steps: int) -> np.nd
 def _moments(x: np.ndarray) -> tuple[float, float, float]:
     mean = float(x.mean())
     d = x - mean
-    m2 = float(np.mean(d * d))
-    m4 = float(np.mean(d**4))
+    d2 = d * d
+    m2 = float(np.mean(d2))
+    m4 = float(np.mean(d2 * d2))
     n = x.size
     var = m2 * n / (n - 1)
     kurt = m4 / (m2 * m2) - 3.0
@@ -87,45 +95,39 @@ def _moments(x: np.ndarray) -> tuple[float, float, float]:
 
 
 def _run_em(rates: np.ndarray, h: float, t0: float, s_start: float,
-            cfg: McConfig, c: PhysConsts, n_steps: int,
-            increments: np.ndarray | None) -> EnsembleStats:
-    """Shared Euler-Maruyama driver: x <- (1 + rate_k h) x + sqrt(2 D h) xi."""
-    if increments is not None:
-        increments = np.asarray(increments)
-        if increments.shape != (n_steps, cfg.n_particles):
-            raise ValueError("increments must have shape (n_steps, n_particles)")
+            cfg: McConfig, c: PhysConsts, n_steps: int) -> EnsembleStats:
+    """Sample x <- (1 + rate_k h) x + sqrt(2 D h) xi exactly at the checkpoints."""
     idx = _checkpoint_steps(cfg, t0, h, n_steps)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     x = np.sqrt(s_start) * rng.standard_normal(cfg.n_particles)
 
-    growth = 1.0 + rates * h
-    noise_scale = np.sqrt(2.0 * c.D * h)
+    growth = (1.0 + rates * h).tolist()
+    step_var = 2.0 * c.D * h
 
     n_cp = idx.size
     mean = np.empty(n_cp)
     var = np.empty(n_cp)
     kurt = np.empty(n_cp)
-    # checkpoints are sorted, so walk them with a cursor
-    cursor = 0
-    while cursor < n_cp and idx[cursor] == 0:
-        mean[cursor], var[cursor], kurt[cursor] = _moments(x)
-        cursor += 1
-    for k in range(n_steps):
-        xi = increments[k] if increments is not None else rng.standard_normal(cfg.n_particles)
-        x = growth[k] * x + noise_scale * xi
-        while cursor < n_cp and idx[cursor] == k + 1:
-            mean[cursor], var[cursor], kurt[cursor] = _moments(x)
-            cursor += 1
+    done = 0
+    for j, b in enumerate(idx.tolist()):
+        if b > done:
+            gain, noise_var = 1.0, 0.0
+            for g in growth[done:b]:
+                gain *= g
+                noise_var = g * g * noise_var + step_var
+            x = gain * x + np.sqrt(noise_var) * rng.standard_normal(cfg.n_particles)
+            done = b
+        mean[j], var[j], kurt[j] = _moments(x)
 
     stderr = var * np.sqrt(2.0 / (cfg.n_particles - 1))
     return EnsembleStats(times=t0 + idx * h, mean=mean, variance=var,
                          excess_kurtosis=kurt, stderr_variance=stderr,
-                         n_particles=cfg.n_particles)
+                         n_particles=cfg.n_particles, h=h, n_steps=n_steps,
+                         stability_margin=h * float(np.max(np.abs(rates))))
 
 
 def simulate_classical(kbar_t: TimeProtocol, s_start: float, cfg: McConfig,
-                       c: PhysConsts,
-                       increments: np.ndarray | None = None) -> EnsembleStats:
+                       c: PhysConsts) -> EnsembleStats:
     """Euler-Maruyama ensemble under the classical trap schedule."""
     if kbar_t.kind != "classical":
         raise ValueError("expected a classical schedule")
@@ -142,11 +144,10 @@ def simulate_classical(kbar_t: TimeProtocol, s_start: float, cfg: McConfig,
     h = span / n_steps
     kb = np.interp(t0 + h * np.arange(n_steps), kbar_t.t_nodes, kbar_t.values)
     rates = -kb / c.gamma
-    return _run_em(rates, h, t0, s_start, cfg, c, n_steps, increments)
+    return _run_em(rates, h, t0, s_start, cfg, c, n_steps)
 
 
-def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts,
-                    increments: np.ndarray | None = None) -> EnsembleStats:
+def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts) -> EnsembleStats:
     """Euler-Maruyama ensemble riding the wavepacket drift of a record."""
     t0 = float(run.t[0])
     span = float(run.t[-1] - run.t[0])
@@ -159,7 +160,7 @@ def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts,
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
     rates = np.interp(t0 + h * np.arange(n_steps), run.t, rate_nodes)
-    return _run_em(rates, h, t0, float(run.s[0]), cfg, c, n_steps, increments)
+    return _run_em(rates, h, t0, float(run.s[0]), cfg, c, n_steps)
 
 
 @dataclass

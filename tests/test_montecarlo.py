@@ -1,5 +1,7 @@
 """Stochastic ensemble simulators and the Born-statistics verdict."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,24 +47,78 @@ def test_same_seed_reproduces_exactly(consts):
 
 
 def test_zero_noise_reduces_to_discrete_drift(consts):
-    # with the injected noise switched off every walker contracts by the
+    # with the injected noise made negligible every walker contracts by the
     # exact Euler factor (1 - kbar h / gamma) per step, so the variance
     # ratio between checkpoints is that factor to the step count
     h = 1e-3
     cfg = McConfig(n_particles=2000, seed=11,
                    checkpoints=np.array([1.0, 2.0]), dt=h)
-    inc = np.zeros((2000, 2000))
-    st = simulate_classical(_hold_protocol(), 1.0, cfg, consts, increments=inc)
+    st = simulate_classical(_hold_protocol(), 1.0, cfg, replace(consts, D=1e-30))
     factor = (1.0 - h) ** 2000
     assert st.variance[1] / st.variance[0] == pytest.approx(factor, rel=1e-10)
     assert st.variance[0] == pytest.approx(np.exp(-2.0), rel=0.05)
 
 
-def test_increments_shape_checked(consts):
-    cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([1.0]), dt=1e-3)
-    with pytest.raises(ValueError, match="increments"):
-        simulate_classical(_hold_protocol(), 1.0, cfg, consts,
-                           increments=np.zeros((7, 500)))
+def _stepping_reference(rates, h, s_start, n, steps, D, seed):
+    """Euler-Maruyama stepped one step at a time, moments at the given steps."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    x = np.sqrt(s_start) * rng.standard_normal(n)
+    snaps = [x] * int(np.count_nonzero(steps == 0))
+    for k in range(steps[-1]):
+        x = (1.0 + rates[k] * h) * x + np.sqrt(2.0 * D * h) * rng.standard_normal(n)
+        snaps += [x] * int(np.count_nonzero(steps == k + 1))
+    var = np.array([v.var(ddof=1) for v in snaps])
+    kurt = np.array([np.mean((v - v.mean()) ** 4) / v.var() ** 2 - 3.0 for v in snaps])
+    return EnsembleStats(times=steps * h, mean=np.array([v.mean() for v in snaps]),
+                         variance=var, excess_kurtosis=kurt,
+                         stderr_variance=var * np.sqrt(2.0 / (n - 1)), n_particles=n)
+
+
+def test_exact_sampler_matches_stepping_reference(consts):
+    # kbar swings between 0.2 and 3.8 and the step is coarse (40 steps, up to
+    # a fifth of the stability bound), so the discrete law is far from the
+    # continuous one and every step's own growth factor matters
+    span, dt = 2.0, 0.05
+    t = np.linspace(0.0, span, 401)
+    proto = TimeProtocol(t, 2.0 + 1.8 * np.sin(3.0 * np.pi * t / span), "classical")
+    ck = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+    exact = simulate_classical(proto, 1.0, McConfig(200_000, 5, ck, dt), consts)
+
+    n_steps = 40
+    h = span / n_steps
+    rates = -np.interp(h * np.arange(n_steps), t, proto.values) / consts.gamma
+    steps = np.rint(ck / h).astype(int)
+    ref = _stepping_reference(rates, h, 1.0, 100_000, steps, consts.D, seed=6)
+
+    s_disc, s = [], 1.0
+    for k in range(n_steps):
+        s = (1.0 + rates[k] * h) ** 2 * s + 2.0 * consts.D * h
+        if k + 1 in steps:
+            s_disc.append(s)
+    assert (exact.h, exact.n_steps) == (h, n_steps)
+    assert exact.stability_margin == pytest.approx(h * np.max(np.abs(rates)), rel=1e-12)
+    assert np.array_equal(exact.times, ref.times)
+    for st in (exact, ref):
+        report = verify_born(st, np.array(s_disc), threshold=4.0)
+        assert report.passed, f"worst |z| = {report.worst_abs_z:.2f}"
+    joint = (np.abs(exact.variance - ref.variance)
+             / np.hypot(exact.stderr_variance, ref.stderr_variance))
+    assert np.max(joint) <= 4.0
+
+
+def test_checkpoints_on_one_step_share_moments(consts):
+    # at dt = 0.1, checkpoints 0 and 0.01 round to step 0 (the initial
+    # positions) and 1.0 and 1.04 to step 10; an interval of zero steps
+    # draws nothing, so the remaining checkpoints see the same stream
+    dup = McConfig(2000, 11, np.array([0.0, 0.01, 1.0, 1.04, 2.0]), dt=0.1)
+    plain = McConfig(2000, 11, np.array([1.0, 2.0]), dt=0.1)
+    a = simulate_classical(_hold_protocol(), 1.0, dup, consts)
+    b = simulate_classical(_hold_protocol(), 1.0, plain, consts)
+    for field in ("times", "mean", "variance", "excess_kurtosis", "stderr_variance"):
+        got = getattr(a, field)
+        assert got[0] == got[1] and got[2] == got[3]
+        assert np.array_equal(got[[2, 4]], getattr(b, field))
+    assert a.times[0] == 0.0
 
 
 def test_classical_hold_matches_born(consts):
