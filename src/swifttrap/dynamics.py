@@ -10,6 +10,15 @@ an Ermakov-type equation (D = hbar/(2m)).  Integrating it forward is the
 first of the package's two independent verifiers: a schedule designed in
 the overdamped picture must land the width on target with zero slope.
 
+The width equation is integrated through its linear flow.  By the
+Ermakov-Pinney construction (Pinney, Proc. AMS 1, 681 (1950)) sigma^2 is a
+quadratic form in a fundamental pair (u1, u2) of the linear oscillator
+u'' = -(kappa/m) u: from rest at variance s0, s = s0 u1^2 + (D^2/s0) u2^2,
+and the Gouy angle theta = atan2(D u2, s0 u1) advances at D/s, so the
+global phase beta = -hbar theta / (4 m D) needs no quadrature.  Each RK4
+step of the linear flow is a 2x2 map, and the maps are composed by a
+vectorized prefix scan instead of a per-step loop.
+
 Also here: the instantaneous energy of the Gaussian state, its Wigner
 phase-space density, the squeeze-tilt angle, and the osmotic drift that
 reproduces the same statistics as an overdamped diffusion.
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .model import PhysConsts, TimeProtocol
+from .model import PhysConsts, TimeProtocol, _prefix_step_maps
 
 __all__ = [
     "TrajectoryRecord",
@@ -70,12 +79,25 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
                       dt: float | None = None) -> TrajectoryRecord:
     """Integrate the width equation under a quantum schedule, from rest.
 
-    Fixed-step RK4 on (sigma, sigmadot, beta) with kappa(t) linearly
-    interpolated between protocol nodes; beta rides along as an extra
-    quadrature (betadot = -hbar/(4 m s)).  Starts at variance s_start with
-    zero width velocity.  Default step is one ten-thousandth of the span.
+    Fixed-step RK4 on the linear flow (u, u') of u'' = -(kappa/m) u, with
+    kappa(t) linearly interpolated between protocol nodes and sampled on
+    the half-step grid.  Each step's RK4 map I + E_k is written in closed
+    form from its three kappa samples, and the maps are composed by a
+    vectorized prefix scan.  The record is rebuilt by the Ermakov-Pinney
+    construction from the pair u1 (u1 = 1, u1' = 0) and u2 (u2 = 0,
+    u2' = 1), with s0 = s_start and q = D^2/s0:
 
-    Raises IntegrationError (with the failure time) if the width collapses.
+        s = s0 u1^2 + q u2^2,    sdot = 2 (s0 u1 u1' + q u2 u2'),
+        beta = -hbar theta / (4 m D),  theta = unwrap(atan2(D u2, s0 u1)),
+
+    theta being the Gouy angle, whose rate is D/s.  Starts at variance
+    s_start with zero width velocity.  Default step is one ten-thousandth
+    of the span; the step actually taken is span / round(span/dt).
+
+    Raises IntegrationError (with the failure time) at the first step whose
+    stage samples give h*sqrt(|kappa|/m) > 2*sqrt(2), RK4's stability bound
+    on the imaginary axis, and at the first sample where s is non-finite or
+    at most 1e-16 * s_start.
     """
     c.require_quantum()
     if kappa_t.kind != "quantum":
@@ -90,72 +112,46 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
         raise ValueError("dt must be positive")
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
+    t = t0 + h * np.arange(n_steps + 1)
 
     # kappa at the half-step grid; RK4 stages never need anything finer
     kap = np.interp(t0 + 0.5 * h * np.arange(2 * n_steps + 1),
                     kappa_t.t_nodes, kappa_t.values)
+    ka, km, kb = kap[:-1:2] / c.m, kap[1::2] / c.m, kap[2::2] / c.m
 
-    inv_m = 1.0 / c.m
-    four_d2 = 4.0 * c.D**2
-    half_hbar_over_m = 0.5 * c.hbar / c.m
+    stiff = h * np.sqrt(np.maximum(np.maximum(np.abs(ka), np.abs(km)), np.abs(kb)))
+    unstable = np.flatnonzero(stiff > 2.0 * np.sqrt(2.0))
+    if unstable.size:
+        k = int(unstable[0])
+        raise IntegrationError(
+            f"step h={h:.3g} gives h*sqrt(|kappa|/m)={stiff[k]:.3g} above the RK4 "
+            f"stability bound 2*sqrt(2) at t={t[k]:.6g}", t=float(t[k]))
 
-    sig = np.sqrt(2.0 * s_start)
-    v = 0.0
-    beta = 0.0
-    sig_floor = 1e-8 * sig
+    # RK4 step map I + E of y' = [[0, 1], [-a(t), 0]] y with stage rates
+    # a = ka, km, km, kb
+    h2 = h * h
+    e = np.empty((4, n_steps + 1))
+    e[:, 0] = 0.0
+    e[0, 1:] = -h2 * (ka + 2.0 * km) / 6.0 + h2 * h2 * km * ka / 24.0
+    e[1, 1:] = h - h2 * h * km / 6.0
+    e[2, 1:] = -h * (ka + 4.0 * km + kb) / 6.0 + h2 * h * km * (ka + kb) / 12.0
+    e[3, 1:] = -h2 * (2.0 * km + kb) / 6.0 + h2 * h2 * km * kb / 24.0
+    p = _prefix_step_maps(e)
+    u1, du1, u2, du2 = 1.0 + p[0], p[2], p[1], 1.0 + p[3]
 
-    sigmas = np.empty(n_steps + 1)
-    vels = np.empty(n_steps + 1)
-    betas = np.empty(n_steps + 1)
-    sigmas[0] = sig
-    vels[0] = v
-    betas[0] = beta
-
-    def accel(sigma, kappa):
-        return -kappa * inv_m * sigma + four_d2 / sigma**3
-
-    for k in range(n_steps):
-        ka, km, kb = kap[2 * k], kap[2 * k + 1], kap[2 * k + 2]
-        # k1
-        a1 = accel(sig, ka)
-        b1 = -half_hbar_over_m / sig**2
-        # k2
-        s2 = sig + 0.5 * h * v
-        v2 = v + 0.5 * h * a1
-        if s2 <= sig_floor:
-            raise IntegrationError("width collapsed", t=t0 + (k + 0.5) * h)
-        a2 = accel(s2, km)
-        b2 = -half_hbar_over_m / s2**2
-        # k3
-        s3 = sig + 0.5 * h * v2
-        v3 = v + 0.5 * h * a2
-        if s3 <= sig_floor:
-            raise IntegrationError("width collapsed", t=t0 + (k + 0.5) * h)
-        a3 = accel(s3, km)
-        b3 = -half_hbar_over_m / s3**2
-        # k4
-        s4 = sig + h * v3
-        v4 = v + h * a3
-        if s4 <= sig_floor:
-            raise IntegrationError("width collapsed", t=t0 + (k + 1.0) * h)
-        a4 = accel(s4, kb)
-        b4 = -half_hbar_over_m / s4**2
-
-        sig = sig + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-        v = v + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        beta = beta + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        if not np.isfinite(sig) or sig <= sig_floor:
-            raise IntegrationError("width collapsed", t=t0 + (k + 1.0) * h)
-        sigmas[k + 1] = sig
-        vels[k + 1] = v
-        betas[k + 1] = beta
-
-    t = t0 + h * np.arange(n_steps + 1)
-    s = 0.5 * sigmas**2
-    sdot = sigmas * vels
+    q = c.D**2 / s_start
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = s_start * u1**2 + q * u2**2
+    bad = np.flatnonzero(~(np.isfinite(s) & (s > 1e-16 * s_start)))
+    if bad.size:
+        k = int(bad[0])
+        raise IntegrationError(f"width collapsed or blew up at t={t[k]:.6g}", t=float(t[k]))
+    sdot = 2.0 * (s_start * u1 * du1 + q * u2 * du2)
+    theta = np.unwrap(np.arctan2(c.D * u2, s_start * u1))
+    beta = -c.hbar * theta / (4.0 * c.m * c.D)
     alpha = c.m * sdot / (4.0 * c.hbar * s)
     energy = energy_of(s, sdot, kap[::2], c)
-    return TrajectoryRecord(t=t, s=s, sdot=sdot, alpha=alpha, beta=betas, energy=energy)
+    return TrajectoryRecord(t=t, s=s, sdot=sdot, alpha=alpha, beta=beta, energy=energy)
 
 
 def wigner_at(x, p, s, alpha, c: PhysConsts):

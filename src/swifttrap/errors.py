@@ -38,9 +38,14 @@ class SingularityTrapError(ConvergenceError):
 
 
 class IntegrationError(RuntimeError):
-    """Forward integration failed (variance collapse or blow-up).
+    """Forward integration failed.
 
-    The time of failure is stored on the exception.
+    The width equation raises it when a step breaks RK4's stability bound
+    h*sqrt(|kappa|/m) <= 2*sqrt(2) (its linear flow cannot collapse, so an
+    under-resolved schedule is caught by its step instead), or when the
+    variance rebuilt from the flow is non-finite or negligible; the
+    variance flow raises it when s leaves (0, inf).  The time of failure
+    is stored on the exception.
     """
 
     def __init__(self, message, t=None):

@@ -8,7 +8,10 @@ everything downstream of that correspondence lives in :mod:`swifttrap.analog`.
 
 This module holds the parameter/state containers and the closed-form
 identities that need no integration: equilibrium stiffnesses, the phase
-curvature alpha, and the Gaussian position density.
+curvature alpha, and the Gaussian position density.  It also holds the
+prefix product of 2x2 step maps on which both fixed-step integrators (the
+width equation and the variance flow) are built, since each of their RK4
+steps is a linear (or affine) map of the state.
 """
 
 from __future__ import annotations
@@ -218,6 +221,32 @@ class EnsembleStats:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
             if getattr(self, name).shape != self.times.shape:
                 raise ValueError(f"{name} must match times in shape")
+
+
+def _prefix_step_maps(e: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products of the 2x2 step maps I + E_k, in I + E form.
+
+    e has shape (4, n): rows E00, E01, E10, E11 of each step, in time
+    order.  Column k of the result holds P_k - I, where
+    P_k = (I + E_k) ... (I + E_0).  Hillis-Steele doubling composes them
+    in ceil(log2 n) vectorized passes; each combines a later product A with
+    an earlier one B as (I + A)(I + B) = I + A + B + AB, so no entry is
+    ever rounded next to 1.  Overflow is left to the caller, which checks
+    its reconstructed state for non-finite values.
+    """
+    p = np.array(e, dtype=float)
+    n = p.shape[1]
+    d = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while d < n:
+            a00, a01, a10, a11 = p[:, d:]
+            b00, b01, b10, b11 = p[:, :-d]
+            p[:, d:] = (a00 + b00 + (a00 * b00 + a01 * b10),
+                        a01 + b01 + (a00 * b01 + a01 * b11),
+                        a10 + b10 + (a10 * b00 + a11 * b10),
+                        a11 + b11 + (a10 * b01 + a11 * b11))
+            d *= 2
+    return p
 
 
 # ---------------------------------------------------------------------------

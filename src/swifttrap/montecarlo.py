@@ -138,10 +138,11 @@ def simulate_classical(kbar_t: TimeProtocol, s_start: float, cfg: McConfig,
     kmax = float(np.max(np.abs(kbar_t.values)))
     bound = c.gamma / kmax if kmax > 0.0 else np.inf
     dt = _resolve_dt(cfg, bound, span)
-    if dt >= bound:
-        raise ValueError(f"dt={dt:.3g} violates the stability bound gamma/|kbar|max={bound:.3g}")
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
+    if h >= bound:
+        raise ValueError(f"step h={h:.3g} (dt={dt:.3g}) violates the stability bound "
+                         f"gamma/|kbar|max={bound:.3g}")
     kb = np.interp(t0 + h * np.arange(n_steps), kbar_t.t_nodes, kbar_t.values)
     rates = -kb / c.gamma
     return _run_em(rates, h, t0, s_start, cfg, c, n_steps)
@@ -155,10 +156,11 @@ def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts) -> Ense
     rmax = float(np.max(np.abs(rate_nodes)))
     bound = 1.0 / rmax if rmax > 0.0 else np.inf
     dt = _resolve_dt(cfg, bound, span)
-    if dt >= bound:
-        raise ValueError(f"dt={dt:.3g} violates the stability bound 1/|drift rate|max={bound:.3g}")
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
+    if h >= bound:
+        raise ValueError(f"step h={h:.3g} (dt={dt:.3g}) violates the stability bound "
+                         f"1/|drift rate|max={bound:.3g}")
     rates = np.interp(t0 + h * np.arange(n_steps), run.t, rate_nodes)
     return _run_em(rates, h, t0, float(run.s[0]), cfg, c, n_steps)
 

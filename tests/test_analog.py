@@ -96,6 +96,37 @@ def test_evolve_variance_exponential_relaxation(consts):
     assert np.allclose(traj.sdot, variance_rate(traj.s, proto.values, consts))
 
 
+def _variance_stepping_reference(kbar_t, s_start, c, dt):
+    """RK4 on sdot = (2/gamma)(D gamma - kbar s), ceil(cell/dt) substeps per
+    cell with kbar linear inside it, stepped one substep at a time."""
+    t, k = kbar_t.t_nodes, kbar_t.values
+    out = [s_start]
+    s = s_start
+    for j in range(t.size - 1):
+        m_sub = max(1, int(np.ceil((t[j + 1] - t[j]) / dt)))
+        h = (t[j + 1] - t[j]) / m_sub
+        for i in range(m_sub):
+            ka, km, kb = np.interp(t[j] + h * np.array([i, i + 0.5, i + 1.0]), t, k)
+            f1 = 2.0 * (c.D * c.gamma - ka * s) / c.gamma
+            f2 = 2.0 * (c.D * c.gamma - km * (s + 0.5 * h * f1)) / c.gamma
+            f3 = 2.0 * (c.D * c.gamma - km * (s + 0.5 * h * f2)) / c.gamma
+            f4 = 2.0 * (c.D * c.gamma - kb * (s + h * f3)) / c.gamma
+            s += (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        out.append(s)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dt", [None, 0.013, 0.5])
+def test_evolve_variance_matches_stepping_reference(consts, dt):
+    # graded cells of 95-360, 4-12 and 1 substeps for the three steps, kbar
+    # swinging from squeezing to (at its dip) expulsive
+    t = np.linspace(0.0, 3.0, 37) ** 1.3
+    proto = TimeProtocol(t, 0.9 + 1.8 * np.sin(2.0 * t), "classical")
+    traj = evolve_variance(proto, 1.0, consts, dt)
+    ref = _variance_stepping_reference(proto, 1.0, consts, dt or (t[-1] - t[0]) / 1.0e4)
+    assert np.max(np.abs(traj.s - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_evolve_variance_guards(consts):
     tn = np.linspace(0.0, 1.0, 11)

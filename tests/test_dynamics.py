@@ -7,6 +7,7 @@ from swifttrap import (
     IntegrationError,
     TimeProtocol,
     analytic_work_optimal,
+    chen_polynomial,
     energy_of,
     equilibrium_kappa,
     integrate_ermakov,
@@ -59,6 +60,99 @@ def test_alpha_tracks_width_velocity(consts):
     run = integrate_ermakov(_const_quantum(kappa), 1.0, consts)
     expect = consts.m * run.sdot / (4.0 * consts.hbar * run.s)
     assert np.max(np.abs(run.alpha - expect)) <= 1e-14
+
+
+def _stepping_reference(kappa_t, s_start, c, n_steps):
+    """RK4 stepped on (sigma, sigmadot, beta) of the nonlinear width equation
+    sigma'' = -(kappa/m) sigma + 4 D^2 / sigma^3, sigma = sqrt(2 s), with
+    betadot = -hbar/(4 m s) as a rider quadrature; one step at a time."""
+    t0, t1 = kappa_t.span
+    h = (t1 - t0) / n_steps
+    kap = np.interp(t0 + 0.5 * h * np.arange(2 * n_steps + 1),
+                    kappa_t.t_nodes, kappa_t.values)
+
+    def accel(sigma, kappa):
+        return 4.0 * c.D**2 / sigma**3 - kappa / c.m * sigma
+
+    sig, v, beta = np.sqrt(2.0 * s_start), 0.0, 0.0
+    out = np.empty((n_steps + 1, 3))
+    out[0] = sig, v, beta
+    for k in range(n_steps):
+        ka, km, kb = kap[2 * k: 2 * k + 3]
+        a1 = accel(sig, ka)
+        s2, v2 = sig + 0.5 * h * v, v + 0.5 * h * a1
+        a2 = accel(s2, km)
+        s3, v3 = sig + 0.5 * h * v2, v + 0.5 * h * a2
+        a3 = accel(s3, km)
+        s4, v4 = sig + h * v3, v + h * a3
+        a4 = accel(s4, kb)
+        beta -= (h / 6.0) * (0.5 * c.hbar / c.m) * (
+            1.0 / sig**2 + 2.0 / s2**2 + 2.0 / s3**2 + 1.0 / s4**2)
+        sig += (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v += (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        out[k + 1] = sig, v, beta
+    sig, v, beta = out.T
+    s, sdot = 0.5 * sig**2, sig * v
+    return {"s": s, "sdot": sdot, "alpha": c.m * sdot / (4.0 * c.hbar * s), "beta": beta}
+
+
+def _reference_cases(consts, cache):
+    ki, kf = equilibrium_kappa(1.0, consts), equilibrium_kappa(2.0, consts)
+    chen, _ = chen_polynomial(ki, kf, 0.2, consts)
+    assert chen.values.min() < 0.0
+    return {
+        "breathing": _const_quantum(equilibrium_kappa(0.5, consts)),
+        "energy mu=0.1": cache.timedomain("energy", 0.1).quantum,
+        "chen inverted": chen,
+    }
+
+
+@pytest.mark.parametrize("case", ["breathing", "energy mu=0.1", "chen inverted"])
+def test_linear_flow_matches_stepping_reference(consts, cache, case):
+    # the record rebuilt from the linear flow is the nonlinear width
+    # equation's own solution.  At twice the default step count the two
+    # schemes agree to rounding; at the default step the stepping scheme's
+    # truncation error on the breathing quench is 1.8e-12 of s against the
+    # closed form, where the linear flow's is 5.7e-14
+    proto = _reference_cases(consts, cache)[case]
+    n_steps = 20_000
+    run = integrate_ermakov(proto, 1.0, consts, dt=(proto.span[1] - proto.span[0]) / n_steps)
+    ref = _stepping_reference(proto, 1.0, consts, n_steps)
+    for name, want in ref.items():
+        got = getattr(run, name)
+        rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert rel <= 1e-12, f"{case}: {name} differs by {rel:.2e} relative"
+
+
+def test_beta_is_the_gouy_phase_integral(consts, cache):
+    # beta = -hbar theta / (4 m D) must equal the integral of -hbar/(4 m s);
+    # composite Simpson over step pairs of the record's own samples
+    for proto in _reference_cases(consts, cache).values():
+        run = integrate_ermakov(proto, 1.0, consts)
+        f = -consts.hbar / (4.0 * consts.m * run.s)
+        h = run.t[1] - run.t[0]
+        quad = np.concatenate(([0.0], np.cumsum(h / 3.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2]))))
+        assert np.max(np.abs(run.beta[::2] - quad)) <= 1e-12 * np.max(np.abs(quad))
+
+
+def test_stability_guard_threshold(consts):
+    # RK4 is stable on the imaginary axis up to h sqrt(kappa/m) = 2 sqrt(2);
+    # ten steps of h = 0.1 put the threshold at kappa = 800 m
+    edge = consts.m * (2.0 * np.sqrt(2.0) / 0.1) ** 2
+    below = integrate_ermakov(_const_quantum(edge * (1.0 - 1e-6), span=1.0), 1.0,
+                              consts, dt=0.1)
+    assert below.t.size == 11 and np.all(np.isfinite(below.s)) and below.s.min() > 0.0
+    with pytest.raises(IntegrationError, match="stability") as exc:
+        integrate_ermakov(_const_quantum(edge * (1.0 + 1e-6), span=1.0), 1.0, consts, dt=0.1)
+    assert exc.value.t == 0.0
+
+
+def test_integration_is_deterministic(consts, cache):
+    proto = cache.timedomain("energy", 0.1).quantum
+    a = integrate_ermakov(proto, 1.0, consts)
+    b = integrate_ermakov(proto, 1.0, consts)
+    for name in ("t", "s", "sdot", "alpha", "beta", "energy"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_under_resolved_integration_collapses(consts):

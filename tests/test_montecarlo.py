@@ -148,6 +148,25 @@ def test_stability_bound_enforced(consts):
         simulate_classical(_hold_protocol(), 1.0, cfg, consts)
 
 
+def test_stability_bound_checks_step_taken(consts):
+    # on a 2-long hold dt = 0.99 passes for the bound 1 but rounds to two
+    # steps of h = 1.0, where g = 1 - h = 0 and the chain forgets its start
+    # (variance 2 against the Born value 1); the step taken is what counts
+    cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([2.0]), dt=0.99)
+    with pytest.raises(ValueError, match=r"h=1 .*stability"):
+        simulate_classical(_hold_protocol(kbar=consts.gamma), 1.0, cfg, consts)
+    t = np.linspace(0.0, 2.0, 201)
+    kappa = TimeProtocol(t, np.full(201, equilibrium_kappa(1.0, consts)), "quantum")
+    run = integrate_ermakov(kappa, 1.0, consts)
+    # drift rate (hbar/m)(2 alpha - 1/(2 s)) = -1 at rest at s = 1: bound 1
+    with pytest.raises(ValueError, match=r"h=1 .*stability"):
+        simulate_nelson(run, cfg, consts)
+    # three steps of h = 2/3 are inside the bound, and both ensembles run
+    ok = McConfig(n_particles=500, seed=0, checkpoints=np.array([2.0]), dt=2.0 / 3.0)
+    assert simulate_classical(_hold_protocol(kbar=consts.gamma), 1.0, ok, consts).h < 1.0
+    assert simulate_nelson(run, ok, consts).h < 1.0
+
+
 def test_classical_rejects_quantum_schedule(consts):
     t = np.linspace(0.0, 1.0, 11)
     cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([1.0]), dt=1e-3)
