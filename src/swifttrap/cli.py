@@ -33,7 +33,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analog import to_time_domain, variance_rate
@@ -140,8 +139,7 @@ def _write_manifest(outdir: str, command: str, parameters: dict,
         "command": command,
         "parameters": parameters,
         "outputs": sorted(outputs + ["manifest.json"]),
-        "versions": (f"swifttrap {__version__}; numpy {np.__version__}; "
-                     f"scipy {scipy.__version__}"),
+        "versions": f"swifttrap {__version__}; numpy {np.__version__}",
         "seed": int(seed),
     })
 
@@ -220,7 +218,7 @@ def _cmd_optimize(args) -> int:
         t, s_t = bundle.t, bundle.s_t
         kbar_t, kappa_t = bundle.kbar_t, bundle.kappa_t
         meta = {"method": "analytic", "iterations": 0, "final_update": 0.0,
-                "residual": 0.0, "rejections": 0,
+                "residual": 0.0, "rejections": 0, "history": [],
                 "duration_closed_form": bundle.duration}
     else:
         try:
@@ -240,7 +238,9 @@ def _cmd_optimize(args) -> int:
         kbar_t, kappa_t = emitted.classical.values, emitted.quantum.values
         meta = {"method": "bvp", "iterations": result.iterations,
                 "final_update": result.final_update,
-                "residual": result.residual, "rejections": result.rejections}
+                "residual": result.residual, "rejections": result.rejections,
+                "history": [{"residual": res, "step": step, "damping": damping}
+                            for res, step, damping in result.history]}
 
     sdot_t = variance_rate(s_t, kbar_t, c)
     alpha_t = alpha_of(s_t, sdot_t, c)

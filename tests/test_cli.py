@@ -40,6 +40,10 @@ def test_optimize_emits_artifacts(tmp_path):
     for key in ("duration", "f_energy", "f_alpha", "g_penalty", "work",
                 "j_total", "iterations", "residual"):
         assert key in report, key
+    # one trace entry per Newton iteration; the last step is final_update
+    assert len(report["history"]) == report["iterations"]
+    assert set(report["history"][0]) == {"residual", "step", "damping"}
+    assert report["history"][-1]["step"] == report["final_update"]
 
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "optimize"
@@ -213,11 +217,15 @@ def test_sweep_all_failures_exit_three(tmp_path, capsys):
 
 
 def test_cli_import_skips_scipy_interpolate():
-    # every command pays the cold import of swifttrap.cli, which
-    # scipy.interpolate makes about 0.4 s slower on a 2-core host
+    # every command pays the cold import of swifttrap.cli; the runtime is
+    # numpy-only, and importing any part of scipy would add about 0.3 s
+    # (scipy.linalg) to 0.4 s (scipy.interpolate) on a 2-core host
     src = os.path.dirname(os.path.dirname(swifttrap.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, swifttrap.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    for module in ("swifttrap", "swifttrap.cli"):
+        code = (f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", module
