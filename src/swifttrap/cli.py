@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -78,16 +79,17 @@ def _fmt(x) -> str:
     return "%.12e" % float(x)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
+    """Write a header and data lines whose fields are already comma-joined."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
-def _numeric_rows(columns):
-    for vals in zip(*columns):
-        yield [_fmt(v) for v in vals]
+def _numeric_rows(columns) -> list[str]:
+    """One line per row of the equal-length columns, every field _fmt'ed."""
+    line = ",".join(["%.12e"] * len(columns))
+    return [line % row
+            for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns))]
 
 
 def _jsonable(obj):
@@ -186,7 +188,7 @@ def _read_protocol(path: str) -> dict[str, np.ndarray]:
             except ValueError:
                 raise ProtocolParseError(
                     f"{path}: line {ln}: not a number: {tok.strip()!r}") from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ProtocolParseError(f"{path}: line {ln}: non-finite value")
             data[name].append(v)
     cols = {name: np.asarray(vals, dtype=float) for name, vals in data.items()}
@@ -362,8 +364,8 @@ def _cmd_compare(args) -> int:
         run_opt = integrate_ermakov(emitted.quantum, args.si, c)
         chen, _ = chen_polynomial(kap_i, kap_f, dur, c, n=args.grid)
         run_chen = integrate_ermakov(chen, args.si, c)
-        rows.append(["optimal", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_opt))])
-        rows.append(["chen", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_chen))])
+        rows.append(",".join(["optimal", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_opt))]))
+        rows.append(",".join(["chen", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_chen))]))
 
     _write_csv(os.path.join(outdir, "tradeoff.csv"),
                ["protocol_kind", "mu", "duration", "f_value"], rows)
@@ -393,7 +395,7 @@ def _cmd_sweep(args) -> int:
     outdir = _resolve_outdir(args)
     mus = _parse_mu_range(args.mu_range)
 
-    rows: list[list[str]] = []
+    rows: list[str] = []
     failures: list[dict] = []
     for mu in mus:
         prob = OptimizationProblem(cost=args.cost, lam=args.lam, mu=float(mu),
@@ -404,8 +406,8 @@ def _cmd_sweep(args) -> int:
                 SingularManifoldError, ValueError) as err:
             failures.append({"mu": float(mu), "error": str(err)})
             continue
-        rows.append([_fmt(mu), _fmt(rep.duration), _fmt(rep.f_absorbed),
-                     _fmt(rep.g_penalty), _fmt(rep.j_total)])
+        rows.append(",".join([_fmt(mu), _fmt(rep.duration), _fmt(rep.f_absorbed),
+                              _fmt(rep.g_penalty), _fmt(rep.j_total)]))
 
     _write_csv(os.path.join(outdir, "sweep.csv"),
                ["mu", "duration", "f_value", "g_penalty", "j_total"], rows)

@@ -223,30 +223,42 @@ class EnsembleStats:
                 raise ValueError(f"{name} must match times in shape")
 
 
+def _compose_step_maps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(I + A)(I + B) - I = A + B + AB for stacked 2x2 maps, A the later."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return np.array((a00 + b00 + (a00 * b00 + a01 * b10),
+                     a01 + b01 + (a00 * b01 + a01 * b11),
+                     a10 + b10 + (a10 * b00 + a11 * b10),
+                     a11 + b11 + (a10 * b01 + a11 * b11)))
+
+
 def _prefix_step_maps(e: np.ndarray) -> np.ndarray:
     """Inclusive prefix products of the 2x2 step maps I + E_k, in I + E form.
 
     e has shape (4, n): rows E00, E01, E10, E11 of each step, in time
     order.  Column k of the result holds P_k - I, where
-    P_k = (I + E_k) ... (I + E_0).  Hillis-Steele doubling composes them
-    in ceil(log2 n) vectorized passes; each combines a later product A with
-    an earlier one B as (I + A)(I + B) = I + A + B + AB, so no entry is
-    ever rounded next to 1.  Overflow is left to the caller, which checks
-    its reconstructed state for non-finite values.
+    P_k = (I + E_k) ... (I + E_0).  The scan is Blelloch's work-efficient
+    one (Prefix sums and their applications, CMU-CS-90-190, 1990): compose
+    neighbouring pairs (I + E_2k+1)(I + E_2k), scan that half-length
+    sequence recursively, which gives every odd-indexed product, and
+    finish each even-indexed one with a single composition, about 2n
+    compositions in all.  Each composition combines a later product A
+    with an earlier one B as (I + A)(I + B) = I + A + B + AB, so no entry
+    is ever rounded next to 1, and maps with a zero second row (affine
+    ones) keep it exactly zero.  Overflow is left to the caller, which
+    checks its reconstructed state for non-finite values.
     """
-    p = np.array(e, dtype=float)
+    p = np.asarray(e, dtype=float)
     n = p.shape[1]
-    d = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while d < n:
-            a00, a01, a10, a11 = p[:, d:]
-            b00, b01, b10, b11 = p[:, :-d]
-            p[:, d:] = (a00 + b00 + (a00 * b00 + a01 * b10),
-                        a01 + b01 + (a00 * b01 + a01 * b11),
-                        a10 + b10 + (a10 * b00 + a11 * b10),
-                        a11 + b11 + (a10 * b01 + a11 * b11))
-            d *= 2
-    return p
+    out = np.empty_like(p)
+    out[:, 0] = p[:, 0]
+    if n > 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, 1::2] = _prefix_step_maps(
+                _compose_step_maps(p[:, 1::2], p[:, 0:n - 1:2]))
+            out[:, 2::2] = _compose_step_maps(p[:, 2::2], out[:, 1:n - 1:2])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,21 @@ cross the singular manifold D*gamma = s*kbar, or that do not lower the
 largest residual, are halved.  A solve whose residual stops falling
 raises within a few iterations instead of running to max_iter;
 compressions (s_f < s_i) all end this way for now.  The initial iterate
-already has the end-layer exponent: its gap blends C tau^(2/3), with C
-from the leading balance 2 mu kbar'' ~ gamma s / gap^2 at a pinned end,
-into an interior gap of order sqrt(gamma s / lam).  Newton then starts
-inside its quadratic basin instead of repairing the layers one node scale
-per step, and converges in about a third of the iterations a smooth
-(half-sine) start needs.
+is built from the two leading balances of each cost's own right-hand
+side.  With kbar'' dropped, setting the right-hand side to zero leaves the
+outer (mu -> 0) root g_out:
+
+* energy:  g_out = gamma sqrt(s / (2 lam) + D^2)
+* phase:   g_out = 2 sqrt(2) gamma hbar s / (m sqrt(lam))
+* work:    g_out = sqrt(gamma s / lam), the Schmiedl-Seifert optimum
+           that analytic_work_optimal returns.
+
+At a pinned end the gap vanishes and the A / gap^2 term of the right-hand
+side (A = gamma (s + 2 D^2 lam) / (2 mu) for energy, gamma s / (2 mu) for
+phase and work) balances kbar'' alone, so gap ~ C tau^(2/3) with
+C^3 = (9/2) s A.  The start blends the two, and Newton runs in its
+quadratic basin from the first steps instead of repairing the layers or
+the interior level with damped steps.
 
 Each Newton step solves one tridiagonal system, by odd-even cyclic
 reduction in numpy (`_solve_tridiagonal`), so the runtime needs no scipy.
@@ -77,8 +86,9 @@ class BvpOptions:
 
     max_iter: int = 50000
     tol: float = 1e-10
-    # scales the interior gap of the blended start (see solve_bvp)
-    init_amplitude: float = 0.5
+    # multiplies the outer root g_out, the interior gap of the start
+    # iterate (see solve_bvp)
+    init_amplitude: float = 1.0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -137,6 +147,25 @@ def el_rhs_work(s, kbar, prob: OptimizationProblem, c: PhysConsts):
 
 
 _EL_RHS = {"energy": el_rhs_energy, "phase": el_rhs_phase, "work": el_rhs_work}
+
+
+def _outer_gap_inv4(cost, s, prob, c):
+    """g_out^-4, g_out the gap at which the EL right-hand side vanishes.
+
+    Written with lam in the numerator, so lam = 0 (no outer root, the
+    right-hand side is positive everywhere) gives 0 rather than 1/0.
+    """
+    lam = prob.lam
+    if cost == "energy":
+        return (2.0 * lam) ** 2 / (c.gamma**4 * (s + 2.0 * c.D**2 * lam) ** 2)
+    if cost == "phase":
+        return c.m**4 * lam**2 / (64.0 * c.gamma**4 * c.hbar**4 * s**4)
+    return lam**2 / (c.gamma**2 * s**2)
+
+
+def _outer_gap(cost, s, prob, c):
+    """Outer (mu -> 0) root of the EL equation: the gap where kbar'' = 0."""
+    return _outer_gap_inv4(cost, s, prob, c) ** -0.25
 
 
 def _el_rhs_diag_prime(cost, s, kbar, prob, c):
@@ -334,10 +363,13 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     _graded_nodes; boundary values are pinned to the equilibrium stiffness
     at both ends, and the equation is discretized by _fitted_stencil.  The
     initial iterate sits on the correct side of the singular manifold with
-    gap = (L^-4 + B^-4)^(-1/4) at the interior nodes: L = (9 gamma s^2
-    tau^2 / (4 mu))^(1/3) is the end layer C tau^(2/3), tau the distance to
-    the nearer end, and B = init_amplitude sqrt(gamma s / max(lam, 1)) the
-    interior scale.  Each Newton step is one _solve_tridiagonal call.
+    gap = (L^-4 + B^-4)^(-1/4) at the interior nodes, both from leading
+    balances of the cost's right-hand side (see the module docstring):
+    L = C tau^(2/3) is the end layer, tau the distance to the nearer end,
+    with C^3 = 9 gamma s (s + 2 D^2 lam) / (4 mu) for energy and
+    9 gamma s^2 / (4 mu) for phase and work; B = init_amplitude g_out is
+    the outer root (_outer_gap).  B^-4 is formed directly, so lam = 0
+    gives gap = L.  Each Newton step is one _solve_tridiagonal call.
 
     Iteration is damped Newton on the discrete equations: a step is halved
     until it stays feasible and lowers the largest weighted residual (the
@@ -361,9 +393,15 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
 
     s_int = s[1:-1]
     tau = np.minimum(np.abs(s_int - prob.s_i), np.abs(s_int - prob.s_f))
-    layer = np.cbrt(9.0 * c.gamma * s_int**2 * tau**2 / (4.0 * prob.mu))
-    bulk = opts.init_amplitude * np.sqrt(c.gamma * s_int / max(prob.lam, 1.0))
-    gap0 = (layer**-4 + bulk**-4) ** -0.25
+    # layer: kbar'' balances the A / gap^2 term of the right-hand side
+    # alone; bulk: the right-hand side vanishes (kbar'' = 0)
+    if prob.cost == "energy":
+        a = c.gamma * (s_int + 2.0 * c.D**2 * prob.lam) / (2.0 * prob.mu)
+    else:
+        a = c.gamma * s_int / (2.0 * prob.mu)
+    layer = np.cbrt(4.5 * s_int * a * tau**2)
+    bulk_inv4 = _outer_gap_inv4(prob.cost, s_int, prob, c) / opts.init_amplitude**4
+    gap0 = (layer**-4 + bulk_inv4) ** -0.25
     kbar = np.empty(n)
     kbar[0], kbar[-1] = Dg / prob.s_i, Dg / prob.s_f
     kbar[1:-1] = (Dg - sgn * gap0) / s_int

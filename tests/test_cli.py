@@ -10,7 +10,7 @@ import pytest
 
 import swifttrap
 from swifttrap import adiabatic_reference, equilibrium_kbar
-from swifttrap.cli import main
+from swifttrap.cli import _numeric_rows, main
 
 ROOT2 = np.sqrt(2.0)
 
@@ -229,3 +229,15 @@ def test_cli_import_skips_scipy_interpolate():
                              env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]", module
+
+
+def test_numeric_rows_match_per_field_format():
+    # one "%.12e,..." line per row must give the bytes that formatting
+    # each field with "%.12e" % float(x) and joining on commas gives
+    columns = ([-0.0, 1e-300, 3, np.int64(-7)],
+               np.array([0.1, -1e300, 2.5e-12, np.pi]),
+               [np.float32(0.1), np.float64(-0.0), 12345678901234, np.int32(0)])
+    want = [",".join("%.12e" % float(x) for x in row) for row in zip(*columns)]
+    assert _numeric_rows(columns) == want
+    assert want[0].startswith("-0.000000000000e+00,")
+    assert "1.000000000000e-300" in want[1]

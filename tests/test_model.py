@@ -15,6 +15,7 @@ from swifttrap import (
     equilibrium_kappa,
     equilibrium_kbar,
 )
+from swifttrap.model import _prefix_step_maps
 
 
 def test_default_constants_are_matched():
@@ -121,3 +122,44 @@ def test_ensemble_stats_carries_particle_count():
                        stderr_variance=np.full(2, 0.01), n_particles=500)
     assert st.n_particles == 500
     assert st.variance.dtype == float
+
+
+# ---------------------------------------------------------------------------
+# prefix product of step maps
+# ---------------------------------------------------------------------------
+
+def _sequential_products(e):
+    """P_k = (I + E_k) ... (I + E_0), multiplied left to right in time."""
+    out = np.empty((e.shape[1], 2, 2))
+    p = np.eye(2)
+    for k in range(e.shape[1]):
+        p = (np.eye(2) + e[:, k].reshape(2, 2)) @ p
+        out[k] = p
+    return out
+
+
+@pytest.mark.parametrize("sizes", [list(range(1, 71)), [1023, 1024, 1025, 10001]],
+                         ids=["1-70", "large"])
+def test_prefix_step_maps_match_sequential_product(sizes):
+    rng = np.random.default_rng(5)
+    for n in sizes:
+        # steps small enough that the product stays of order one
+        e = rng.normal(scale=0.5 / np.sqrt(n), size=(4, n))
+        want = _sequential_products(e)
+        got = _prefix_step_maps(e)
+        assert got.shape == (4, n)
+        got_full = np.eye(2) + got.T.reshape(n, 2, 2)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got_full - want)) <= 1e-13 * scale, n
+
+
+def test_prefix_step_maps_keep_affine_maps_affine():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 37, 1025):
+        e = np.zeros((4, n))
+        e[:2] = rng.normal(scale=0.5 / np.sqrt(n), size=(2, n))
+        got = _prefix_step_maps(e)
+        assert np.all(got[2:] == 0.0), n
+        want = _sequential_products(e)
+        assert np.max(np.abs(1.0 + got[0] - want[:, 0, 0])) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got[1] - want[:, 0, 1])) <= 1e-13 * np.max(np.abs(want))
