@@ -53,7 +53,13 @@ from .model import (
     alpha_of,
     equilibrium_kappa,
 )
-from .montecarlo import McConfig, simulate_classical, simulate_nelson, verify_born
+from .montecarlo import (
+    BIT_GENERATOR,
+    McConfig,
+    simulate_classical,
+    simulate_nelson,
+    verify_born,
+)
 from .solver import analytic_work_optimal, solve_bvp
 
 __all__ = ["main"]
@@ -303,6 +309,7 @@ def _cmd_verify(args) -> int:
             "threshold": born.threshold,
             "n_particles": args.particles,
             "seed": args.seed,
+            "rng": BIT_GENERATOR,
             "dt": stats.h,
             "n_steps": stats.n_steps,
             "stability_margin": stats.stability_margin,
@@ -319,6 +326,7 @@ def _cmd_verify(args) -> int:
                 "max_joint_z": float(np.max(joint)),
                 "threshold": 3.0,
                 "seed": args.seed + 1,
+                "rng": BIT_GENERATOR,
                 "dt": twin.h,
                 "n_steps": twin.n_steps,
                 "stability_margin": twin.stability_margin,

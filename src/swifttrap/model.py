@@ -225,12 +225,11 @@ class EnsembleStats:
 
 def _compose_step_maps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(I + A)(I + B) - I = A + B + AB for stacked 2x2 maps, A the later."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return np.array((a00 + b00 + (a00 * b00 + a01 * b10),
-                     a01 + b01 + (a00 * b01 + a01 * b11),
-                     a10 + b10 + (a10 * b00 + a11 * b10),
-                     a11 + b11 + (a10 * b01 + a11 * b11)))
+    n = a.shape[1]
+    a = a.reshape(2, 2, n)
+    b = b.reshape(2, 2, n)
+    ab = a[:, 0, None] * b[0, None] + a[:, 1, None] * b[1, None]
+    return (a + b + ab).reshape(4, n)
 
 
 def _prefix_step_maps(e: np.ndarray) -> np.ndarray:

@@ -22,11 +22,16 @@ with G = prod g_k and V from the scalar recursion V <- g_k^2 V + 2 D h.  The
 joint law at the checkpoints is the one stepping gives, so the step h, its
 stability bound and the checkpoint rounding keep their meaning.
 
-Randomness is a counter-based Philox stream keyed by the seed.  The draw
-order is fixed (initial positions, then one row of normals per checkpoint
-interval; an interval of zero steps draws nothing), so results are a pure
-function of (inputs, seed, particle count); no execution schedule can
-reorder them.
+Randomness is one sequential SFC64 stream per ensemble (ensemble_stream),
+seeded through SeedSequence.  The draw order is fixed: the initial
+positions, then one row of N normals per checkpoint interval, drawn into
+one reused buffer that the chain update consumes in place; an interval of
+zero steps draws nothing.  Results are therefore a pure function of
+(inputs, seed, particle count).  SeedSequence hashes the seed into the
+generator's whole state, so neighbouring seeds, such as the seed + 1 that
+drives a classical twin next to a Born ensemble, give streams that are
+independent for every practical purpose rather than shifted copies of one
+another.
 """
 
 from __future__ import annotations
@@ -39,8 +44,10 @@ from .dynamics import TrajectoryRecord
 from .model import EnsembleStats, PhysConsts, TimeProtocol
 
 __all__ = [
+    "BIT_GENERATOR",
     "BornReport",
     "McConfig",
+    "ensemble_stream",
     "simulate_classical",
     "simulate_nelson",
     "verify_born",
@@ -68,6 +75,17 @@ class McConfig:
             raise ValueError("dt must be positive")
 
 
+# looked up by name when a stream is built, so that importing the package
+# does not load numpy.random (about 6 MB resident) for runs with no ensemble
+BIT_GENERATOR = "SFC64"
+
+
+def ensemble_stream(seed: int) -> np.random.Generator:
+    """The ensemble's random stream: BIT_GENERATOR seeded through SeedSequence."""
+    bit_generator = getattr(np.random, BIT_GENERATOR)
+    return np.random.Generator(bit_generator(np.random.SeedSequence(seed)))
+
+
 def _resolve_dt(cfg: McConfig, rate_bound: float, span: float) -> float:
     """Default step: a tenth of min(stability bound, span/10^4)."""
     if cfg.dt is not None:
@@ -83,12 +101,13 @@ def _checkpoint_steps(cfg: McConfig, t0: float, h: float, n_steps: int) -> np.nd
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float]:
-    mean = float(x.mean())
-    d = x - mean
-    d2 = d * d
-    m2 = float(np.mean(d2))
-    m4 = float(np.mean(d2 * d2))
+    """Mean, unbiased variance and excess kurtosis from one centred pass."""
     n = x.size
+    mean = float(x.mean())
+    d2 = x - mean
+    d2 *= d2
+    m2 = float(d2.sum()) / n
+    m4 = float(np.dot(d2, d2)) / n
     var = m2 * n / (n - 1)
     kurt = m4 / (m2 * m2) - 3.0
     return mean, var, kurt
@@ -98,8 +117,10 @@ def _run_em(rates: np.ndarray, h: float, t0: float, s_start: float,
             cfg: McConfig, c: PhysConsts, n_steps: int) -> EnsembleStats:
     """Sample x <- (1 + rate_k h) x + sqrt(2 D h) xi exactly at the checkpoints."""
     idx = _checkpoint_steps(cfg, t0, h, n_steps)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    x = np.sqrt(s_start) * rng.standard_normal(cfg.n_particles)
+    rng = ensemble_stream(cfg.seed)
+    x = rng.standard_normal(cfg.n_particles)
+    x *= np.sqrt(s_start)
+    eta = np.empty_like(x)
 
     growth = (1.0 + rates * h).tolist()
     step_var = 2.0 * c.D * h
@@ -115,7 +136,10 @@ def _run_em(rates: np.ndarray, h: float, t0: float, s_start: float,
             for g in growth[done:b]:
                 gain *= g
                 noise_var = g * g * noise_var + step_var
-            x = gain * x + np.sqrt(noise_var) * rng.standard_normal(cfg.n_particles)
+            rng.standard_normal(out=eta)
+            eta *= np.sqrt(noise_var)
+            x *= gain
+            x += eta
             done = b
         mean[j], var[j], kurt[j] = _moments(x)
 

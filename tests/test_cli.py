@@ -87,6 +87,7 @@ def test_verify_both_runs_ensembles(tmp_path):
     verdict = json.loads((out2 / "verify.json").read_text())
     assert set(verdict) >= {"ermakov", "born", "twin", "passed"}
     assert rc == (0 if verdict["passed"] else 4)
+    assert verdict["born"]["rng"] == verdict["twin"]["rng"] == "SFC64"
     assert verdict["ermakov"]["passed"] is True
 
 
@@ -219,12 +220,14 @@ def test_sweep_all_failures_exit_three(tmp_path, capsys):
 def test_cli_import_skips_scipy_interpolate():
     # every command pays the cold import of swifttrap.cli; the runtime is
     # numpy-only, and importing any part of scipy would add about 0.3 s
-    # (scipy.linalg) to 0.4 s (scipy.interpolate) on a 2-core host
+    # (scipy.linalg) to 0.4 s (scipy.interpolate) on a 2-core host;
+    # numpy.random (about 6 MB resident) loads only when an ensemble runs
     src = os.path.dirname(os.path.dirname(swifttrap.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for module in ("swifttrap", "swifttrap.cli"):
         code = (f"import sys, {module}; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy') or m == 'numpy.random'))")
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True, check=True)

@@ -15,6 +15,7 @@ from swifttrap import (
     simulate_nelson,
     verify_born,
 )
+from swifttrap.montecarlo import _moments, ensemble_stream
 
 
 def _hold_protocol(span=2.0, n=201, kbar=1.0):
@@ -44,6 +45,33 @@ def test_same_seed_reproduces_exactly(consts):
     other = McConfig(n_particles=2000, seed=12, checkpoints=np.array([1.0, 2.0]), dt=1e-3)
     c2 = simulate_classical(_hold_protocol(), 1.0, other, consts)
     assert not np.array_equal(a.variance, c2.variance)
+
+
+def test_stream_reproduces_and_neighbouring_seeds_decorrelate():
+    n = 100_000
+    for s in (0, 11, 2**31 - 3):
+        assert np.array_equal(ensemble_stream(s).standard_normal(n),
+                              ensemble_stream(s).standard_normal(n))
+        # seed + 1 drives the classical twin next to the Born ensemble
+        r = np.corrcoef(ensemble_stream(s).standard_normal(n),
+                        ensemble_stream(s + 1).standard_normal(n))[0, 1]
+        assert abs(r) < 5.0 / np.sqrt(n), f"seeds {s}, {s + 1}: r = {r:.2e}"
+
+
+@pytest.mark.parametrize("sample", ["offset", "student_t"])
+def test_moments_match_two_pass_reference(sample):
+    # a large offset punishes a one-pass E[x^2] - E[x]^2; Student-t (5 dof)
+    # puts most of the fourth moment in a few tail points
+    rng = np.random.default_rng(7)
+    if sample == "offset":
+        x = 1.0e3 + 1.0e-2 * rng.standard_normal(20_000)
+    else:
+        x = rng.standard_t(5, 20_000)
+    mean, var, kurt = _moments(x)
+    d = x - x.mean()
+    assert mean == pytest.approx(x.mean(), rel=1e-15)
+    assert var == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+    assert kurt + 3.0 == pytest.approx(np.mean(d**4) / np.var(x) ** 2, rel=1e-12)
 
 
 def test_zero_noise_reduces_to_discrete_drift(consts):
