@@ -18,11 +18,17 @@ pinned to equilibrium at both ends make that integrand blow up like
 linear in |s - s_end|^(2/3) of the nearer pinned end, which integrates
 that blow-up exactly instead of evaluating at the endpoints; the cell at
 each pinned end takes the power fitted there, so other powers below one
-are integrated exactly in that cell too.
+are integrated exactly in that cell too.  The Gauss geometry of those cells
+depends on the nodes and on which ends are pinned, not on the schedule, so
+`_cell_geometry` memoizes it (functools.lru_cache, at most 16 node arrays,
+about 145 kB each at 2001 nodes, keyed on the nodes' bytes): the duration,
+the time table and the energy cost of a schedule, and every schedule
+solved on the same grid, share one entry.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +246,42 @@ def _end_cell(dx, g1, w0, w1, p):
     return dx / g1 * (w0 / (1.0 - p) + (w1 - w0) / (5.0 / 3.0 - p))
 
 
+# node arrays whose cell geometry _cell_geometry keeps
+_GEOMETRY_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
+def _cell_geometry(x_bytes, pinned_left, pinned_right):
+    """Gauss geometry of the fitted cells on the nodes stored in x_bytes.
+
+    Returns (frac, three_u2, half) for the 4-point rule of every cell:
+    frac = (u^2 - ua^2) / (ub^2 - ua^2) at the Gauss points u, 3 u^2, and
+    the signed half-width sign * (ub - ua) / 2, with u = tau^(1/3)
+    measured from the nearer pinned end.  They depend on the nodes and
+    the pinned flags alone, so the memo, keyed on the nodes' bytes, lets
+    the duration, the time table and the energy cost of one schedule, and
+    every schedule on the same grid, share them.  The arrays are
+    read-only.
+    """
+    x = np.frombuffer(x_bytes)
+    mid = 0.5 * (x[:-1] + x[1:])
+    if pinned_left and pinned_right:
+        end = np.where(np.abs(mid - x[0]) <= np.abs(mid - x[-1]), x[0], x[-1])
+    else:
+        end = np.full(mid.size, x[0] if pinned_left else x[-1])
+    ua = np.cbrt(np.abs(x[:-1] - end))
+    ub = np.cbrt(np.abs(x[1:] - end))
+    # ds = sign * dtau, with sign the direction pointing away from the end
+    sign = np.sign(mid - end)
+    u = 0.5 * (ua + ub)[:, None] + 0.5 * (ub - ua)[:, None] * _GAUSS_X
+    frac = (u**2 - (ua**2)[:, None]) / (ub**2 - ua**2)[:, None]
+    three_u2 = 3.0 * u**2
+    half = sign * 0.5 * (ub - ua)
+    for a in (frac, three_u2, half):
+        a.flags.writeable = False
+    return frac, three_u2, half
+
+
 def _fitted_cells(x, w, g, pinned_left, pinned_right):
     """Per-cell integrals of w/g dx for a gap g that vanishes at pinned ends.
 
@@ -254,7 +296,7 @@ def _fitted_cells(x, w, g, pinned_left, pinned_right):
     first cell exact and the sum converges as the grid refines (at second
     order for p = 2/3 on graded nodes).  A gap leaving a pinned end like
     tau^p with p >= 1 raises InfeasibleProtocolError, since its time
-    integral diverges.
+    integral diverges.  The Gauss geometry comes from _cell_geometry.
     """
     if not (pinned_left or pinned_right):
         v = w / g
@@ -266,20 +308,11 @@ def _fitted_cells(x, w, g, pinned_left, pinned_right):
     if pinned_right:
         p_right = _layer_exponent(x, g, -1)
         g[-1] = 0.0
-    mid = 0.5 * (x[:-1] + x[1:])
-    if pinned_left and pinned_right:
-        end = np.where(np.abs(mid - x[0]) <= np.abs(mid - x[-1]), x[0], x[-1])
-    else:
-        end = np.full(mid.size, x[0] if pinned_left else x[-1])
-    ua = np.cbrt(np.abs(x[:-1] - end))
-    ub = np.cbrt(np.abs(x[1:] - end))
-    # ds = sign * dtau, with sign the direction pointing away from the end
-    sign = np.sign(mid - end)
-    u = 0.5 * (ua + ub)[:, None] + 0.5 * (ub - ua)[:, None] * _GAUSS_X
-    frac = (u**2 - (ua**2)[:, None]) / (ub**2 - ua**2)[:, None]
+    frac, three_u2, half = _cell_geometry(
+        np.ascontiguousarray(x, dtype=float).tobytes(), pinned_left, pinned_right)
     g_u = g[:-1, None] + (g[1:] - g[:-1])[:, None] * frac
     w_u = w[:-1, None] + (w[1:] - w[:-1])[:, None] * frac
-    cells = sign * 0.5 * (ub - ua) * ((3.0 * u**2 * w_u / g_u) @ _GAUSS_W)
+    cells = half * ((three_u2 * w_u / g_u) @ _GAUSS_W)
     if pinned_left:
         cells[0] = _end_cell(x[1] - x[0], g[1], w[0], w[1], p_left)
     if pinned_right:
@@ -328,13 +361,20 @@ def time_of_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _hermite(t_nodes, y, dy, t):
-    """Cubic Hermite interpolant through (t_nodes, y) with slopes dy, at t."""
+    """Cubic Hermite interpolant through (t_nodes, y) with slopes dy, at t.
+
+    y and dy may stack several series along a leading axis; the interval
+    search and the four basis polynomials are then built once for all.
+    """
     j = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, t_nodes.size - 2)
     h = t_nodes[j + 1] - t_nodes[j]
     x = (t - t_nodes[j]) / h
     x2, x3 = x * x, x * x * x
-    return ((2.0 * x3 - 3.0 * x2 + 1.0) * y[j] + (x3 - 2.0 * x2 + x) * h * dy[j]
-            + (3.0 * x2 - 2.0 * x3) * y[j + 1] + (x3 - x2) * h * dy[j + 1])
+    # np.take along the last axis: y[..., j] on a stack is several times slower
+    y0, y1 = np.take(y, j, axis=-1), np.take(y, j + 1, axis=-1)
+    dy0, dy1 = np.take(dy, j, axis=-1), np.take(dy, j + 1, axis=-1)
+    return ((2.0 * x3 - 3.0 * x2 + 1.0) * y0 + (x3 - 2.0 * x2 + x) * h * dy0
+            + (3.0 * x2 - 2.0 * x3) * y1 + (x3 - x2) * h * dy1)
 
 
 @dataclass
@@ -405,11 +445,11 @@ def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int = 2001) -> TimeDoma
     eta = np.linspace(0.0, 1.0, n_t)
     t_u = t_nodes[-1] * (eta - _EMIT_GRADING * np.sin(2.0 * np.pi * eta) / (2.0 * np.pi))
     t_u[0], t_u[-1] = 0.0, t_nodes[-1]
-    s_u = _hermite(t_nodes, p.s_nodes, sdot_nodes, t_u)
+    s_u, kbar_u = _hermite(t_nodes, np.stack((p.s_nodes, p.kbar)),
+                           np.stack((sdot_nodes, kbar_dot_nodes)), t_u)
     # interpolation can only undershoot positivity near pathological data
     if np.any(s_u <= 0.0):
         raise InfeasibleProtocolError("resampled variance left the positive axis")
-    kbar_u = _hermite(t_nodes, p.kbar, kbar_dot_nodes, t_u)
     classical = TimeProtocol(t_u, kbar_u, "classical")
     quantum = quantum_from_classical_t(classical, s_u, c)
     return TimeDomainProtocols(classical=classical, quantum=quantum, s=s_u,

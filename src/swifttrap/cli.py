@@ -213,6 +213,12 @@ def _read_protocol(path: str) -> dict[str, np.ndarray]:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _history_records(history) -> list[dict]:
+    """A solver trace of (residual, step, damping) triples as JSON records."""
+    return [{"residual": res, "step": step, "damping": damping}
+            for res, step, damping in history]
+
+
 def _cmd_optimize(args) -> int:
     c = _consts_from_args(args)
     outdir = _resolve_outdir(args)
@@ -236,6 +242,7 @@ def _cmd_optimize(args) -> int:
                 "error": str(err),
                 "iterations": err.iterations,
                 "update_history": err.update_history,
+                "history": _history_records(err.history),
             })
             print(f"optimize: {err}", file=sys.stderr)
             return 3
@@ -247,8 +254,7 @@ def _cmd_optimize(args) -> int:
         meta = {"method": "bvp", "iterations": result.iterations,
                 "final_update": result.final_update,
                 "residual": result.residual, "rejections": result.rejections,
-                "history": [{"residual": res, "step": step, "damping": damping}
-                            for res, step, damping in result.history]}
+                "history": _history_records(result.history)}
 
     sdot_t = variance_rate(s_t, kbar_t, c)
     alpha_t = alpha_of(s_t, sdot_t, c)

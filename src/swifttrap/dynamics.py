@@ -17,7 +17,11 @@ u'' = -(kappa/m) u: from rest at variance s0, s = s0 u1^2 + (D^2/s0) u2^2,
 and the Gouy angle theta = atan2(D u2, s0 u1) advances at D/s, so the
 global phase beta = -hbar theta / (4 m D) needs no quadrature.  Each RK4
 step of the linear flow is a 2x2 map, and the maps are composed by a
-vectorized prefix scan instead of a per-step loop.
+vectorized prefix scan instead of a per-step loop.  theta is continued
+across the branch of atan2 by counting the steps where its raw value drops
+by more than pi.  Since theta never decreases, that count is what
+np.unwrap would add, as long as every step turns theta by less than pi,
+the condition np.unwrap assumes as well.
 
 Also here: the instantaneous energy of the Gaussian state, its Wigner
 phase-space density, the squeeze-tilt angle, and the osmotic drift that
@@ -75,6 +79,21 @@ def energy_of(s, sdot, kappa, c: PhysConsts):
     return float(out) if out.ndim == 0 else out
 
 
+def _gouy_angle(raw: np.ndarray) -> np.ndarray:
+    """The continuous Gouy angle theta from its atan2 samples raw.
+
+    theta never decreases (its rate is D/s > 0), so the branch of atan2 is
+    crossed only upward, where raw drops by nearly 2 pi; theta is raw plus
+    2 pi times the number of such drops so far.  A drop counts only when
+    it exceeds pi, so rounding noise on a nearly flat theta adds nothing.
+    This is np.unwrap, to rounding, as long as every step turns theta by
+    less than pi, which np.unwrap assumes too.
+    """
+    turns = np.zeros(raw.size)
+    np.cumsum(np.diff(raw) < -np.pi, dtype=float, out=turns[1:])
+    return raw + 2.0 * np.pi * turns
+
+
 def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
                       dt: float | None = None) -> TrajectoryRecord:
     """Integrate the width equation under a quantum schedule, from rest.
@@ -88,16 +107,17 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     u2' = 1), with s0 = s_start and q = D^2/s0:
 
         s = s0 u1^2 + q u2^2,    sdot = 2 (s0 u1 u1' + q u2 u2'),
-        beta = -hbar theta / (4 m D),  theta = unwrap(atan2(D u2, s0 u1)),
+        beta = -hbar theta / (4 m D),  theta = atan2(D u2, s0 u1) + 2 pi n,
 
-    theta being the Gouy angle, whose rate is D/s.  Starts at variance
+    theta being the Gouy angle, whose rate is D/s, and n the number of
+    branch crossings so far (_gouy_angle).  Starts at variance
     s_start with zero width velocity.  Default step is one ten-thousandth
     of the span; the step actually taken is span / round(span/dt).
 
-    Raises IntegrationError (with the failure time) at the first step whose
-    stage samples give h*sqrt(|kappa|/m) > 2*sqrt(2), RK4's stability bound
-    on the imaginary axis, and at the first sample where s is non-finite or
-    at most 1e-16 * s_start.
+    Raises IntegrationError (with the failure time) at the first step with
+    a stage sample |kappa| > 8 m / h^2, i.e. h*sqrt(|kappa|/m) > 2*sqrt(2),
+    RK4's stability bound on the imaginary axis, and at the first sample
+    where s is non-finite or at most 1e-16 * s_start.
     """
     c.require_quantum()
     if kappa_t.kind != "quantum":
@@ -119,12 +139,15 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
                     kappa_t.t_nodes, kappa_t.values)
     ka, km, kb = kap[:-1:2] / c.m, kap[1::2] / c.m, kap[2::2] / c.m
 
-    stiff = h * np.sqrt(np.maximum(np.maximum(np.abs(ka), np.abs(km)), np.abs(kb)))
-    unstable = np.flatnonzero(stiff > 2.0 * np.sqrt(2.0))
-    if unstable.size:
-        k = int(unstable[0])
+    # h sqrt(|kappa|/m) > 2 sqrt(2) at a stage sample is |kappa| > 8 m / h^2;
+    # sample i is a stage of steps (i - 1) // 2 and i // 2, the first of
+    # which is reported
+    over = np.abs(kap) > 8.0 * c.m / (h * h)
+    if over.any():
+        k = max(int(np.argmax(over)) - 1, 0) // 2
+        stiff = h * np.sqrt(np.max(np.abs(kap[2 * k:2 * k + 3])) / c.m)
         raise IntegrationError(
-            f"step h={h:.3g} gives h*sqrt(|kappa|/m)={stiff[k]:.3g} above the RK4 "
+            f"step h={h:.3g} gives h*sqrt(|kappa|/m)={stiff:.3g} above the RK4 "
             f"stability bound 2*sqrt(2) at t={t[k]:.6g}", t=float(t[k]))
 
     # RK4 step map I + E of y' = [[0, 1], [-a(t), 0]] y with stage rates
@@ -147,7 +170,7 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
         k = int(bad[0])
         raise IntegrationError(f"width collapsed or blew up at t={t[k]:.6g}", t=float(t[k]))
     sdot = 2.0 * (s_start * u1 * du1 + q * u2 * du2)
-    theta = np.unwrap(np.arctan2(c.D * u2, s_start * u1))
+    theta = _gouy_angle(np.arctan2(c.D * u2, s_start * u1))
     beta = -c.hbar * theta / (4.0 * c.m * c.D)
     alpha = c.m * sdot / (4.0 * c.hbar * s)
     energy = energy_of(s, sdot, kap[::2], c)

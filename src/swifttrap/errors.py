@@ -23,14 +23,18 @@ class SingularManifoldError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iterative solver failed to reach tolerance.
 
-    Carries the iteration count and the trailing update-norm history so
-    callers can report how the solve stalled.
+    Carries the iteration count, the trailing update-norm history and the
+    solve's full trace so callers can report how the solve stalled.
+    history holds one (residual, step, damping) triple per iteration, as
+    BvpResult.history does; an iteration whose step was not finite is
+    recorded with damping 0.
     """
 
-    def __init__(self, message, iterations=None, update_history=None):
+    def __init__(self, message, iterations=None, update_history=None, history=None):
         super().__init__(message)
         self.iterations = iterations
         self.update_history = list(update_history) if update_history is not None else []
+        self.history = list(history) if history is not None else []
 
 
 class SingularityTrapError(ConvergenceError):

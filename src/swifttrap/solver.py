@@ -54,6 +54,14 @@ The reduction does not pivot; that is safe on the Jacobians of feasible
 expansions, which are strictly diagonally dominant (see
 `_solve_tridiagonal`).
 
+What depends on the grid (s_i, s_f, n) alone is built once per grid and
+memoized by `_solver_grid`, a functools.lru_cache of at most 16 grids
+(about 130 kB each at n = 2001): the graded nodes, the fitted stencil,
+the residual weights, the distances to the ends and the padded, negated
+off-diagonals the reduction starts from.  A mu sweep or a lam search on
+one endpoint pair builds them once.  The memoized arrays are read-only,
+and each BvpResult owns a copy of its nodes.
+
 The work cost with mu = 0 has a closed-form optimum (no smoothing, free
 endpoint jumps); `analytic_work_optimal` returns that bundle and doubles
 as an oracle for the numerical machinery.
@@ -61,7 +69,9 @@ as an oracle for the numerical machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,19 +297,40 @@ def _fitted_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _DIRECT_SIZE = 64
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs):
+def _reduction_layout(lower, upper):
+    """The fixed part of _solve_tridiagonal's input: (A, C, levels).
+
+    A = -lower and C = -upper, each padded with zeros to the size
+    q 2^levels - 1 at which every reduction level has odd size; lower[0]
+    and upper[-1] are dropped.  The arrays are read-only, so one layout
+    can serve every solve that shares the off-diagonals.
+    """
+    n = np.size(lower)
+    levels = 0
+    while n + 1 > (_DIRECT_SIZE + 1) * 2**levels:
+        levels += 1
+    block = 2**levels
+    size = block * -(-(n + 1) // block) - 1
+    A, C = np.zeros(size), np.zeros(size)
+    A[1:n] = np.negative(lower[1:])
+    C[:n - 1] = np.negative(upper[:-1])
+    A.flags.writeable = C.flags.writeable = False
+    return A, C, levels
+
+
+def _solve_tridiagonal(layout, diag, rhs):
     """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
 
-    lower[0] and upper[-1] are ignored.  Odd-even cyclic reduction
-    (Hockney, J. ACM 12, 95 (1965)) eliminates the even-indexed rows,
-    which leaves a tridiagonal system in the odd-indexed unknowns of about
-    half the size, until at most _DIRECT_SIZE unknowns remain; a Thomas
-    sweep solves those, and back-substitution recovers each eliminated
-    level.  The system is first padded with decoupled rows x = 0 to a size
-    q 2^L - 1, so that every level has odd size and its eliminated rows
-    bracket every surviving row; each level is then a dozen whole-array
-    operations.  The off-diagonals are carried negated, A = -lower and
-    C = -upper.
+    layout = _reduction_layout(lower, upper) carries the off-diagonals.
+    Odd-even cyclic reduction (Hockney, J. ACM 12, 95 (1965)) eliminates
+    the even-indexed rows, which leaves a tridiagonal system in the
+    odd-indexed unknowns of about half the size, until at most _DIRECT_SIZE
+    unknowns remain; a Thomas sweep solves those, and back-substitution
+    recovers each eliminated level.  The system is padded with decoupled
+    rows x = 0 to a size q 2^L - 1, so that every level has odd size and
+    its eliminated rows bracket every surviving row; each level is then a
+    dozen whole-array operations.  The off-diagonals are carried negated,
+    A = -lower and C = -upper.
 
     Neither stage pivots.  Both are stable on strictly row diagonally
     dominant systems, and a reduced system inherits the dominance of the
@@ -311,16 +342,10 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     its dominance is measured, and the test suite asserts it on every
     Jacobian of the reference solves.
     """
+    A, C, levels = layout
     n = np.size(rhs)
-    levels = 0
-    while n + 1 > (_DIRECT_SIZE + 1) * 2**levels:
-        levels += 1
-    block = 2**levels
-    size = block * -(-(n + 1) // block) - 1
-    A, b, C, d = np.zeros(size), np.ones(size), np.zeros(size), np.zeros(size)
-    A[1:n] = np.negative(lower[1:])
+    b, d = np.ones(A.size), np.zeros(A.size)
     b[:n] = diag
-    C[:n - 1] = np.negative(upper[:-1])
     d[:n] = rhs
 
     stack = []
@@ -355,6 +380,47 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return np.asarray(x)[:n]
 
 
+class _SolverGrid(NamedTuple):
+    """Everything solve_bvp needs that depends on (s_i, s_f, n) alone."""
+
+    s: np.ndarray             # graded nodes
+    lower: np.ndarray         # fitted stencil at the interior nodes
+    upper: np.ndarray
+    stencil_diag: np.ndarray  # -lower - upper
+    row_weight: np.ndarray    # ds[j-1] ds[j] / h^2
+    tau: np.ndarray           # distance of each interior node to the nearer end
+    layout: tuple             # _reduction_layout(lower, upper)
+
+
+# grids kept by _solver_grid; a sweep or a lam search stays on one or a few
+_GRID_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _solver_grid(s_i: float, s_f: float, n: int) -> _SolverGrid:
+    """Nodes, stencil, residual weights and reduction layout of one grid.
+
+    Memoized: solves that share (s_i, s_f, n), as a mu sweep does, build
+    them once.  Every array is read-only, since each caller shares them.
+    """
+    s = _graded_nodes(s_i, s_f, n)
+    lower, upper = _fitted_stencil(s)
+    s_int = s[1:-1]
+    # row j weighted by ds[j-1] ds[j] / h^2, h the mean spacing: the
+    # equation in the uniform grid coordinate, whose rounding floor is
+    # eps |kbar| / h^2 at every node, as on a uniform grid
+    h = (s_f - s_i) / (n - 1)
+    ds = np.diff(s)
+    grid = _SolverGrid(
+        s=s, lower=lower, upper=upper, stencil_diag=-lower - upper,
+        row_weight=ds[:-1] * ds[1:] / h**2,
+        tau=np.minimum(np.abs(s_int - s_i), np.abs(s_int - s_f)),
+        layout=_reduction_layout(lower, upper))
+    for a in grid[:-1]:
+        a.flags.writeable = False
+    return grid
+
+
 def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
               opts: BvpOptions = BvpOptions()) -> BvpResult:
     """Solve the Euler-Lagrange boundary problem for prob.cost.
@@ -387,12 +453,12 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
                          "use analytic_work_optimal")
     rhs_fn = _EL_RHS[prob.cost]
     n = prob.n_grid
-    s = _graded_nodes(prob.s_i, prob.s_f, n)
+    grid = _solver_grid(prob.s_i, prob.s_f, n)
+    s, lower, upper, tau = grid.s, grid.lower, grid.upper, grid.tau
     sgn = 1.0 if prob.s_f > prob.s_i else -1.0
     Dg = c.D * c.gamma
 
     s_int = s[1:-1]
-    tau = np.minimum(np.abs(s_int - prob.s_i), np.abs(s_int - prob.s_f))
     # layer: kbar'' balances the A / gap^2 term of the right-hand side
     # alone; bulk: the right-hand side vanishes (kbar'' = 0)
     if prob.cost == "energy":
@@ -405,8 +471,6 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     kbar = np.empty(n)
     kbar[0], kbar[-1] = Dg / prob.s_i, Dg / prob.s_f
     kbar[1:-1] = (Dg - sgn * gap0) / s_int
-    lower, upper = _fitted_stencil(s)
-    stencil_diag = -lower - upper
 
     def feasible(k):
         return bool(np.all((Dg - s_int * k[1:-1]) * sgn > 0.0))
@@ -416,15 +480,8 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
         dk = np.diff(k)
         return upper * dk[1:] - lower * dk[:-1] - rhs_fn(s_int, k[1:-1], prob, c)
 
-    # row j weighted by ds[j-1] ds[j] / h^2, h the mean spacing: the
-    # equation in the uniform grid coordinate, whose rounding floor is
-    # eps |kbar| / h^2 at every node, as on a uniform grid
-    h = (prob.s_f - prob.s_i) / (n - 1)
-    ds = np.diff(s)
-    row_weight = ds[:-1] * ds[1:] / h**2
-
     def merit(r):
-        return float(np.max(np.abs(row_weight * r)))
+        return float(np.max(np.abs(grid.row_weight * r)))
 
     printed_factor = 2.0 * prob.mu * (c.gamma if prob.cost == "energy" else 1.0)
 
@@ -434,8 +491,9 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     rejections = 0
     history: list[tuple[float, float, float]] = []
 
-    def last_steps():
-        return [step for _, step, _ in history[-50:]]
+    def failure(err, message):
+        return err(message, iterations=it, history=history,
+                   update_history=[step for _, step, _ in history[-50:]])
 
     resid = residual(kbar)
     norms = [merit(resid)]
@@ -443,17 +501,17 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     it = 0
     while True:
         if it >= opts.max_iter:
-            raise ConvergenceError(
-                f"no convergence within {opts.max_iter} iterations "
-                f"(last update {history[-1][1]:.3e}, tol {opts.tol:.1e})",
-                iterations=it, update_history=last_steps())
+            raise failure(ConvergenceError,
+                          f"no convergence within {opts.max_iter} iterations "
+                          f"(last update {history[-1][1]:.3e}, tol {opts.tol:.1e})")
         it += 1
-        diag = stencil_diag - _el_rhs_diag_prime(prob.cost, s_int, kbar[1:-1], prob, c)
-        delta = _solve_tridiagonal(lower, diag, upper, -resid)
+        diag = grid.stencil_diag - _el_rhs_diag_prime(prob.cost, s_int, kbar[1:-1], prob, c)
+        delta = _solve_tridiagonal(grid.layout, diag, -resid)
         step = float(np.max(np.abs(delta)))
         if not np.isfinite(step):
-            raise ConvergenceError("Newton step blew up",
-                                   iterations=it, update_history=last_steps())
+            # recorded with damping 0: the step was not taken
+            history.append((printed_factor * norms[-1], step, 0.0))
+            raise failure(ConvergenceError, "Newton step blew up")
         cand = kbar.copy()
         cand[1:-1] += delta
         if step < opts.tol and feasible(cand):
@@ -486,16 +544,15 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
                    else ConvergenceError)
             what = ("against the singular manifold" if err is SingularityTrapError
                     else "without lowering the residual")
-            raise err(f"damped Newton stalled {what} "
-                      f"(residual {norms[-1]:.3e} after {it} iterations)",
-                      iterations=it, update_history=last_steps())
+            raise failure(err, f"damped Newton stalled {what} "
+                               f"(residual {norms[-1]:.3e} after {it} iterations)")
         kbar = cand
         resid = cand_resid
         norms.append(cand_norm)
 
     residual_max = printed_factor * merit(residual(kbar))
     orientation = "expansion" if sgn > 0 else "compression"
-    return BvpResult(protocol=SGridProtocol(s, kbar, orientation), iterations=it,
+    return BvpResult(protocol=SGridProtocol(s.copy(), kbar, orientation), iterations=it,
                      final_update=history[-1][1], residual=residual_max,
                      rejections=rejections, history=history)
 

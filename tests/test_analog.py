@@ -7,6 +7,7 @@ from scipy.special import gamma as gamma_fn
 from swifttrap import (
     InfeasibleProtocolError,
     IntegrationError,
+    OptimizationProblem,
     SGridProtocol,
     TimeProtocol,
     duration,
@@ -15,11 +16,20 @@ from swifttrap import (
     flow_gap,
     quantum_from_classical_s,
     quantum_from_classical_t,
+    solve_bvp,
     time_of_s,
     to_time_domain,
     variance_rate,
 )
-from swifttrap.analog import _hermite
+from swifttrap.analog import (
+    _GAUSS_W,
+    _GAUSS_X,
+    _cell_geometry,
+    _end_cell,
+    _fitted_cells,
+    _hermite,
+    _layer_exponent,
+)
 
 
 def _pinned_analytic(amplitude=0.5, n=2001):
@@ -212,3 +222,80 @@ def test_emission_rejects_tiny_grid(consts):
     _, p = _pinned_analytic(n=501)
     with pytest.raises(ValueError):
         to_time_domain(p, consts, n_t=5)
+
+
+def _fitted_cells_from_scratch(x, w, g, pinned_left, pinned_right):
+    """_fitted_cells with its Gauss geometry built on every call, no memo."""
+    if not (pinned_left or pinned_right):
+        v = w / g
+        return 0.5 * (v[:-1] + v[1:]) * np.diff(x)
+    g = g.copy()
+    if pinned_left:
+        p_left = _layer_exponent(x, g, 0)
+        g[0] = 0.0
+    if pinned_right:
+        p_right = _layer_exponent(x, g, -1)
+        g[-1] = 0.0
+    mid = 0.5 * (x[:-1] + x[1:])
+    if pinned_left and pinned_right:
+        end = np.where(np.abs(mid - x[0]) <= np.abs(mid - x[-1]), x[0], x[-1])
+    else:
+        end = np.full(mid.size, x[0] if pinned_left else x[-1])
+    ua = np.cbrt(np.abs(x[:-1] - end))
+    ub = np.cbrt(np.abs(x[1:] - end))
+    sign = np.sign(mid - end)
+    u = 0.5 * (ua + ub)[:, None] + 0.5 * (ub - ua)[:, None] * _GAUSS_X
+    frac = (u**2 - (ua**2)[:, None]) / (ub**2 - ua**2)[:, None]
+    g_u = g[:-1, None] + (g[1:] - g[:-1])[:, None] * frac
+    w_u = w[:-1, None] + (w[1:] - w[:-1])[:, None] * frac
+    cells = sign * 0.5 * (ub - ua) * ((3.0 * u**2 * w_u / g_u) @ _GAUSS_W)
+    if pinned_left:
+        cells[0] = _end_cell(x[1] - x[0], g[1], w[0], w[1], p_left)
+    if pinned_right:
+        cells[-1] = _end_cell(x[-1] - x[-2], g[-2], w[-1], w[-2], p_right)
+    return cells
+
+
+def test_fitted_cells_memo_matches_from_scratch(consts):
+    # solver nodes carry both pinned flag sets, so a memo keyed on the
+    # nodes alone would hand one case the other's geometry
+    solved = solve_bvp(OptimizationProblem("energy", 1.0, 0.1, 1.0, 2.0, 501), consts).protocol
+    x = solved.s_nodes
+    tau = x - x[0]
+    hand = np.linspace(1.0, 3.0, 301) + 0.002 * np.sin(np.arange(301.0))
+    hand[0], hand[-1] = 1.0, 3.0
+    cases = {
+        "solver nodes, both ends pinned": (x, flow_gap(solved, consts), True, True),
+        "solver nodes, start pinned": (x, 0.3 * tau ** (2.0 / 3.0) + 0.1 * tau, True, False),
+        "solver nodes, no end pinned": (x, 0.2 + tau, False, False),
+        "hand-built nodes, both ends pinned":
+            (hand, ((hand - 1.0) * (3.0 - hand)) ** (2.0 / 3.0), True, True),
+    }
+    _cell_geometry.cache_clear()
+    hits = 0
+    for label, (nodes, g, left, right) in cases.items():
+        w = 1.0 + 0.5 * np.cos(nodes)
+        want = _fitted_cells_from_scratch(nodes, w, g, left, right).tobytes()
+        for _ in range(2):  # cold, then from the memo
+            assert _fitted_cells(nodes, w, g, left, right).tobytes() == want, label
+        hits += left or right
+        assert _cell_geometry.cache_info().hits == hits, label
+    _cell_geometry.cache_clear()
+    for label, (nodes, g, left, right) in cases.items():
+        w = 1.0 + 0.5 * np.cos(nodes)
+        want = _fitted_cells_from_scratch(nodes, w, g, left, right).tobytes()
+        assert _fitted_cells(nodes, w, g, left, right).tobytes() == want, label
+
+
+def test_fitted_cells_geometry_is_shared_and_read_only(consts):
+    # duration, time table and energy cost of one schedule share one entry
+    p = solve_bvp(OptimizationProblem("phase", 1.0, 0.5, 1.0, 2.0, 501), consts).protocol
+    _cell_geometry.cache_clear()
+    to_time_domain(p, consts)
+    duration(p, consts)
+    info = _cell_geometry.cache_info()
+    assert info.misses == 1 and info.hits == 1
+    for a in _cell_geometry(p.s_nodes.tobytes(), True, True):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import swifttrap
-from swifttrap import adiabatic_reference, equilibrium_kbar
+from swifttrap import adiabatic_reference, analog, equilibrium_kbar, solver
 from swifttrap.cli import _numeric_rows, main
 
 ROOT2 = np.sqrt(2.0)
@@ -117,6 +117,10 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "optimize:" in capsys.readouterr().err
     report = json.loads((tmp_path / "report.json").read_text())
     assert "error" in report and report["iterations"] > 0
+    # the failed solve's whole trace, one record per iteration
+    assert len(report["history"]) == report["iterations"]
+    assert [rec["step"] for rec in report["history"]][-len(report["update_history"]):] \
+        == report["update_history"]
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -204,6 +208,36 @@ def test_sweep_over_mu_range(tmp_path):
     assert len(lines) == 4
     meta = json.loads((tmp_path / "sweep.json").read_text())
     assert meta["n_converged"] == 3 and not meta["failures"]
+
+
+def test_artifacts_identical_cold_warm_and_cleared(tmp_path, capsys):
+    # the grid and quadrature memos may change speed only: a run that
+    # builds every grid afresh, one that finds them all in the memos and
+    # one after clearing them write the same bytes
+    commands = {
+        "optimize": ["optimize", "--cost", "energy", "--lambda", "1", "--mu", "0.3",
+                     "--si", "1", "--sf", "5", "--grid", "501"],
+        "compare": ["compare", "--cost", "phase", "--lambda", "10", "--mu-list", "0.01,0.1",
+                    "--si", "1", "--sf", "2", "--grid", "501"],
+        "sweep": ["sweep", "--cost", "energy", "--lambda", "10", "--mu-range", "0.003:0.3:4",
+                  "--si", "1", "--sf", "2", "--grid", "501"],
+    }
+    runs = []
+    for label in ("cold", "warm", "cleared"):
+        if label != "warm":
+            solver._solver_grid.cache_clear()
+            analog._cell_geometry.cache_clear()
+        files = {}
+        for cmd, argv in commands.items():
+            out = tmp_path / label / cmd
+            assert main(argv + ["--out", str(out)]) == 0, (label, cmd)
+            files.update({f"{cmd}/{f.name}": f.read_bytes() for f in out.iterdir()})
+        runs.append(files)
+    capsys.readouterr()
+    assert solver._solver_grid.cache_info().hits > 0
+    assert analog._cell_geometry.cache_info().hits > 0
+    assert len(runs[0]) == 9
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_sweep_all_failures_exit_three(tmp_path, capsys):

@@ -15,6 +15,7 @@ from swifttrap import (
     tilt_angle,
     wigner_at,
 )
+from swifttrap.dynamics import _gouy_angle
 
 
 def _const_quantum(kappa, span=5.0, n=51):
@@ -145,6 +146,51 @@ def test_stability_guard_threshold(consts):
     with pytest.raises(IntegrationError, match="stability") as exc:
         integrate_ermakov(_const_quantum(edge * (1.0 + 1e-6), span=1.0), 1.0, consts, dt=0.1)
     assert exc.value.t == 0.0
+
+
+def test_gouy_angle_matches_unwrap_across_branch_crossings():
+    # a nondecreasing angle turning by up to 3 rad per step crosses the
+    # atan2 branch about a thousand times
+    rng = np.random.default_rng(5)
+    theta = np.cumsum(rng.uniform(0.0, 3.0, 4001)) - 2.0
+    raw = np.arctan2(np.sin(theta), np.cos(theta))
+    got, want = _gouy_angle(raw), np.unwrap(raw)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(got - theta)) <= 1e-12 * np.max(np.abs(theta))
+
+
+def test_gouy_angle_ignores_rounding_noise_on_a_flat_angle():
+    rng = np.random.default_rng(6)
+    for level in (-3.0, -1e-3, 0.0, 1.0, 3.14):
+        noisy = level + rng.choice([-1.0, 0.0, 1.0], 1001) * np.spacing(level or 1e-300)
+        assert np.array_equal(_gouy_angle(noisy), noisy), level
+
+
+def _three_array_failure_time(proto, c, dt):
+    """First step failing h sqrt(max stage |kappa|/m) > 2 sqrt(2), by step."""
+    t0, t1 = proto.span
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    h = (t1 - t0) / n_steps
+    kap = np.interp(t0 + 0.5 * h * np.arange(2 * n_steps + 1), proto.t_nodes, proto.values)
+    ka, km, kb = kap[:-1:2] / c.m, kap[1::2] / c.m, kap[2::2] / c.m
+    stiff = h * np.sqrt(np.maximum(np.maximum(np.abs(ka), np.abs(km)), np.abs(kb)))
+    k = int(np.flatnonzero(stiff > 2.0 * np.sqrt(2.0))[0])
+    return float((t0 + h * np.arange(n_steps + 1))[k]), stiff[k]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stability_guard_on_a_ramp_reports_the_first_bad_step(consts, sign):
+    # kappa ramps through the bound 8 m / h^2 (h = 0.01) mid-span; the
+    # check on the half-step samples names the step a per-step check names
+    edge = 8.0 * consts.m / 0.01**2
+    t = np.linspace(0.0, 1.0, 7)
+    proto = TimeProtocol(t, sign * edge * (0.3 + 1.1 * t), "quantum")
+    want_t, want_stiff = _three_array_failure_time(proto, consts, 0.01)
+    assert 0.4 < want_t < 0.8
+    with pytest.raises(IntegrationError, match="stability") as exc:
+        integrate_ermakov(proto, 1.0, consts, dt=0.01)
+    assert exc.value.t == want_t
+    assert f"h*sqrt(|kappa|/m)={want_stiff:.3g} " in str(exc.value)
 
 
 def test_integration_is_deterministic(consts, cache):

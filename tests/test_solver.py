@@ -21,7 +21,12 @@ from swifttrap import (
 )
 
 from swifttrap import solver
-from swifttrap.solver import _DIRECT_SIZE, _STALL_WINDOW, _solve_tridiagonal
+from swifttrap.solver import (
+    _DIRECT_SIZE,
+    _STALL_WINDOW,
+    _reduction_layout,
+    _solve_tridiagonal,
+)
 
 from conftest import REFERENCE_DURATIONS
 
@@ -187,6 +192,9 @@ def test_divergent_problem_raises(consts):
         solve_bvp(prob, consts, BvpOptions(max_iter=needed - 1))
     assert exc.value.iterations == needed - 1
     assert len(exc.value.update_history) == needed - 1
+    # the full trace travels with the failure, one triple per iteration
+    assert len(exc.value.history) == needed - 1
+    assert [step for _, step, _ in exc.value.history] == exc.value.update_history
 
 
 def test_stall_exits_early(consts):
@@ -284,6 +292,24 @@ def test_history_traces_every_iteration(cache):
     assert np.all(np.diff(residuals) < 0.0)
 
 
+def test_grid_memo_is_read_only_and_isolated(consts):
+    prob = OptimizationProblem(cost="phase", lam=1.0, mu=0.3, s_i=1.0, s_f=3.0, n_grid=301)
+    first = solve_bvp(prob, consts)
+    grid = solver._solver_grid(prob.s_i, prob.s_f, prob.n_grid)
+    for a in (*grid[:-1], *grid.layout[:2]):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # the protocol owns its nodes: writing into them leaves the memo, and
+    # the next solve on this grid, as they were
+    nodes, kbar = first.s_nodes.copy(), first.kbar.copy()
+    first.protocol.s_nodes[:] = 0.0
+    again = solve_bvp(prob, consts)
+    assert again.s_nodes.tobytes() == nodes.tobytes()
+    assert again.kbar.tobytes() == kbar.tobytes()
+    assert again.s_nodes is not grid.s and again.s_nodes.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # tridiagonal solve
 # ---------------------------------------------------------------------------
@@ -308,7 +334,7 @@ def test_solve_tridiagonal_matches_dense():
         # the ignored corner entries must not leak into the solve
         lower[0], upper[-1] = 7.0, -3.0
         rhs = rng.normal(size=n)
-        x = _solve_tridiagonal(lower, diag, upper, rhs)
+        x = _solve_tridiagonal(_reduction_layout(lower, upper), diag, rhs)
         assert x.shape == (n,)
         scaled = np.max(np.abs(dense @ x - rhs)) / (
             np.max(np.abs(dense)) * np.max(np.abs(x)) + np.max(np.abs(rhs)))
@@ -323,12 +349,12 @@ def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
     # have that by sign; for energy it is measured here
     margins = []
 
-    def checked(lower, diag, upper, rhs):
-        off = np.abs(lower) + np.abs(upper)
-        off[0] -= abs(lower[0])
-        off[-1] -= abs(upper[-1])
+    def checked(layout, diag, rhs):
+        # the layout holds -lower and -upper without the corner entries
+        A, C, _ = layout
+        off = np.abs(A[:diag.size]) + np.abs(C[:diag.size])
         margins.append(float(np.min((np.abs(diag) - off) / off)))
-        return _solve_tridiagonal(lower, diag, upper, rhs)
+        return _solve_tridiagonal(layout, diag, rhs)
 
     monkeypatch.setattr(solver, "_solve_tridiagonal", checked)
     problems = [_prob(cost, mu=mu) for cost, mu in sorted(REFERENCE_DURATIONS)]
