@@ -297,10 +297,14 @@ def _fitted_cells(x, w, g, pinned_left, pinned_right):
     order for p = 2/3 on graded nodes).  A gap leaving a pinned end like
     tau^p with p >= 1 raises InfeasibleProtocolError, since its time
     integral diverges.  The Gauss geometry comes from _cell_geometry.
+    w may stack several weights along a leading axis; each row of the
+    result is then the cells of that weight alone, to the bit, and the
+    work on the gap is done once.  The rows are integrated one at a time,
+    which keeps every temporary at (nodes - 1, 4).
     """
     if not (pinned_left or pinned_right):
         v = w / g
-        return 0.5 * (v[:-1] + v[1:]) * np.diff(x)
+        return 0.5 * (v[..., :-1] + v[..., 1:]) * np.diff(x)
     g = g.copy()
     if pinned_left:
         p_left = _layer_exponent(x, g, 0)
@@ -311,16 +315,23 @@ def _fitted_cells(x, w, g, pinned_left, pinned_right):
     frac, three_u2, half = _cell_geometry(
         np.ascontiguousarray(x, dtype=float).tobytes(), pinned_left, pinned_right)
     g_u = g[:-1, None] + (g[1:] - g[:-1])[:, None] * frac
-    w_u = w[:-1, None] + (w[1:] - w[:-1])[:, None] * frac
-    cells = half * ((three_u2 * w_u / g_u) @ _GAUSS_W)
+    cells = np.empty(w.shape[:-1] + (x.size - 1,))
+    for w_row, out in zip(w.reshape(-1, x.size), cells.reshape(-1, x.size - 1)):
+        w_u = w_row[:-1, None] + (w_row[1:] - w_row[:-1])[:, None] * frac
+        np.multiply(half, (three_u2 * w_u / g_u) @ _GAUSS_W, out=out)
     if pinned_left:
-        cells[0] = _end_cell(x[1] - x[0], g[1], w[0], w[1], p_left)
+        cells[..., 0] = _end_cell(x[1] - x[0], g[1], w[..., 0], w[..., 1], p_left)
     if pinned_right:
-        cells[-1] = _end_cell(x[-1] - x[-2], g[-2], w[-1], w[-2], p_right)
+        cells[..., -1] = _end_cell(x[-1] - x[-2], g[-2], w[..., -1], w[..., -2], p_right)
     return cells
 
 
-def _duration_cells(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
+def _duration_cells(p: SGridProtocol, c: PhysConsts, *weights) -> np.ndarray:
+    """Fitted cells of gamma / gap, once the flow is known not to stall inside.
+
+    Each further weight w (one value per node) adds a row of the cells of
+    w / gap, from the same pass over the gap and the Gauss geometry.
+    """
     g = flow_gap(p, c)
     sgn = p.direction
     bad = np.nonzero(g[1:-1] * sgn <= 0.0)[0]
@@ -331,7 +342,10 @@ def _duration_cells(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
             f"{j} (s={p.s_nodes[j]:.6g}); sign(D*gamma - s*kbar) must match "
             "sign(s_f - s_i) strictly between the endpoints",
             node=j, s=float(p.s_nodes[j]))
-    return _fitted_cells(p.s_nodes, np.full(g.size, c.gamma), g, *_pinned_ends(g))
+    w = np.full(g.size, c.gamma)
+    if weights:
+        w = np.stack((w, *weights))
+    return _fitted_cells(p.s_nodes, w, g, *_pinned_ends(g))
 
 
 def duration(p: SGridProtocol, c: PhysConsts) -> float:

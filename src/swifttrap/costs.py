@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import _fitted_cells, _pinned_ends, duration, flow_gap
+from .analog import _duration_cells, _fitted_cells, _pinned_ends, flow_gap
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 from .dynamics import TrajectoryRecord
 
@@ -46,6 +46,23 @@ def _trapz(y, x):
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
 
+def _energy_weight(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
+    """Weight w of f_energy's middle term w / gap: (3 D^2 gamma^2 - s^2 kbar^2) / s."""
+    s = p.s_nodes
+    return (3.0 * c.D**2 * c.gamma**2 - s**2 * p.kbar**2) / s
+
+
+def _f_energy(p: SGridProtocol, c: PhysConsts, cells: np.ndarray) -> float:
+    """f_energy from the fitted cells of its middle term."""
+    s = p.s_nodes
+    kbar = p.kbar
+    g = flow_gap(p, c)
+    i1 = _trapz(g / s, s)
+    i2 = float(np.sum(cells))
+    boundary = 2.0 * (s[-1] * kbar[-1] - s[0] * kbar[0]) - 2.0 * _trapz(kbar, s)
+    return (c.m / (4.0 * c.gamma)) * (i1 + i2 + boundary)
+
+
 def f_energy(p: SGridProtocol, c: PhysConsts) -> float:
     """Excess-energy cost of a schedule (raw, prefactor m/(4 gamma)).
 
@@ -54,14 +71,8 @@ def f_energy(p: SGridProtocol, c: PhysConsts) -> float:
     differentiation of kbar enters; the middle term shares the duration
     integrand's endpoint handling.
     """
-    s = p.s_nodes
-    kbar = p.kbar
     g = flow_gap(p, c)
-    i1 = _trapz(g / s, s)
-    num = 3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2
-    i2 = float(np.sum(_fitted_cells(s, num / s, g, *_pinned_ends(g))))
-    boundary = 2.0 * (s[-1] * kbar[-1] - s[0] * kbar[0]) - 2.0 * _trapz(kbar, s)
-    return (c.m / (4.0 * c.gamma)) * (i1 + i2 + boundary)
+    return _f_energy(p, c, _fitted_cells(p.s_nodes, _energy_weight(p, c), g, *_pinned_ends(g)))
 
 
 def f_alpha(p: SGridProtocol, c: PhysConsts) -> float:
@@ -136,10 +147,12 @@ def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostR
 
     F enters in the absorbed form matching prob.cost's multiplier
     convention (see module docstring); with lam = mu = 0 the objective is
-    the bare duration.
+    the bare duration.  The duration and f_energy share one pass over
+    their fitted cells, each bitwise equal to its own function's.
     """
-    dur = duration(p, c)
-    fe = f_energy(p, c)
+    dur_cells, energy_cells = _duration_cells(p, c, _energy_weight(p, c))
+    dur = float(0.5 * np.sum(dur_cells))
+    fe = _f_energy(p, c, energy_cells)
     fa = f_alpha(p, c)
     g = g_penalty(p, c)
     w = work_classical(p, c)

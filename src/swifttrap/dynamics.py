@@ -23,6 +23,12 @@ by more than pi.  Since theta never decreases, that count is what
 np.unwrap would add, as long as every step turns theta by less than pi,
 the condition np.unwrap assumes as well.
 
+A call allocates little beyond its record: kappa is sampled at the steps
+and at their midpoints as two arrays, and the step maps are built,
+scanned and read back in place in the rows of one (4, n + 1) array.
+Every expression keeps its association, so the record is bitwise the one
+a direct, temporary-per-operation evaluation of the same formulas gives.
+
 Also here: the instantaneous energy of the Gaussian state, its Wigner
 phase-space density, the squeeze-tilt angle, and the osmotic drift that
 reproduces the same statistics as an overdamped diffusion.
@@ -79,6 +85,28 @@ def energy_of(s, sdot, kappa, c: PhysConsts):
     return float(out) if out.ndim == 0 else out
 
 
+def _record_energy(s, sdot, kappa, c: PhysConsts, w: np.ndarray) -> np.ndarray:
+    """energy_of on a record's equal-length arrays, s already checked > 0.
+
+    The same expression in the same association, so bitwise equal to
+    energy_of, evaluated in place in the result and the two scratch rows
+    of w.
+    """
+    out = np.multiply(s, 4.0)
+    np.divide(c.m, out, out=out)
+    w0, w1 = w
+    np.square(sdot, out=w0)
+    w0 *= 0.5
+    np.square(s, out=w1)
+    w1 *= 2.0
+    w1 *= kappa
+    w1 /= c.m
+    w0 += w1
+    w0 += 2.0 * c.D**2
+    out *= w0
+    return out
+
+
 def _gouy_angle(raw: np.ndarray) -> np.ndarray:
     """The continuous Gouy angle theta from its atan2 samples raw.
 
@@ -87,11 +115,20 @@ def _gouy_angle(raw: np.ndarray) -> np.ndarray:
     2 pi times the number of such drops so far.  A drop counts only when
     it exceeds pi, so rounding noise on a nearly flat theta adds nothing.
     This is np.unwrap, to rounding, as long as every step turns theta by
-    less than pi, which np.unwrap assumes too.
+    less than pi, which np.unwrap assumes too.  The count is built in the
+    returned array, which is the only one allocated; without a crossing it
+    is all zeros and needs no running sum.
     """
-    turns = np.zeros(raw.size)
-    np.cumsum(np.diff(raw) < -np.pi, dtype=float, out=turns[1:])
-    return raw + 2.0 * np.pi * turns
+    theta = np.empty_like(raw)
+    theta[0] = 0.0
+    turns = theta[1:]
+    np.subtract(raw[1:], raw[:-1], out=turns)
+    np.less(turns, -np.pi, out=turns)
+    if turns.any():
+        np.cumsum(turns, out=turns)
+    theta *= 2.0 * np.pi
+    theta += raw
+    return theta
 
 
 def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
@@ -99,8 +136,9 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     """Integrate the width equation under a quantum schedule, from rest.
 
     Fixed-step RK4 on the linear flow (u, u') of u'' = -(kappa/m) u, with
-    kappa(t) linearly interpolated between protocol nodes and sampled on
-    the half-step grid.  Each step's RK4 map I + E_k is written in closed
+    kappa(t) linearly interpolated between protocol nodes and sampled at
+    the steps and at their midpoints, the even and odd points of the
+    half-step grid.  Each step's RK4 map I + E_k is written in closed
     form from its three kappa samples, and the maps are composed by a
     vectorized prefix scan.  The record is rebuilt by the Ermakov-Pinney
     construction from the pair u1 (u1 = 1, u1' = 0) and u2 (u2 = 0,
@@ -132,48 +170,117 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
         raise ValueError("dt must be positive")
     n_steps = max(1, int(round(span / dt)))
     h = span / n_steps
-    t = t0 + h * np.arange(n_steps + 1)
+    t = np.arange(n_steps + 1, dtype=float)
+    t *= h
+    t += t0
 
-    # kappa at the half-step grid; RK4 stages never need anything finer
-    kap = np.interp(t0 + 0.5 * h * np.arange(2 * n_steps + 1),
-                    kappa_t.t_nodes, kappa_t.values)
-    ka, km, kb = kap[:-1:2] / c.m, kap[1::2] / c.m, kap[2::2] / c.m
+    # kappa at the steps and at their midpoints, the even and odd points
+    # t0 + (h/2) i of the half-step grid; RK4 stages need nothing finer.
+    # (h/2) 2j is h j exactly, so the steps are t itself; the midpoints are
+    # (h/2) times the odd integers
+    mid = np.arange(1, 2 * n_steps, 2, dtype=float)
+    mid *= 0.5 * h
+    mid += t0
+    k_step = np.interp(t, kappa_t.t_nodes, kappa_t.values)
+    k_mid = np.interp(mid, kappa_t.t_nodes, kappa_t.values)
+    del mid
 
     # h sqrt(|kappa|/m) > 2 sqrt(2) at a stage sample is |kappa| > 8 m / h^2;
-    # sample i is a stage of steps (i - 1) // 2 and i // 2, the first of
-    # which is reported
-    over = np.abs(kap) > 8.0 * c.m / (h * h)
-    if over.any():
-        k = max(int(np.argmax(over)) - 1, 0) // 2
+    # half-step sample i is a stage of steps (i - 1) // 2 and i // 2, the
+    # first of which is reported
+    bound = 8.0 * c.m / (h * h)
+    if any(np.fmax.reduce(k) > bound or np.fmin.reduce(k) < -bound
+           for k in (k_step, k_mid)):
+        kap = np.empty(2 * n_steps + 1)
+        kap[::2], kap[1::2] = k_step, k_mid
+        k = max(int(np.argmax(np.abs(kap) > bound)) - 1, 0) // 2
         stiff = h * np.sqrt(np.max(np.abs(kap[2 * k:2 * k + 3])) / c.m)
         raise IntegrationError(
             f"step h={h:.3g} gives h*sqrt(|kappa|/m)={stiff:.3g} above the RK4 "
             f"stability bound 2*sqrt(2) at t={t[k]:.6g}", t=float(t[k]))
 
     # RK4 step map I + E of y' = [[0, 1], [-a(t), 0]] y with stage rates
-    # a = ka, km, km, kb
+    # a = ka, km, km, kb:
+    #   E00 = -h^2 (ka + 2 km) / 6 + h^4 km ka / 24
+    #   E01 = h - h^3 km / 6
+    #   E10 = -h (ka + 4 km + kb) / 6 + h^3 km (ka + kb) / 12
+    #   E11 = -h^2 (2 km + kb) / 6 + h^4 km kb / 24
+    # each in that association, built in place in the rows of e, which
+    # hold the shared terms (2 km, h^4 km, h^3 km) until their own turn;
+    # the record's alpha holds kappa/m at the steps until its own turn
+    alpha = np.divide(k_step, c.m, out=np.empty_like(t))
+    ka, kb = alpha[:-1], alpha[1:]
+    km = k_mid
+    km /= c.m
     h2 = h * h
     e = np.empty((4, n_steps + 1))
     e[:, 0] = 0.0
-    e[0, 1:] = -h2 * (ka + 2.0 * km) / 6.0 + h2 * h2 * km * ka / 24.0
-    e[1, 1:] = h - h2 * h * km / 6.0
-    e[2, 1:] = -h * (ka + 4.0 * km + kb) / 6.0 + h2 * h * km * (ka + kb) / 12.0
-    e[3, 1:] = -h2 * (2.0 * km + kb) / 6.0 + h2 * h2 * km * kb / 24.0
-    p = _prefix_step_maps(e)
-    u1, du1, u2, du2 = 1.0 + p[0], p[2], p[1], 1.0 + p[3]
+    e00, e01, e10, e11 = e[:, 1:]
+    np.multiply(km, 2.0, out=e01)
+    np.add(ka, e01, out=e00)
+    np.add(e01, kb, out=e11)
+    for row in (e00, e11):
+        row *= -h2
+        row /= 6.0
+    np.multiply(km, h2 * h2, out=e01)
+    np.multiply(e01, ka, out=e10)
+    e10 /= 24.0
+    e00 += e10
+    e01 *= kb
+    e01 /= 24.0
+    e11 += e01
+    np.multiply(km, h2 * h, out=e01)
+    np.add(ka, kb, out=e10)
+    e10 *= e01
+    e10 /= 12.0
+    km *= 4.0
+    km += ka
+    km += kb
+    km *= -h
+    km /= 6.0
+    e10 += km
+    e01 /= 6.0
+    np.subtract(h, e01, out=e01)
+    del ka, kb, km, k_mid
 
+    # the pair u1 = 1 + P00, u2 = P01, u1' = P10, u2' = 1 + P11 in the
+    # rows of e; each row is reused as scratch once it has been read for
+    # the last time, so the record's arrays are the only ones made
+    p = _prefix_step_maps(e)
+    p[0] += 1.0
+    p[3] += 1.0
+    u1, u2, du1, du2 = p
     q = c.D**2 / s_start
+    sdot = np.empty_like(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = s_start * u1**2 + q * u2**2
-    bad = np.flatnonzero(~(np.isfinite(s) & (s > 1e-16 * s_start)))
-    if bad.size:
-        k = int(bad[0])
+        # s = s0 u1^2 + q u2^2
+        s = np.square(u1)
+        s *= s_start
+        np.square(u2, out=sdot)
+        sdot *= q
+        s += sdot
+    floor = 1e-16 * s_start
+    if not (s.min() > floor and s.max() < np.inf):
+        k = int(np.flatnonzero(~(np.isfinite(s) & (s > floor)))[0])
         raise IntegrationError(f"width collapsed or blew up at t={t[k]:.6g}", t=float(t[k]))
-    sdot = 2.0 * (s_start * u1 * du1 + q * u2 * du2)
-    theta = _gouy_angle(np.arctan2(c.D * u2, s_start * u1))
-    beta = -c.hbar * theta / (4.0 * c.m * c.D)
-    alpha = c.m * sdot / (4.0 * c.hbar * s)
-    energy = energy_of(s, sdot, kap[::2], c)
+    # sdot = 2 ((s0 u1) u1' + (q u2) u2')
+    np.multiply(u1, s_start, out=sdot)
+    sdot *= du1
+    np.multiply(u2, q, out=alpha)
+    alpha *= du2
+    sdot += alpha
+    sdot *= 2.0
+    # beta = (-hbar theta) / (4 m D), theta = atan2(D u2, s0 u1) continued
+    np.multiply(u2, c.D, out=du2)
+    np.multiply(u1, s_start, out=du1)
+    beta = _gouy_angle(np.arctan2(du2, du1, out=u1))
+    beta *= -c.hbar
+    beta /= 4.0 * c.m * c.D
+    # alpha = (m sdot) / (4 hbar s)
+    np.multiply(sdot, c.m, out=alpha)
+    np.multiply(s, 4.0 * c.hbar, out=u2)
+    alpha /= u2
+    energy = _record_energy(s, sdot, k_step, c, p[2:])
     return TrajectoryRecord(t=t, s=s, sdot=sdot, alpha=alpha, beta=beta, energy=energy)
 
 

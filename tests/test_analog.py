@@ -21,6 +21,7 @@ from swifttrap import (
     to_time_domain,
     variance_rate,
 )
+from swifttrap import analog
 from swifttrap.analog import (
     _GAUSS_W,
     _GAUSS_X,
@@ -30,6 +31,7 @@ from swifttrap.analog import (
     _hermite,
     _layer_exponent,
 )
+from test_model import _recursive_scan, same_bits
 
 
 def _pinned_analytic(amplitude=0.5, n=2001):
@@ -135,6 +137,17 @@ def test_evolve_variance_matches_stepping_reference(consts, dt):
     traj = evolve_variance(proto, 1.0, consts, dt)
     ref = _variance_stepping_reference(proto, 1.0, consts, dt or (t[-1] - t[0]) / 1.0e4)
     assert np.max(np.abs(traj.s - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dt", [None, 0.013, 0.5])
+def test_evolve_variance_is_the_recursive_scan_to_the_bit(consts, dt, monkeypatch):
+    t = np.linspace(0.0, 3.0, 37) ** 1.3
+    proto = TimeProtocol(t, 0.9 + 1.8 * np.sin(2.0 * t), "classical")
+    got = evolve_variance(proto, 1.0, consts, dt)
+    monkeypatch.setattr(analog, "_prefix_step_maps", _recursive_scan)
+    want = evolve_variance(proto, 1.0, consts, dt)
+    for name in ("t", "s", "sdot"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

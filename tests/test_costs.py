@@ -12,11 +12,13 @@ from swifttrap import (
     duration,
     f_alpha,
     f_energy,
+    flow_gap,
     g_penalty,
     j_total,
     work_classical,
     work_from_schedule,
 )
+from swifttrap.analog import _pinned_ends
 
 ROOT2 = np.sqrt(2.0)
 
@@ -140,3 +142,28 @@ def test_solutions_are_local_minima(cache, cost):
         p = SGridProtocol.from_samples(p0.s_nodes, p0.kbar + bump)
         increases.append(j_el(p) - base)
     assert min(increases) > 0.0, f"found a descent direction: {min(increases):.3e}"
+
+
+@pytest.mark.parametrize("pinned", ["both", "start", "neither"])
+def test_j_total_shares_one_cell_pass_to_the_bit(consts, pinned):
+    # duration and f_energy come from one pass over their fitted cells;
+    # every field equals the separate functions' value exactly
+    s = np.linspace(1.0, 2.0, 2001)
+    gap = {"both": 0.5 * ((s - 1.0) * (2.0 - s)) ** (2.0 / 3.0),
+           "start": 0.5 * (s - 1.0) ** (2.0 / 3.0),
+           "neither": 1.0 - 0.3 * s}[pinned]
+    p = SGridProtocol.from_samples(s, (1.0 - gap) / s)
+    assert _pinned_ends(flow_gap(p, consts)) == {
+        "both": (True, True), "start": (True, False), "neither": (False, False)}[pinned]
+    for cost in ("energy", "phase", "work"):
+        prob = OptimizationProblem(cost=cost, lam=2.0, mu=0.1, s_i=1.0, s_f=2.0)
+        report = j_total(p, prob, consts)
+        assert report.duration == duration(p, consts)
+        assert report.f_energy == f_energy(p, consts)
+        assert report.f_alpha == f_alpha(p, consts)
+        assert report.g_penalty == g_penalty(p, consts)
+        assert report.work == work_classical(p, consts)
+        f_abs = {"energy": 4.0 * report.f_energy / consts.m, "phase": report.f_alpha,
+                 "work": -np.sum(0.5 * (p.kbar[1:] + p.kbar[:-1]) * np.diff(s))}[cost]
+        assert report.f_absorbed == f_abs
+        assert report.j_total == report.duration + 2.0 * f_abs + 0.1 * report.g_penalty

@@ -1,5 +1,7 @@
 """Gaussian wavepacket integration and its phase-space observables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from swifttrap import (
     wigner_at,
 )
 from swifttrap.dynamics import _gouy_angle
+from test_model import _recursive_scan, same_bits
 
 
 def _const_quantum(kappa, span=5.0, n=51):
@@ -181,16 +184,86 @@ def _three_array_failure_time(proto, c, dt):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_stability_guard_on_a_ramp_reports_the_first_bad_step(consts, sign):
     # kappa ramps through the bound 8 m / h^2 (h = 0.01) mid-span; the
-    # check on the half-step samples names the step a per-step check names
+    # check names the step a per-step check names, whether the first
+    # sample past the bound is a step (the ramp crosses it at 0.6364,
+    # between the midpoint 0.635 and the step 0.64) or a midpoint (0.6325,
+    # between the step 0.63 and the midpoint 0.635)
     edge = 8.0 * consts.m / 0.01**2
     t = np.linspace(0.0, 1.0, 7)
-    proto = TimeProtocol(t, sign * edge * (0.3 + 1.1 * t), "quantum")
-    want_t, want_stiff = _three_array_failure_time(proto, consts, 0.01)
-    assert 0.4 < want_t < 0.8
-    with pytest.raises(IntegrationError, match="stability") as exc:
-        integrate_ermakov(proto, 1.0, consts, dt=0.01)
-    assert exc.value.t == want_t
-    assert f"h*sqrt(|kappa|/m)={want_stiff:.3g} " in str(exc.value)
+    for intercept, first_bad in ((0.3, "step"), (1.0 - 1.1 * 0.6325, "midpoint")):
+        proto = TimeProtocol(t, sign * edge * (intercept + 1.1 * t), "quantum")
+        half_grid = np.interp(0.005 * np.arange(201), t, proto.values)
+        i = int(np.flatnonzero(np.abs(half_grid) > edge)[0])
+        assert ("step", "midpoint")[i % 2] == first_bad
+        want_t, want_stiff = _three_array_failure_time(proto, consts, 0.01)
+        assert 0.4 < want_t < 0.8
+        with pytest.raises(IntegrationError, match="stability") as exc:
+            integrate_ermakov(proto, 1.0, consts, dt=0.01)
+        assert exc.value.t == want_t, first_bad
+        assert f"h*sqrt(|kappa|/m)={want_stiff:.3g} " in str(exc.value)
+
+
+def _half_step_reference(kappa_t, s_start, c, dt=None):
+    """The width equation built the direct way: kappa on the whole
+    half-step grid, the step maps as whole-array expressions, the recursive
+    scan, and the record as plain expressions."""
+    t0, t1 = kappa_t.span
+    n = max(1, int(round((t1 - t0) / (dt or (t1 - t0) / 1.0e4))))
+    h = (t1 - t0) / n
+    kap = np.interp(t0 + 0.5 * h * np.arange(2 * n + 1), kappa_t.t_nodes, kappa_t.values)
+    ka, km, kb = kap[:-1:2] / c.m, kap[1::2] / c.m, kap[2::2] / c.m
+    h2 = h * h
+    e = np.zeros((4, n + 1))
+    e[0, 1:] = -h2 * (ka + 2.0 * km) / 6.0 + h2 * h2 * km * ka / 24.0
+    e[1, 1:] = h - h2 * h * km / 6.0
+    e[2, 1:] = -h * (ka + 4.0 * km + kb) / 6.0 + h2 * h * km * (ka + kb) / 12.0
+    e[3, 1:] = -h2 * (2.0 * km + kb) / 6.0 + h2 * h2 * km * kb / 24.0
+    p = _recursive_scan(e)
+    u1, du1, u2, du2 = 1.0 + p[0], p[2], p[1], 1.0 + p[3]
+    q = c.D**2 / s_start
+    s = s_start * u1**2 + q * u2**2
+    sdot = 2.0 * (s_start * u1 * du1 + q * u2 * du2)
+    raw = np.arctan2(c.D * u2, s_start * u1)
+    theta = raw + 2.0 * np.pi * np.concatenate(
+        ([0.0], np.cumsum(np.diff(raw) < -np.pi, dtype=float)))
+    return {"t": t0 + h * np.arange(n + 1), "s": s, "sdot": sdot,
+            "alpha": c.m * sdot / (4.0 * c.hbar * s),
+            "beta": -c.hbar * theta / (4.0 * c.m * c.D),
+            "energy": energy_of(s, sdot, kap[::2], c)}
+
+
+@pytest.mark.parametrize("case", ["cached", "chen inverted", "odd steps"])
+def test_record_is_the_half_step_construction_to_the_bit(consts, cache, case):
+    if case == "cached":
+        runs = [(cache.timedomain(cost, mu).quantum, None)
+                for cost in ("energy", "phase") for mu in (0.1, 0.5, 1.0)]
+    else:
+        cases = _reference_cases(consts, cache)
+        protos = [cases["chen inverted"]] if case == "chen inverted" else list(cases.values())
+        runs = [(p, None if case == "chen inverted" else (p.span[1] - p.span[0]) / 1001)
+                for p in protos]
+    for proto, dt in runs:
+        run = integrate_ermakov(proto, 1.0, consts, dt)
+        for name, want in _half_step_reference(proto, 1.0, consts, dt).items():
+            assert same_bits(getattr(run, name), want), (case, name)
+
+
+def test_width_equation_peak_memory_pin(consts, cache):
+    # the record's own six arrays plus the step maps and the scan's scratch;
+    # the direct construction peaks above four records
+    proto = cache.timedomain("energy", 0.1).quantum
+    integrate_ermakov(proto, 1.0, consts)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run = integrate_ermakov(proto, 1.0, consts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    record = sum(getattr(run, k).nbytes for k in ("t", "s", "sdot", "alpha", "beta", "energy"))
+    assert run.t.size == 10001
+    assert peak <= 3.0 * record
 
 
 def test_integration_is_deterministic(consts, cache):
