@@ -10,13 +10,12 @@ duration up the ramp catches up and eventually wins on the phase cost.
 import numpy as np
 
 from swifttrap import (
+    LAGRANGIANS,
     BvpOptions,
     ConvergenceError,
     OptimizationProblem,
     PhysConsts,
     chen_polynomial,
-    f_alpha_from_run,
-    f_energy_from_run,
     integrate_ermakov,
     solve_bvp,
     to_time_domain,
@@ -24,10 +23,6 @@ from swifttrap import (
 
 LAM = 10.0
 MU_GRID = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0)
-
-
-def f_of(run, cost):
-    return f_energy_from_run(run) if cost == "energy" else f_alpha_from_run(run)
 
 
 def main():
@@ -54,8 +49,8 @@ def main():
             ramp, _ = chen_polynomial(k0, k1, dur, c)
             run_ramp = integrate_ermakov(ramp, 1.0, c, dt=1e-4)
 
-            f_solved = f_of(run, cost)
-            f_ramp = f_of(run_ramp, cost)
+            f_solved = LAGRANGIANS[cost].from_run(run)
+            f_ramp = LAGRANGIANS[cost].from_run(run_ramp)
             rows.append((dur, f_solved, f_ramp))
             who = "solved" if f_solved < f_ramp else "ramp"
             print(f"   {mu:7.3f}  {dur:9.4f}  {f_solved:10.5f}  "

@@ -17,13 +17,11 @@ from .errors import (
 )
 from .model import (
     EnsembleStats,
-    GaussianState,
     OptimizationProblem,
     PhysConsts,
     SGridProtocol,
     TimeProtocol,
     alpha_of,
-    density_at,
     equilibrium_kappa,
     equilibrium_kbar,
 )
@@ -44,17 +42,13 @@ from .solver import (
     BvpResult,
     WorkOptimalBundle,
     analytic_work_optimal,
-    el_rhs_energy,
-    el_rhs_phase,
-    el_rhs_work,
+    el_rhs,
     solve_bvp,
 )
 from .dynamics import (
     TrajectoryRecord,
     energy_of,
     integrate_ermakov,
-    nelson_drift,
-    tilt_angle,
     wigner_at,
 )
 from .montecarlo import (
@@ -66,7 +60,9 @@ from .montecarlo import (
 )
 from .baselines import adiabatic_reference, chen_polynomial, step_protocol
 from .costs import (
+    LAGRANGIANS,
     CostReport,
+    Lagrangian,
     f_alpha,
     f_alpha_from_run,
     f_energy,
@@ -80,15 +76,16 @@ from .costs import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "LAGRANGIANS",
     "BornReport",
     "BvpOptions",
     "BvpResult",
     "ConvergenceError",
     "CostReport",
     "EnsembleStats",
-    "GaussianState",
     "InfeasibleProtocolError",
     "IntegrationError",
+    "Lagrangian",
     "McConfig",
     "OptimizationProblem",
     "PhysConsts",
@@ -104,11 +101,8 @@ __all__ = [
     "alpha_of",
     "analytic_work_optimal",
     "chen_polynomial",
-    "density_at",
     "duration",
-    "el_rhs_energy",
-    "el_rhs_phase",
-    "el_rhs_work",
+    "el_rhs",
     "energy_of",
     "equilibrium_kappa",
     "equilibrium_kbar",
@@ -121,14 +115,12 @@ __all__ = [
     "g_penalty",
     "integrate_ermakov",
     "j_total",
-    "nelson_drift",
     "quantum_from_classical_s",
     "quantum_from_classical_t",
     "simulate_classical",
     "simulate_nelson",
     "solve_bvp",
     "step_protocol",
-    "tilt_angle",
     "time_of_s",
     "to_time_domain",
     "variance_rate",

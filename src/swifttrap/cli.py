@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .analog import to_time_domain, variance_rate
 from .baselines import chen_polynomial
-from .costs import f_alpha_from_run, f_energy_from_run, j_total
+from .costs import LAGRANGIANS, j_total
 from .dynamics import energy_of, integrate_ermakov
 from .errors import (
     ConvergenceError,
@@ -366,7 +366,7 @@ def _cmd_compare(args) -> int:
     mus = _parse_mu_list(args.mu_list)
     kap_i = equilibrium_kappa(args.si, c)
     kap_f = equilibrium_kappa(args.sf, c)
-    f_of_run = f_energy_from_run if args.cost == "energy" else f_alpha_from_run
+    f_of_run = LAGRANGIANS[args.cost].from_run
 
     rows = []
     for mu in mus:
@@ -470,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     opt = sub.add_parser("optimize", help="solve one schedule and emit artifacts")
-    _add_problem(opt, ("energy", "phase", "work"))
+    _add_problem(opt, tuple(LAGRANGIANS))
     opt.add_argument("--mu", type=float, required=True,
                      help="weight of the smoothing penalty")
     _add_common(opt)
@@ -487,14 +487,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     cmp_ = sub.add_parser("compare", help="optimal family vs duration-matched baselines")
-    _add_problem(cmp_, ("energy", "phase"))
+    _add_problem(cmp_, tuple(k for k, ell in LAGRANGIANS.items() if ell.from_run))
     cmp_.add_argument("--mu-list", dest="mu_list", required=True,
                       help="comma-separated mu values")
     _add_common(cmp_)
     cmp_.set_defaults(func=_cmd_compare)
 
     swp = sub.add_parser("sweep", help="one solve per mu over a log-spaced range")
-    _add_problem(swp, ("energy", "phase", "work"))
+    _add_problem(swp, tuple(LAGRANGIANS))
     swp.add_argument("--mu-range", dest="mu_range", required=True,
                      help="lo:hi:steps, log-spaced")
     _add_common(swp)

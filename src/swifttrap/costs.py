@@ -13,14 +13,27 @@ Raw functionals (with their physical prefactors):
 * g_penalty: integral of (dkbar/ds)^2 over |ds| (orientation-free)
 * work_classical: -(1/2) integral kbar ds + (1/2)(s_f kbar_f - s_i kbar_i)
 
-j_total combines duration + lam * F + mu * G using the *absorbed* form of
-F (the one whose multiplier convention matches the printed stationarity
-equations: energy (4/m) f_energy, phase f_alpha as is, work -integral
-kbar ds); CostReport carries both raw and absorbed values.
+LAGRANGIANS holds one Lagrangian per cost: the running term lam * ell(s,
+kbar) of the objective, whose integral is the *absorbed* F, with the
+closed forms the solver needs.  In the Euler-Lagrange equation (see
+swifttrap.solver)
+
+    2 mu kbar'' = gamma s / gap^2 + lam d(ell)/d(kbar),
+
+* energy: ell = (1/gamma) [gap/s + (3 D^2 gamma^2 - s^2 kbar^2)/(s gap)
+                           - 2 kbar],
+          F = (4/m) f_energy (its 2 s kbar' integrated by parts);
+* phase:  ell = m^2 gap / (8 gamma hbar^2 s^2), F = f_alpha as is;
+* work:   ell = -kbar, F = -integral kbar ds.
+
+j_total combines duration + lam * F + mu * G; CostReport carries both raw
+and absorbed values.  A cost is added by adding its entry to LAGRANGIANS:
+problem validation, the solver, j_total and the CLI read the table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +43,9 @@ from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 from .dynamics import TrajectoryRecord
 
 __all__ = [
+    "LAGRANGIANS",
     "CostReport",
+    "Lagrangian",
     "f_alpha",
     "f_alpha_from_run",
     "f_energy",
@@ -126,6 +141,65 @@ def f_alpha_from_run(run: TrajectoryRecord) -> float:
     return _trapz(run.alpha**2, run.t)
 
 
+@dataclass(frozen=True)
+class Lagrangian:
+    """One cost's running term lam * ell(s, kbar), in closed form.
+
+    The closed forms the solver reads take lam and the constants c last:
+
+    * dl(s, kbar, gap, lam, c): lam d(ell)/d(kbar);
+    * d2l(s, kbar, gap, lam, c): lam d^2(ell)/d(kbar)^2;
+    * outer_gap_inv4(s, lam, c): g_out^-4, g_out the gap at which
+      gamma s / gap^2 + dl vanishes, written with lam in the numerator so
+      that lam = 0 (no outer root) gives 0 rather than 1/0;
+    * pole(lam, c): the coefficient of 1/gap^2 in dl on the equilibrium
+      branch s kbar = D gamma, which adds to the duration term's gamma s
+      in the end layers;
+    * absorbed(p, c, f_energy, f_alpha): F, the integral of ell, given the
+      raw functionals j_total has already evaluated on p;
+    * from_run(run): the time-domain twin of F's raw functional on a
+      TrajectoryRecord, or None when there is none.
+    """
+
+    dl: Callable
+    d2l: Callable
+    outer_gap_inv4: Callable
+    pole: Callable
+    absorbed: Callable
+    from_run: Callable | None
+
+
+LAGRANGIANS = {
+    "energy": Lagrangian(
+        dl=lambda s, kbar, g, lam, c: lam * (
+            (3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2) / g**2
+            - 2.0 * s * kbar / g - 3.0) / c.gamma,
+        d2l=lambda s, kbar, g, lam, c: 2.0 * lam * s * (
+            (3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2) / g
+            - s * kbar - c.D * c.gamma) / (c.gamma * g**2),
+        outer_gap_inv4=lambda s, lam, c: (
+            (2.0 * lam) ** 2 / (c.gamma**4 * (s + 2.0 * c.D**2 * lam) ** 2)),
+        pole=lambda lam, c: 2.0 * c.D**2 * c.gamma * lam,
+        absorbed=lambda p, c, fe, fa: 4.0 * fe / c.m,
+        from_run=f_energy_from_run),
+    "phase": Lagrangian(
+        dl=lambda s, kbar, g, lam, c: -c.m**2 * lam / (8.0 * c.gamma * c.hbar**2 * s),
+        d2l=lambda s, kbar, g, lam, c: 0.0,
+        outer_gap_inv4=lambda s, lam, c: (
+            c.m**4 * lam**2 / (64.0 * c.gamma**4 * c.hbar**4 * s**4)),
+        pole=lambda lam, c: 0.0,
+        absorbed=lambda p, c, fe, fa: fa,
+        from_run=f_alpha_from_run),
+    "work": Lagrangian(
+        dl=lambda s, kbar, g, lam, c: -lam,
+        d2l=lambda s, kbar, g, lam, c: 0.0,
+        outer_gap_inv4=lambda s, lam, c: lam**2 / (c.gamma**2 * s**2),
+        pole=lambda lam, c: 0.0,
+        absorbed=lambda p, c, fe, fa: -_trapz(p.kbar, p.s_nodes),
+        from_run=None),
+}
+
+
 @dataclass
 class CostReport:
     """Every functional of one schedule, plus the combined objective."""
@@ -145,10 +219,10 @@ class CostReport:
 def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostReport:
     """Evaluate duration, all raw functionals, and J = duration + lam*F + mu*G.
 
-    F enters in the absorbed form matching prob.cost's multiplier
-    convention (see module docstring); with lam = mu = 0 the objective is
-    the bare duration.  The duration and f_energy share one pass over
-    their fitted cells, each bitwise equal to its own function's.
+    F is the absorbed form of prob.cost's Lagrangian (see module
+    docstring); with lam = mu = 0 the objective is the bare duration.  The
+    duration and f_energy share one pass over their fitted cells, each
+    bitwise equal to its own function's.
     """
     dur_cells, energy_cells = _duration_cells(p, c, _energy_weight(p, c))
     dur = float(0.5 * np.sum(dur_cells))
@@ -156,12 +230,7 @@ def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostR
     fa = f_alpha(p, c)
     g = g_penalty(p, c)
     w = work_classical(p, c)
-    if prob.cost == "energy":
-        f_abs = 4.0 * fe / c.m
-    elif prob.cost == "phase":
-        f_abs = fa
-    else:
-        f_abs = -_trapz(p.kbar, p.s_nodes)
+    f_abs = LAGRANGIANS[prob.cost].absorbed(p, c, fe, fa)
     j = dur + prob.lam * f_abs + prob.mu * g
     return CostReport(cost=prob.cost, lam=prob.lam, mu=prob.mu, duration=dur,
                       f_energy=fe, f_alpha=fa, g_penalty=g, work=w,

@@ -29,9 +29,9 @@ scanned and read back in place in the rows of one (4, n + 1) array.
 Every expression keeps its association, so the record is bitwise the one
 a direct, temporary-per-operation evaluation of the same formulas gives.
 
-Also here: the instantaneous energy of the Gaussian state, its Wigner
-phase-space density, the squeeze-tilt angle, and the osmotic drift that
-reproduces the same statistics as an overdamped diffusion.
+Also here: the instantaneous energy of the Gaussian state and its Wigner
+phase-space density.  The drift that carries an ensemble in lockstep with
+the wavepacket is simulate_nelson's, in swifttrap.montecarlo.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "TrajectoryRecord",
     "energy_of",
     "integrate_ermakov",
-    "nelson_drift",
-    "tilt_angle",
     "wigner_at",
 ]
 
@@ -299,25 +297,4 @@ def wigner_at(x, p, s, alpha, c: PhysConsts):
     out = (np.exp(-x**2 / (2.0 * s)
                   - (2.0 * s / c.hbar**2) * (p - 2.0 * alpha * c.hbar * x) ** 2)
            / (np.pi * c.hbar))
-    return float(out) if out.ndim == 0 else out
-
-
-def tilt_angle(alpha, c: PhysConsts, omega_i: float) -> float:
-    """Phase-space shear angle: tan(theta) = 2 alpha hbar / (m omega_i)."""
-    if omega_i <= 0.0:
-        raise ValueError("omega_i must be positive")
-    return float(np.arctan2(2.0 * alpha * c.hbar, c.m * omega_i))
-
-
-def nelson_drift(x, s, alpha, c: PhysConsts):
-    """Osmotic-plus-current drift reproducing the wavepacket statistics.
-
-    b(x) = (hbar/m) * (2 alpha - 1/(2 s)) * x; a diffusion dx = b dt +
-    sqrt(2 D) dW with D = hbar/(2m) keeps a Gaussian ensemble in lockstep
-    with the Gaussian state (s, alpha).
-    """
-    if np.any(np.asarray(s) <= 0.0):
-        raise ValueError("variance must be positive")
-    x = np.asarray(x, dtype=float)
-    out = (c.hbar / c.m) * (2.0 * alpha - 1.0 / (2.0 * s)) * x
     return float(out) if out.ndim == 0 else out

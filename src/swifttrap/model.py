@@ -6,9 +6,9 @@ bead (drag gamma, diffusion constant D) in a trap of stiffness kbar(t).
 The two pictures describe the same position statistics when D = hbar/(2m);
 everything downstream of that correspondence lives in :mod:`swifttrap.analog`.
 
-This module holds the parameter/state containers and the closed-form
-identities that need no integration: equilibrium stiffnesses, the phase
-curvature alpha, and the Gaussian position density.  It also holds the
+This module holds the parameter and protocol containers and the
+closed-form identities that need no integration: equilibrium stiffnesses
+and the phase curvature alpha.  It also holds the
 prefix product of 2x2 step maps on which both fixed-step integrators (the
 width equation and the variance flow) are built, since each of their RK4
 steps is a linear (or affine) map of the state; the scan runs in place on
@@ -56,24 +56,6 @@ class PhysConsts:
                 "quantum/classical correspondence requires D = hbar/(2m); "
                 f"got D={self.D}, hbar/(2m)={self.hbar / (2.0 * self.m)}"
             )
-
-
-@dataclass
-class GaussianState:
-    """Variance-parametrized Gaussian wavepacket (s, alpha, beta).
-
-    s is the position variance, alpha the quadratic phase curvature and
-    beta the global phase.  The wavefunction it stands for is
-    (2*pi*s)^(-1/4) * exp(-x^2/(4s) + i*alpha*x^2 + i*beta).
-    """
-
-    s: float
-    alpha: float = 0.0
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.s) or self.s <= 0.0:
-            raise ValueError(f"variance must be positive, got {self.s!r}")
 
 
 @dataclass
@@ -162,15 +144,13 @@ class TimeProtocol:
         return np.interp(t, self.t_nodes, self.values)
 
 
-_COSTS = ("energy", "phase", "work")
-
-
 @dataclass
 class OptimizationProblem:
     """Variational protocol search: which cost, multipliers, and endpoints.
 
-    lam weights the physical cost functional against duration; mu weights
-    the smoothing penalty on dkbar/ds.
+    cost names an entry of swifttrap.costs.LAGRANGIANS.  lam weights the
+    physical cost functional against duration; mu weights the smoothing
+    penalty on dkbar/ds.
     """
 
     cost: str
@@ -181,8 +161,10 @@ class OptimizationProblem:
     n_grid: int = 2001
 
     def __post_init__(self):
-        if self.cost not in _COSTS:
-            raise ValueError(f"cost must be one of {_COSTS}, got {self.cost!r}")
+        from .costs import LAGRANGIANS  # costs builds on this module
+
+        if self.cost not in LAGRANGIANS:
+            raise ValueError(f"cost must be one of {tuple(LAGRANGIANS)}, got {self.cost!r}")
         if self.lam < 0.0 or not np.isfinite(self.lam):
             raise ValueError("lam must be finite and nonnegative")
         if self.mu < 0.0 or not np.isfinite(self.mu):
@@ -331,11 +313,4 @@ def alpha_of(s, sdot, c: PhysConsts):
         raise ValueError("variance must be positive")
     sdot = np.asarray(sdot, dtype=float)
     out = c.m * sdot / (4.0 * c.hbar * s)
-    return float(out) if out.ndim == 0 else out
-
-
-def density_at(x, state: GaussianState):
-    """Born position density of the Gaussian state: N(0, s) evaluated at x."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-(x**2) / (2.0 * state.s)) / np.sqrt(2.0 * np.pi * state.s)
     return float(out) if out.ndim == 0 else out

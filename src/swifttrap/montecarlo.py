@@ -173,7 +173,13 @@ def simulate_classical(kbar_t: TimeProtocol, s_start: float, cfg: McConfig,
 
 
 def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts) -> EnsembleStats:
-    """Euler-Maruyama ensemble riding the wavepacket drift of a record."""
+    """Euler-Maruyama ensemble riding the wavepacket drift of a record.
+
+    The drift is b(x) = (hbar/m) (2 alpha - 1/(2 s)) x, with s and alpha
+    from the record: a diffusion dx = b dt + sqrt(2 D) dW, D = hbar/(2m),
+    keeps a Gaussian ensemble in lockstep with the Gaussian state
+    (s, alpha), so its density tracks the Born density N(0, s(t)).
+    """
     t0 = float(run.t[0])
     span = float(run.t[-1] - run.t[0])
     rate_nodes = (c.hbar / c.m) * (2.0 * run.alpha - 0.5 / run.s)

@@ -2,21 +2,27 @@
 
 The duration/cost trade-off is posed on the variance axis: find kbar(s)
 between the equilibrium endpoint values kbar(s_i) = D*gamma/s_i and
-kbar(s_f) = D*gamma/s_f minimizing duration plus lam times a physical
-cost plus mu times the smoothing penalty integral of (dkbar/ds)^2.  The
-stationarity conditions are second-order two-point boundary problems in
-kbar(s); one per cost:
+kbar(s_f) = D*gamma/s_f minimizing the integral of
+gamma/gap + lam ell(s, kbar) + mu (dkbar/ds)^2 over s, gap = D*gamma -
+s*kbar.  The first term integrates to twice the duration; ell is the
+cost's Lagrangian from swifttrap.costs.LAGRANGIANS, whose integral is the
+absorbed F that j_total reports (j_total counts the duration once).
+Stationarity (Gelfand & Fomin, Calculus of Variations, 1963) gives one
+second-order two-point boundary problem for every cost,
 
-* energy:  2 mu gamma kbar'' = (gamma^2 s + 3 D^2 gamma^2 lam
-            - s^2 kbar^2 lam)/gap^2 - 2 s kbar lam / gap - 3 lam
-* phase:   2 mu kbar'' = gamma s / gap^2 - m^2 lam / (8 gamma hbar^2 s)
-* work:    2 mu kbar'' = gamma s / gap^2 - lam
+    2 mu kbar'' = gamma s / gap^2 + lam d(ell)/d(kbar),
 
-with gap = D*gamma - s*kbar.  The multipliers lam, mu enter exactly as
-printed above (constant factors of the raw functionals are absorbed into
-them).
+with
 
-At an equilibrium-pinned end each equation has a regular singular point:
+* energy:  ell = (1/gamma) [gap/s + (3 D^2 gamma^2 - s^2 kbar^2)/(s gap)
+                            - 2 kbar]
+* phase:   ell = m^2 gap / (8 gamma hbar^2 s^2)
+* work:    ell = -kbar
+
+el_rhs evaluates the right-hand side over 2 mu; the reported residuals
+are 2 mu (kbar'' - el_rhs), in the units of the equation above.
+
+At an equilibrium-pinned end the equation has a regular singular point:
 the gap grows like C tau^(2/3), tau = |s - s_end|, followed by
 tau^(4/3) ln(tau) terms.  A uniform grid with the three-point stencil
 leaves an O(1) relative error at the first nodes, and solved durations
@@ -32,21 +38,22 @@ cross the singular manifold D*gamma = s*kbar, or that do not lower the
 largest residual, are halved.  A solve whose residual stops falling
 raises within a few iterations instead of running to max_iter;
 compressions (s_f < s_i) all end this way for now.  The initial iterate
-is built from the two leading balances of each cost's own right-hand
-side.  With kbar'' dropped, setting the right-hand side to zero leaves the
-outer (mu -> 0) root g_out:
+is built from the two leading balances of the right-hand side.  With
+kbar'' dropped, setting it to zero leaves the outer (mu -> 0) root g_out,
+which each Lagrangian gives in closed form:
 
 * energy:  g_out = gamma sqrt(s / (2 lam) + D^2)
 * phase:   g_out = 2 sqrt(2) gamma hbar s / (m sqrt(lam))
 * work:    g_out = sqrt(gamma s / lam), the Schmiedl-Seifert optimum
            that analytic_work_optimal returns.
 
-At a pinned end the gap vanishes and the A / gap^2 term of the right-hand
-side (A = gamma (s + 2 D^2 lam) / (2 mu) for energy, gamma s / (2 mu) for
-phase and work) balances kbar'' alone, so gap ~ C tau^(2/3) with
-C^3 = (9/2) s A.  The start blends the two, and Newton runs in its
-quadratic basin from the first steps instead of repairing the layers or
-the interior level with damped steps.
+At a pinned end the gap vanishes and the A / gap^2 terms of the
+right-hand side, A = (gamma s + P) / (2 mu) with P the Lagrangian's pole
+coefficient (2 D^2 gamma lam for energy, 0 for phase and work), balance
+kbar'' alone, so gap ~ C tau^(2/3) with C^3 = (9/2) s A.  The start
+blends the two, and Newton runs in its quadratic basin from the first
+steps instead of repairing the layers or the interior level with damped
+steps.
 
 Each Newton step solves one tridiagonal system, by odd-even cyclic
 reduction in numpy (`_solve_tridiagonal`), so the runtime needs no scipy.
@@ -75,6 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .costs import LAGRANGIANS
 from .errors import ConvergenceError, SingularityTrapError, SingularManifoldError
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 
@@ -83,9 +91,7 @@ __all__ = [
     "BvpResult",
     "WorkOptimalBundle",
     "analytic_work_optimal",
-    "el_rhs_energy",
-    "el_rhs_phase",
-    "el_rhs_work",
+    "el_rhs",
     "solve_bvp",
 ]
 
@@ -117,78 +123,28 @@ def _gap_or_raise(s, kbar, c):
     return g
 
 
-def el_rhs_energy(s, kbar, prob: OptimizationProblem, c: PhysConsts):
-    """kbar'' demanded by stationarity of the energy-cost objective."""
-    if prob.mu == 0.0:
-        raise ValueError("mu = 0 has no smoothing term; the energy EL equation degenerates")
-    s = np.asarray(s, dtype=float)
-    kbar = np.asarray(kbar, dtype=float)
-    g = _gap_or_raise(s, kbar, c)
-    lam = prob.lam
-    num = c.gamma**2 * s + 3.0 * c.D**2 * c.gamma**2 * lam - s**2 * kbar**2 * lam
-    out = (num / g**2 - 2.0 * s * kbar * lam / g - 3.0 * lam) / (2.0 * prob.mu * c.gamma)
-    return float(out) if out.ndim == 0 else out
+def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
+    """kbar'' demanded by stationarity: (gamma s / gap^2 + lam dell/dkbar) / (2 mu).
 
-
-def el_rhs_phase(s, kbar, prob: OptimizationProblem, c: PhysConsts):
-    """kbar'' demanded by stationarity of the phase-cost objective."""
-    if prob.mu == 0.0:
-        raise ValueError("mu = 0 has no smoothing term; the phase EL equation degenerates")
-    s = np.asarray(s, dtype=float)
-    kbar = np.asarray(kbar, dtype=float)
-    g = _gap_or_raise(s, kbar, c)
-    out = (c.gamma * s / g**2
-           - c.m**2 * prob.lam / (8.0 * c.gamma * c.hbar**2 * s)) / (2.0 * prob.mu)
-    return float(out) if out.ndim == 0 else out
-
-
-def el_rhs_work(s, kbar, prob: OptimizationProblem, c: PhysConsts):
-    """kbar'' demanded by stationarity of the work-cost objective.
-
-    Only valid for mu > 0; the mu = 0 optimum is analytic_work_optimal.
+    ell is prob.cost's Lagrangian (swifttrap.costs.LAGRANGIANS).  Only
+    valid for mu > 0; the mu = 0 work optimum is analytic_work_optimal.
     """
     if prob.mu == 0.0:
-        raise ValueError("mu = 0 work cost is solved in closed form by analytic_work_optimal")
+        raise ValueError("mu = 0 has no smoothing term; the EL equation degenerates")
     s = np.asarray(s, dtype=float)
     kbar = np.asarray(kbar, dtype=float)
     g = _gap_or_raise(s, kbar, c)
-    out = (c.gamma * s / g**2 - prob.lam) / (2.0 * prob.mu)
+    dl = LAGRANGIANS[prob.cost].dl(s, kbar, g, prob.lam, c)
+    out = (c.gamma * s / g**2 + dl) / (2.0 * prob.mu)
     return float(out) if out.ndim == 0 else out
 
 
-_EL_RHS = {"energy": el_rhs_energy, "phase": el_rhs_phase, "work": el_rhs_work}
-
-
-def _outer_gap_inv4(cost, s, prob, c):
-    """g_out^-4, g_out the gap at which the EL right-hand side vanishes.
-
-    Written with lam in the numerator, so lam = 0 (no outer root, the
-    right-hand side is positive everywhere) gives 0 rather than 1/0.
-    """
-    lam = prob.lam
-    if cost == "energy":
-        return (2.0 * lam) ** 2 / (c.gamma**4 * (s + 2.0 * c.D**2 * lam) ** 2)
-    if cost == "phase":
-        return c.m**4 * lam**2 / (64.0 * c.gamma**4 * c.hbar**4 * s**4)
-    return lam**2 / (c.gamma**2 * s**2)
-
-
-def _outer_gap(cost, s, prob, c):
-    """Outer (mu -> 0) root of the EL equation: the gap where kbar'' = 0."""
-    return _outer_gap_inv4(cost, s, prob, c) ** -0.25
-
-
-def _el_rhs_diag_prime(cost, s, kbar, prob, c):
-    """Pointwise derivative of the EL right-hand side w.r.t. kbar (for Newton)."""
+def _el_rhs_slope(s, kbar, prob, c):
+    """d(el_rhs)/d(kbar) pointwise, the Newton Jacobian's diagonal term:
+    (2 gamma s^2 / gap^3 + lam d^2(ell)/d(kbar)^2) / (2 mu)."""
     g = c.D * c.gamma - s * kbar
-    if cost == "energy":
-        lam = prob.lam
-        num = c.gamma**2 * s + 3.0 * c.D**2 * c.gamma**2 * lam - s**2 * kbar**2 * lam
-        return (-2.0 * s**2 * kbar * lam / g**2
-                + 2.0 * s * num / g**3
-                - 2.0 * s * lam * (g + s * kbar) / g**2) / (2.0 * prob.mu * c.gamma)
-    # phase and work share the duration term; their cost terms are kbar-free
-    return c.gamma * s**2 / (prob.mu * g**3)
+    d2l = LAGRANGIANS[prob.cost].d2l(s, kbar, g, prob.lam, c)
+    return c.gamma * s**2 / (prob.mu * g**3) + d2l / (2.0 * prob.mu)
 
 
 @dataclass
@@ -200,8 +156,8 @@ class BvpResult:
     the interior, where the spacing stays within 16 percent of h, this is
     the pointwise residual; at the graded end nodes the weight cancels the
     growth of the pointwise rounding floor eps |kbar| / (ds[j-1] ds[j]), so
-    a converged solve reads near eps |kbar| / h^2 times the printed factor,
-    as on a uniform grid.
+    a converged solve reads near 2 mu eps |kbar| / h^2, as on a uniform
+    grid.
 
     history holds one (residual, step, damping) triple per Newton
     iteration: the weighted residual, in the units of residual, of the
@@ -336,11 +292,12 @@ def _solve_tridiagonal(layout, diag, rhs):
     dominant systems, and a reduced system inherits the dominance of the
     one it came from.  The Newton Jacobians of solve_bvp are dominant on
     feasible expansions: their off-diagonals lower, upper > 0 and their
-    diagonal is -(lower + upper) - df/dkbar, f the EL right-hand side.
-    For the phase and work costs df/dkbar = gamma s^2 / (mu gap^3) > 0
-    whenever gap > 0.  For the energy cost df/dkbar has no fixed sign;
-    its dominance is measured, and the test suite asserts it on every
-    Jacobian of the reference solves.
+    diagonal is -(lower + upper) - df/dkbar, f the EL right-hand side, and
+    df/dkbar = (2 gamma s^2 / gap^3 + lam ell'') / (2 mu).  The phase and
+    work Lagrangians are linear in kbar, so df/dkbar > 0 whenever gap > 0.
+    For the energy cost df/dkbar has no fixed sign; its dominance is
+    measured, and the test suite asserts it on every Jacobian of the
+    reference solves.
     """
     A, C, levels = layout
     n = np.size(rhs)
@@ -430,12 +387,12 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     at both ends, and the equation is discretized by _fitted_stencil.  The
     initial iterate sits on the correct side of the singular manifold with
     gap = (L^-4 + B^-4)^(-1/4) at the interior nodes, both from leading
-    balances of the cost's right-hand side (see the module docstring):
+    balances of the right-hand side (see the module docstring):
     L = C tau^(2/3) is the end layer, tau the distance to the nearer end,
-    with C^3 = 9 gamma s (s + 2 D^2 lam) / (4 mu) for energy and
-    9 gamma s^2 / (4 mu) for phase and work; B = init_amplitude g_out is
-    the outer root (_outer_gap).  B^-4 is formed directly, so lam = 0
-    gives gap = L.  Each Newton step is one _solve_tridiagonal call.
+    with C^3 = 9 s (gamma s + P) / (4 mu), P the Lagrangian's pole
+    coefficient; B = init_amplitude g_out is its outer root.  B^-4 is
+    formed directly, so lam = 0 gives gap = L.  Each Newton step is one
+    _solve_tridiagonal call.
 
     Iteration is damped Newton on the discrete equations: a step is halved
     until it stays feasible and lowers the largest weighted residual (the
@@ -451,7 +408,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     if prob.mu == 0.0:
         raise ValueError("mu = 0 is only solvable for the work cost, in closed form; "
                          "use analytic_work_optimal")
-    rhs_fn = _EL_RHS[prob.cost]
+    lagrangian = LAGRANGIANS[prob.cost]
     n = prob.n_grid
     grid = _solver_grid(prob.s_i, prob.s_f, n)
     s, lower, upper, tau = grid.s, grid.lower, grid.upper, grid.tau
@@ -461,12 +418,9 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     s_int = s[1:-1]
     # layer: kbar'' balances the A / gap^2 term of the right-hand side
     # alone; bulk: the right-hand side vanishes (kbar'' = 0)
-    if prob.cost == "energy":
-        a = c.gamma * (s_int + 2.0 * c.D**2 * prob.lam) / (2.0 * prob.mu)
-    else:
-        a = c.gamma * s_int / (2.0 * prob.mu)
+    a = (c.gamma * s_int + lagrangian.pole(prob.lam, c)) / (2.0 * prob.mu)
     layer = np.cbrt(4.5 * s_int * a * tau**2)
-    bulk_inv4 = _outer_gap_inv4(prob.cost, s_int, prob, c) / opts.init_amplitude**4
+    bulk_inv4 = lagrangian.outer_gap_inv4(s_int, prob.lam, c) / opts.init_amplitude**4
     gap0 = (layer**-4 + bulk_inv4) ** -0.25
     kbar = np.empty(n)
     kbar[0], kbar[-1] = Dg / prob.s_i, Dg / prob.s_f
@@ -478,12 +432,10 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     def residual(k):
         # difference-of-differences form: no O(|K|) cancellation
         dk = np.diff(k)
-        return upper * dk[1:] - lower * dk[:-1] - rhs_fn(s_int, k[1:-1], prob, c)
+        return upper * dk[1:] - lower * dk[:-1] - el_rhs(s_int, k[1:-1], prob, c)
 
     def merit(r):
         return float(np.max(np.abs(grid.row_weight * r)))
-
-    printed_factor = 2.0 * prob.mu * (c.gamma if prob.cost == "energy" else 1.0)
 
     if not feasible(kbar):
         raise SingularityTrapError("initial iterate is infeasible", iterations=0)
@@ -505,12 +457,12 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
                           f"no convergence within {opts.max_iter} iterations "
                           f"(last update {history[-1][1]:.3e}, tol {opts.tol:.1e})")
         it += 1
-        diag = grid.stencil_diag - _el_rhs_diag_prime(prob.cost, s_int, kbar[1:-1], prob, c)
+        diag = grid.stencil_diag - _el_rhs_slope(s_int, kbar[1:-1], prob, c)
         delta = _solve_tridiagonal(grid.layout, diag, -resid)
         step = float(np.max(np.abs(delta)))
         if not np.isfinite(step):
             # recorded with damping 0: the step was not taken
-            history.append((printed_factor * norms[-1], step, 0.0))
+            history.append((2.0 * prob.mu * norms[-1], step, 0.0))
             raise failure(ConvergenceError, "Newton step blew up")
         cand = kbar.copy()
         cand[1:-1] += delta
@@ -518,7 +470,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
             # converged: the residual sits at its rounding floor, so no
             # decrease is demanded of this last step
             kbar = cand
-            history.append((printed_factor * norms[-1], step, 1.0))
+            history.append((2.0 * prob.mu * norms[-1], step, 1.0))
             break
         r = 1.0
         while True:
@@ -535,7 +487,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
                 break
             cand = kbar.copy()
             cand[1:-1] += r * delta
-        history.append((printed_factor * norms[-1], r * step, r))
+        history.append((2.0 * prob.mu * norms[-1], r * step, r))
         if r < 1e-12 or (it > _STALL_WINDOW
                          and cand_norm > 0.5 * norms[-_STALL_WINDOW]):
             # from inside its basin Newton cuts the residual by about half
@@ -550,7 +502,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
         resid = cand_resid
         norms.append(cand_norm)
 
-    residual_max = printed_factor * merit(residual(kbar))
+    residual_max = 2.0 * prob.mu * merit(residual(kbar))
     orientation = "expansion" if sgn > 0 else "compression"
     return BvpResult(protocol=SGridProtocol(s.copy(), kbar, orientation), iterations=it,
                      final_update=history[-1][1], residual=residual_max,

@@ -13,8 +13,6 @@ from swifttrap import (
     energy_of,
     equilibrium_kappa,
     integrate_ermakov,
-    nelson_drift,
-    tilt_angle,
     wigner_at,
 )
 from swifttrap.dynamics import _gouy_angle
@@ -321,23 +319,3 @@ def test_wigner_density_values(consts):
     assert w_on == pytest.approx(np.exp(-x**2 / (2.0 * s)) / np.pi)
     with pytest.raises(ValueError):
         wigner_at(0.0, 0.0, -1.0, 0.0, consts)
-
-
-def test_tilt_angle(consts):
-    assert tilt_angle(0.0, consts, omega_i=1.0) == 0.0
-    # tan(theta) = 1 when 2 alpha hbar = m omega_i
-    alpha = consts.m * 2.0 / (2.0 * consts.hbar)
-    assert tilt_angle(alpha, consts, omega_i=2.0) == pytest.approx(np.pi / 4.0)
-    with pytest.raises(ValueError):
-        tilt_angle(0.1, consts, omega_i=0.0)
-
-
-def test_nelson_drift_structure(consts):
-    # linear in x; restoring for a resting packet; vanishes at alpha = 1/(4s)
-    s = 1.4
-    assert nelson_drift(2.0, s, 0.0, consts) == pytest.approx(
-        2.0 * nelson_drift(1.0, s, 0.0, consts))
-    assert nelson_drift(1.0, s, 0.0, consts) < 0.0
-    assert nelson_drift(1.0, s, 1.0 / (4.0 * s), consts) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        nelson_drift(1.0, -1.0, 0.0, consts)

@@ -1,4 +1,4 @@
-"""Core value types: constants, states, protocols, problem definitions."""
+"""Core value types: constants, protocols, problem definitions."""
 
 import tracemalloc
 
@@ -7,13 +7,11 @@ import pytest
 
 from swifttrap import (
     EnsembleStats,
-    GaussianState,
     OptimizationProblem,
     PhysConsts,
     SGridProtocol,
     TimeProtocol,
     alpha_of,
-    density_at,
     equilibrium_kappa,
     equilibrium_kbar,
 )
@@ -53,15 +51,6 @@ def test_alpha_of_matches_width_velocity(consts):
     a = alpha_of(2.0, 1.6, consts)
     assert a == pytest.approx(0.5 * 1.6 / (4.0 * 1.0 * 2.0), rel=1e-15)
     assert alpha_of(2.0, -1.6, consts) == -a
-
-
-def test_density_is_normalized_gaussian():
-    st = GaussianState(s=0.7)
-    x = np.linspace(-10.0 * np.sqrt(0.7), 10.0 * np.sqrt(0.7), 4001)
-    rho = density_at(x, st)
-    assert abs(np.trapezoid(rho, x) - 1.0) <= 1e-12
-    assert abs(np.trapezoid(rho * x**2, x) - 0.7) <= 1e-12
-    assert density_at(0.0, st) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi * 0.7))
 
 
 def test_s_grid_protocol_orientation():

@@ -13,10 +13,9 @@ from swifttrap import (
     SingularManifoldError,
     WorkOptimalBundle,
     analytic_work_optimal,
+    LAGRANGIANS,
     duration,
-    el_rhs_energy,
-    el_rhs_phase,
-    el_rhs_work,
+    el_rhs,
     solve_bvp,
 )
 
@@ -53,49 +52,102 @@ def _prob(cost, lam=1.0, mu=0.1):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def test_rhs_energy_hand_value(consts):
+_CUSTOM_CONSTS = PhysConsts(hbar=2.0, m=0.25, gamma=3.0, D=4.0)
+
+
+def _printed_rhs_terms(cost, s, kbar, prob, c):
+    """The right-hand sides as they were printed per cost, before the table.
+
+    Returns the value, in the printed association, and the sum of the
+    magnitudes of its additive terms, the scale its rounding is measured
+    against.
+    """
+    g = c.D * c.gamma - s * kbar
+    lam, mu = prob.lam, prob.mu
+    if cost == "energy":
+        num = c.gamma**2 * s + 3.0 * c.D**2 * c.gamma**2 * lam - s**2 * kbar**2 * lam
+        value = (num / g**2 - 2.0 * s * kbar * lam / g - 3.0 * lam) / (2.0 * mu * c.gamma)
+        terms = [c.gamma**2 * s / g**2, 3.0 * c.D**2 * c.gamma**2 * lam / g**2,
+                 s**2 * kbar**2 * lam / g**2, 2.0 * s * kbar * lam / g, 3.0 * lam]
+        return value, sum(np.abs(t) for t in terms) / (2.0 * mu * c.gamma)
+    cost_term = (c.m**2 * lam / (8.0 * c.gamma * c.hbar**2 * s) if cost == "phase"
+                 else lam)
+    value = (c.gamma * s / g**2 - cost_term) / (2.0 * mu)
+    return value, (c.gamma * s / g**2 + np.abs(cost_term)) / (2.0 * mu)
+
+
+def _printed_rhs_slope(cost, s, kbar, prob, c):
+    """d(printed rhs)/d(kbar) as it was written per cost, and its term scale."""
+    g = c.D * c.gamma - s * kbar
+    if cost == "energy":
+        lam = prob.lam
+        num = c.gamma**2 * s + 3.0 * c.D**2 * c.gamma**2 * lam - s**2 * kbar**2 * lam
+        value = (-2.0 * s**2 * kbar * lam / g**2
+                 + 2.0 * s * num / g**3
+                 - 2.0 * s * lam * (g + s * kbar) / g**2) / (2.0 * prob.mu * c.gamma)
+        terms = [2.0 * s**2 * kbar * lam / g**2, 2.0 * c.gamma**2 * s**2 / g**3,
+                 6.0 * s * c.D**2 * c.gamma**2 * lam / g**3,
+                 2.0 * s**3 * kbar**2 * lam / g**3, 2.0 * s * lam * (g + s * kbar) / g**2]
+        return value, sum(np.abs(t) for t in terms) / (2.0 * prob.mu * c.gamma)
+    value = c.gamma * s**2 / (prob.mu * g**3)
+    return value, np.abs(value)
+
+
+@pytest.mark.parametrize("c", [PhysConsts(), _CUSTOM_CONSTS], ids=["paper", "custom"])
+@pytest.mark.parametrize("cost", ["energy", "phase", "work"])
+def test_table_reproduces_printed_equations(cost, c):
+    # el_rhs and the Newton slope, formed from the Lagrangian table, agree
+    # with the hand-written per-cost equations to 4 ulp of their terms
+    s = np.linspace(1.0, 5.0, 9)[:, None]
+    gap = c.D * c.gamma * np.array([1e-3, 0.01, 0.1, 0.5, 0.9, 1.5])
+    s, kbar = np.broadcast_arrays(s, (c.D * c.gamma - gap) / s)
+    eps = np.finfo(float).eps
+    for lam in (0.0, 0.1, 1.0, 10.0, 1000.0):
+        for mu in (1e-3, 0.1, 1.0):
+            prob = OptimizationProblem(cost=cost, lam=lam, mu=mu, s_i=1.0, s_f=5.0)
+            want, scale = _printed_rhs_terms(cost, s, kbar, prob, c)
+            assert np.all(np.abs(el_rhs(s, kbar, prob, c) - want) <= 4.0 * eps * scale)
+            want, scale = _printed_rhs_slope(cost, s, kbar, prob, c)
+            got = solver._el_rhs_slope(s, kbar, prob, c)
+            assert np.all(np.abs(got - want) <= 4.0 * eps * scale), (lam, mu)
+
+
+@pytest.mark.parametrize("cost,s,mu,want,tol", [
     # bracket: 1.5/0.0625 + 3/0.0625 - 1.5^2*0.25/0.0625 = 63; minus
     # 2*1.5*0.5/0.25 = 6; minus 3; over 2*mu*gamma = 0.2 -> 270
-    got = el_rhs_energy(1.5, 0.5, _prob("energy"), consts)
-    assert got == pytest.approx(270.0, abs=1e-9)
-
-
-def test_rhs_phase_hand_value(consts):
-    got = el_rhs_phase(1.5, 0.5, _prob("phase"), consts)
-    assert got == pytest.approx((24.0 - 1.0 / 48.0) / 0.2, abs=1e-9)
-
-
-def test_rhs_work_hand_value(consts):
-    got = el_rhs_work(1.0, 0.5, _prob("work", mu=0.5), consts)
-    assert got == pytest.approx(3.0, abs=1e-12)
+    ("energy", 1.5, 0.1, 270.0, 1e-9),
+    ("phase", 1.5, 0.1, (24.0 - 1.0 / 48.0) / 0.2, 1e-9),
+    ("work", 1.0, 0.5, 3.0, 1e-12),
+], ids=["energy", "phase", "work"])
+def test_el_rhs_hand_value(consts, cost, s, mu, want, tol):
+    got = el_rhs(s, 0.5, _prob(cost, mu=mu), consts)
+    assert got == pytest.approx(want, abs=tol)
 
 
 def test_rhs_lambda_zero_is_positive(consts):
     s = np.linspace(1.0, 2.0, 17)
     kbar = 0.3 * np.ones(17)
-    for rhs, cost in ((el_rhs_energy, "energy"), (el_rhs_phase, "phase"),
-                      (el_rhs_work, "work")):
-        vals = rhs(s, kbar, _prob(cost, lam=0.0), consts)
+    for cost in LAGRANGIANS:
+        vals = el_rhs(s, kbar, _prob(cost, lam=0.0), consts)
         assert np.all(vals > 0.0)
 
 
 def test_rhs_singular_manifold_raises(consts):
-    for rhs, cost in ((el_rhs_energy, "energy"), (el_rhs_phase, "phase"),
-                      (el_rhs_work, "work")):
+    for cost in LAGRANGIANS:
         with pytest.raises(SingularManifoldError):
-            rhs(2.0, 0.5, _prob(cost), consts)
+            el_rhs(2.0, 0.5, _prob(cost), consts)
 
 
 def test_rhs_rejects_mu_zero(consts):
     with pytest.raises(ValueError, match="mu"):
-        el_rhs_energy(1.5, 0.5, _prob("energy", mu=0.0), consts)
+        el_rhs(1.5, 0.5, _prob("energy", mu=0.0), consts)
 
 
 def test_rhs_work_zero_at_flow_balance(consts):
     # gamma s / gap^2 = lam exactly when gap = sqrt(gamma s / lam)
     s = 1.3
     kbar = (1.0 - np.sqrt(s)) / s
-    assert el_rhs_work(s, kbar, _prob("work", mu=0.5), consts) == pytest.approx(0.0, abs=1e-12)
+    assert el_rhs(s, kbar, _prob("work", mu=0.5), consts) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +163,8 @@ def _residual_floor(res, prob, c):
     h the mean spacing.
     """
     h = (prob.s_f - prob.s_i) / (prob.n_grid - 1)
-    printed = 2.0 * prob.mu * (c.gamma if prob.cost == "energy" else 1.0)
     eps = np.finfo(float).eps
-    return 4.0 * eps * np.max(np.abs(res.kbar)) * printed / h**2
+    return 4.0 * eps * np.max(np.abs(res.kbar)) * 2.0 * prob.mu / h**2
 
 
 @pytest.mark.parametrize("cost,mu", sorted(REFERENCE_DURATIONS))
@@ -238,7 +289,6 @@ def test_start_converges_quickly_across_multipliers(consts, cost):
                 assert res.iterations <= 7, (lam, mu, s_f)
 
 
-_CUSTOM_CONSTS = PhysConsts(hbar=2.0, m=0.25, gamma=3.0, D=4.0)
 _SMALL_HBAR_CONSTS = PhysConsts(hbar=1e-3, m=7.0, gamma=0.2, D=1e-3 / 14.0)
 
 
@@ -260,15 +310,13 @@ def test_start_converges_in_other_units(cost, c):
 @pytest.mark.parametrize("cost", ["energy", "phase", "work"])
 def test_outer_gap_is_root_of_rhs(cost, c):
     s = np.linspace(1.0, 5.0, 9)
-    rhs = solver._EL_RHS[cost]
     for lam in (0.1, 1.0, 10.0, 1000.0):
         prob = OptimizationProblem(cost=cost, lam=lam, mu=0.1, s_i=1.0, s_f=5.0)
-        g = solver._outer_gap(cost, s, prob, c)
+        g = LAGRANGIANS[cost].outer_gap_inv4(s, lam, c) ** -0.25
         kbar = (c.D * c.gamma - g) / s
         # the Newton correction to kbar that would zero the right-hand
         # side is a few ulps of the terms kbar is formed from
-        correction = (rhs(s, kbar, prob, c)
-                      / solver._el_rhs_diag_prime(cost, s, kbar, prob, c))
+        correction = el_rhs(s, kbar, prob, c) / solver._el_rhs_slope(s, kbar, prob, c)
         ulp = np.finfo(float).eps * (c.D * c.gamma / s + np.abs(kbar))
         assert np.all(np.abs(correction) <= 4.0 * ulp), lam
 
@@ -276,8 +324,7 @@ def test_outer_gap_is_root_of_rhs(cost, c):
 def test_outer_gap_of_work_is_closed_form(consts):
     for lam, s_f in ((0.5, 2.0), (10.0, 5.0), (1000.0, 20.0)):
         closed = analytic_work_optimal(lam, 1.0, s_f, consts, n=101)
-        prob = OptimizationProblem(cost="work", lam=lam, mu=0.1, s_i=1.0, s_f=s_f)
-        g = solver._outer_gap("work", closed.s, prob, consts)
+        g = LAGRANGIANS["work"].outer_gap_inv4(closed.s, lam, consts) ** -0.25
         kbar = (consts.D * consts.gamma - g) / closed.s
         assert np.max(np.abs(kbar - closed.kbar_s)) <= 1e-14 * np.max(np.abs(closed.kbar_s))
 
