@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleProtocolError, IntegrationError
-from .model import PhysConsts, SGridProtocol, TimeProtocol, _prefix_step_maps
+from .model import PhysConsts, SGridProtocol, TimeProtocol, _node_substeps, _prefix_step_maps
 
 __all__ = [
     "TimeDomainProtocols",
@@ -84,7 +84,8 @@ def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
 
     Classic fixed-step RK4, with substeps chosen so no step straddles a
     protocol node (kbar is linear inside each cell, so fourth order is
-    preserved): a cell of length L takes ceil(L/dt) equal substeps.  The
+    preserved): a cell of length L takes ceil(L/dt) equal substeps, laid
+    out by model._node_substeps, which integrate_ermakov shares.  The
     flow is affine in s, so each substep is the map s <- (1 + e) s + b,
     i.e. the 2x2 map [[1 + e, b], [0, 1]] on (s, 1), written in closed form
     from the substep's three kbar samples; the maps are composed by a
@@ -116,21 +117,11 @@ def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
     two_over_gamma = 2.0 / c.gamma
     source = two_over_gamma * (c.D * c.gamma)
 
-    # substep i of cell j, flattened over all cells
-    cells = np.diff(t_nodes)
-    m_sub = np.maximum(1, np.ceil(cells / dt).astype(int))
-    ends = np.cumsum(m_sub)
-    j = np.repeat(np.arange(cells.size), m_sub)
-    i = np.arange(ends[-1]) - (ends - m_sub)[j]
-    t0 = t_nodes[j]
-    h = (cells / m_sub)[j]
-    k0 = kbar_t.values[j]
-    slope = (np.diff(kbar_t.values) / cells)[j]
-    ta = t0 + i * h
+    ta, h, ends, ka, km, kb = _node_substeps(kbar_t, dt)
     # rates -(2/gamma) kbar at the substep's start, midpoint and end
-    x = -two_over_gamma * (k0 + slope * (ta - t0))
-    y = -two_over_gamma * (k0 + slope * (ta + 0.5 * h - t0))
-    z = -two_over_gamma * (k0 + slope * (ta + h - t0))
+    x = -two_over_gamma * ka
+    y = -two_over_gamma * km
+    z = -two_over_gamma * kb
 
     hy = h * y
     e = np.zeros((4, ends[-1]))
@@ -348,6 +339,31 @@ def _duration_cells(p: SGridProtocol, c: PhysConsts, *weights) -> np.ndarray:
     return _fitted_cells(p.s_nodes, w, g, *_pinned_ends(g))
 
 
+def _energy_weight(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
+    """Weight w of f_energy's middle term w / gap: (3 D^2 gamma^2 - s^2 kbar^2) / s."""
+    s = p.s_nodes
+    return (3.0 * c.D**2 * c.gamma**2 - s**2 * p.kbar**2) / s
+
+
+def _schedule_cells(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
+    """The duration cells and f_energy's middle-term cells of p, kept on p.
+
+    Rows: the fitted cells of gamma / gap and of _energy_weight / gap.
+    The time table of an emission and j_total read the same schedule, so
+    the cells of its last pass are kept on the schedule, keyed on its
+    nodes, its stiffness and the constants (a schedule changed in place
+    gets a new pass), and the pair makes one _duration_cells pass.  Each
+    row is bitwise the cells of its weight alone.  The array is read-only.
+    """
+    key = (p.s_nodes.tobytes(), p.kbar.tobytes(), c)
+    if p._cells is not None and p._cells[0] == key:
+        return p._cells[1]
+    cells = _duration_cells(p, c, _energy_weight(p, c))
+    cells.flags.writeable = False
+    p._cells = (key, cells)
+    return cells
+
+
 def duration(p: SGridProtocol, c: PhysConsts) -> float:
     """Total transfer time of an s-parametrized schedule.
 
@@ -358,12 +374,12 @@ def duration(p: SGridProtocol, c: PhysConsts) -> float:
     when no end is pinned); an interior stall (or an endpoint approached
     with exponent >= 1) raises InfeasibleProtocolError.
     """
-    return float(0.5 * np.sum(_duration_cells(p, c)))
+    return float(0.5 * np.sum(_schedule_cells(p, c)[0]))
 
 
 def time_of_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
     """Cumulative transfer time at each node, t(s_i) = 0, t(s_f) = duration."""
-    cells = _duration_cells(p, c)
+    cells = _schedule_cells(p, c)[0]
     t = np.empty(p.s_nodes.size)
     t[0] = 0.0
     np.cumsum(0.5 * cells, out=t[1:])

@@ -295,6 +295,9 @@ def _cmd_verify(args) -> int:
         checks["ermakov"] = {
             "err_s_end": err_s,
             "err_sdot_end": err_sdot,
+            "n_steps": run.t.size - 1,
+            "max_step": float(np.max(np.diff(run.t))),
+            "stability_margin": run.stability_margin,
             "tolerance": ENDPOINT_TOL,
             "passed": err_s <= ENDPOINT_TOL and err_sdot <= ENDPOINT_TOL,
         }

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import _duration_cells, _fitted_cells, _pinned_ends, flow_gap
+from .analog import _energy_weight, _fitted_cells, _pinned_ends, _schedule_cells, flow_gap
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 from .dynamics import TrajectoryRecord
 
@@ -59,12 +59,6 @@ __all__ = [
 
 def _trapz(y, x):
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
-
-
-def _energy_weight(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
-    """Weight w of f_energy's middle term w / gap: (3 D^2 gamma^2 - s^2 kbar^2) / s."""
-    s = p.s_nodes
-    return (3.0 * c.D**2 * c.gamma**2 - s**2 * p.kbar**2) / s
 
 
 def _f_energy(p: SGridProtocol, c: PhysConsts, cells: np.ndarray) -> float:
@@ -221,10 +215,11 @@ def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostR
 
     F is the absorbed form of prob.cost's Lagrangian (see module
     docstring); with lam = mu = 0 the objective is the bare duration.  The
-    duration and f_energy share one pass over their fitted cells, each
-    bitwise equal to its own function's.
+    duration and f_energy read the cells of one pass, the one the
+    schedule's time table made if it was just emitted (_schedule_cells),
+    each bitwise equal to its own function's.
     """
-    dur_cells, energy_cells = _duration_cells(p, c, _energy_weight(p, c))
+    dur_cells, energy_cells = _schedule_cells(p, c)
     dur = float(0.5 * np.sum(dur_cells))
     fe = _f_energy(p, c, energy_cells)
     fa = f_alpha(p, c)

@@ -15,19 +15,15 @@ Ermakov-Pinney construction (Pinney, Proc. AMS 1, 681 (1950)) sigma^2 is a
 quadratic form in a fundamental pair (u1, u2) of the linear oscillator
 u'' = -(kappa/m) u: from rest at variance s0, s = s0 u1^2 + (D^2/s0) u2^2,
 and the Gouy angle theta = atan2(D u2, s0 u1) advances at D/s, so the
-global phase beta = -hbar theta / (4 m D) needs no quadrature.  Each RK4
-step of the linear flow is a 2x2 map, and the maps are composed by a
-vectorized prefix scan instead of a per-step loop.  theta is continued
-across the branch of atan2 by counting the steps where its raw value drops
-by more than pi.  Since theta never decreases, that count is what
-np.unwrap would add, as long as every step turns theta by less than pi,
-the condition np.unwrap assumes as well.
-
-A call allocates little beyond its record: kappa is sampled at the steps
-and at their midpoints as two arrays, and the step maps are built,
-scanned and read back in place in the rows of one (4, n + 1) array.
-Every expression keeps its association, so the record is bitwise the one
-a direct, temporary-per-operation evaluation of the same formulas gives.
+global phase beta = -hbar theta / (4 m D) needs no quadrature.  The steps
+sit on the schedule's own nodes, as in evolve_variance: kappa is piecewise
+linear, so a step that straddled a node would meet a kink in kappa and
+cost RK4 its order.  Each RK4 step of the linear flow is a 2x2 map, and
+the maps are composed by a vectorized prefix scan instead of a per-step
+loop.  theta is continued across the branch of atan2 by counting the
+steps where its raw value drops by more than pi.  Since theta never
+decreases, that count is what np.unwrap would add, as long as every step
+turns theta by less than pi, the condition np.unwrap assumes as well.
 
 Also here: the instantaneous energy of the Gaussian state and its Wigner
 phase-space density.  The drift that carries an ensemble in lockstep with
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .model import PhysConsts, TimeProtocol, _prefix_step_maps
+from .model import PhysConsts, TimeProtocol, _node_substeps, _prefix_step_maps
 
 __all__ = [
     "TrajectoryRecord",
@@ -53,7 +49,13 @@ __all__ = [
 
 @dataclass
 class TrajectoryRecord:
-    """Wavepacket history on a uniform time grid."""
+    """Wavepacket history on the integrator's step grid.
+
+    t holds every node of the driving schedule and the substeps between
+    them, so its spacing follows the schedule's cells.  stability_margin
+    is max_k h_k sqrt(|kappa|/m) over the steps' stage samples, which
+    RK4 needs below 2 sqrt(2).
+    """
 
     t: np.ndarray
     s: np.ndarray
@@ -61,6 +63,7 @@ class TrajectoryRecord:
     alpha: np.ndarray
     beta: np.ndarray
     energy: np.ndarray
+    stability_margin: float = 0.0
 
     @property
     def duration(self) -> float:
@@ -81,28 +84,6 @@ def energy_of(s, sdot, kappa, c: PhysConsts):
     kappa = np.asarray(kappa, dtype=float)
     out = (c.m / (4.0 * s)) * (0.5 * sdot**2 + 2.0 * s**2 * kappa / c.m + 2.0 * c.D**2)
     return float(out) if out.ndim == 0 else out
-
-
-def _record_energy(s, sdot, kappa, c: PhysConsts, w: np.ndarray) -> np.ndarray:
-    """energy_of on a record's equal-length arrays, s already checked > 0.
-
-    The same expression in the same association, so bitwise equal to
-    energy_of, evaluated in place in the result and the two scratch rows
-    of w.
-    """
-    out = np.multiply(s, 4.0)
-    np.divide(c.m, out, out=out)
-    w0, w1 = w
-    np.square(sdot, out=w0)
-    w0 *= 0.5
-    np.square(s, out=w1)
-    w1 *= 2.0
-    w1 *= kappa
-    w1 /= c.m
-    w0 += w1
-    w0 += 2.0 * c.D**2
-    out *= w0
-    return out
 
 
 def _gouy_angle(raw: np.ndarray) -> np.ndarray:
@@ -133,25 +114,29 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
                       dt: float | None = None) -> TrajectoryRecord:
     """Integrate the width equation under a quantum schedule, from rest.
 
-    Fixed-step RK4 on the linear flow (u, u') of u'' = -(kappa/m) u, with
-    kappa(t) linearly interpolated between protocol nodes and sampled at
-    the steps and at their midpoints, the even and odd points of the
-    half-step grid.  Each step's RK4 map I + E_k is written in closed
-    form from its three kappa samples, and the maps are composed by a
-    vectorized prefix scan.  The record is rebuilt by the Ermakov-Pinney
-    construction from the pair u1 (u1 = 1, u1' = 0) and u2 (u2 = 0,
-    u2' = 1), with s0 = s_start and q = D^2/s0:
+    Fixed-step RK4 on the linear flow (u, u') of u'' = -(kappa/m) u, on
+    the schedule's own nodes: a cell of length L takes ceil(L/dt) equal
+    substeps (model._node_substeps, the rule evolve_variance follows), so
+    no step straddles a node and kappa, linear inside each cell, is
+    smooth over every step.  Each step's RK4 map I + E_k is written in
+    closed form from its length h_k and its three kappa samples, and the
+    maps are composed by a vectorized prefix scan.  The record is rebuilt
+    by the Ermakov-Pinney construction from the pair u1 (u1 = 1, u1' = 0)
+    and u2 (u2 = 0, u2' = 1), with s0 = s_start and q = D^2/s0:
 
         s = s0 u1^2 + q u2^2,    sdot = 2 (s0 u1 u1' + q u2 u2'),
         beta = -hbar theta / (4 m D),  theta = atan2(D u2, s0 u1) + 2 pi n,
 
     theta being the Gouy angle, whose rate is D/s, and n the number of
-    branch crossings so far (_gouy_angle).  Starts at variance
-    s_start with zero width velocity.  Default step is one ten-thousandth
-    of the span; the step actually taken is span / round(span/dt).
+    branch crossings so far (_gouy_angle).  Starts at variance s_start
+    with zero width velocity and returns the record on the step grid,
+    which holds every node.  The default dt is a thousandth of the span,
+    so a schedule emitted on 2001 samples (largest cell 1.8 span / 2000)
+    takes one step per cell, and a coarse one still takes about a
+    thousand steps.
 
-    Raises IntegrationError (with the failure time) at the first step with
-    a stage sample |kappa| > 8 m / h^2, i.e. h*sqrt(|kappa|/m) > 2*sqrt(2),
+    Raises IntegrationError (with the failure time) at the first step
+    whose largest stage sample gives h_k sqrt(|kappa|/m) > 2 sqrt(2),
     RK4's stability bound on the imaginary axis, and at the first sample
     where s is non-finite or at most 1e-16 * s_start.
     """
@@ -161,125 +146,56 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     if s_start <= 0.0:
         raise ValueError("starting variance must be positive")
     t0, t1 = kappa_t.span
-    span = t1 - t0
     if dt is None:
-        dt = span / 1.0e4
+        dt = (t1 - t0) / 1.0e3
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    n_steps = max(1, int(round(span / dt)))
-    h = span / n_steps
-    t = np.arange(n_steps + 1, dtype=float)
-    t *= h
-    t += t0
+    # arrays are dropped once read for the last time, which keeps the
+    # transient peak near two and a half records
+    ta, h, ends, ka, km, kb = _node_substeps(kappa_t, dt)
+    t = np.append(ta, t1)
+    del ta, ends
 
-    # kappa at the steps and at their midpoints, the even and odd points
-    # t0 + (h/2) i of the half-step grid; RK4 stages need nothing finer.
-    # (h/2) 2j is h j exactly, so the steps are t itself; the midpoints are
-    # (h/2) times the odd integers
-    mid = np.arange(1, 2 * n_steps, 2, dtype=float)
-    mid *= 0.5 * h
-    mid += t0
-    k_step = np.interp(t, kappa_t.t_nodes, kappa_t.values)
-    k_mid = np.interp(mid, kappa_t.t_nodes, kappa_t.values)
-    del mid
-
-    # h sqrt(|kappa|/m) > 2 sqrt(2) at a stage sample is |kappa| > 8 m / h^2;
-    # half-step sample i is a stage of steps (i - 1) // 2 and i // 2, the
-    # first of which is reported
-    bound = 8.0 * c.m / (h * h)
-    if any(np.fmax.reduce(k) > bound or np.fmin.reduce(k) < -bound
-           for k in (k_step, k_mid)):
-        kap = np.empty(2 * n_steps + 1)
-        kap[::2], kap[1::2] = k_step, k_mid
-        k = max(int(np.argmax(np.abs(kap) > bound)) - 1, 0) // 2
-        stiff = h * np.sqrt(np.max(np.abs(kap[2 * k:2 * k + 3])) / c.m)
+    stiff = h * np.sqrt(np.maximum(np.maximum(np.abs(ka), np.abs(km)), np.abs(kb)) / c.m)
+    margin = float(np.max(stiff))
+    if margin > 2.0 * np.sqrt(2.0):
+        k = int(np.argmax(stiff > 2.0 * np.sqrt(2.0)))
         raise IntegrationError(
-            f"step h={h:.3g} gives h*sqrt(|kappa|/m)={stiff:.3g} above the RK4 "
+            f"step h={h[k]:.3g} gives h*sqrt(|kappa|/m)={stiff[k]:.3g} above the RK4 "
             f"stability bound 2*sqrt(2) at t={t[k]:.6g}", t=float(t[k]))
+    del stiff
 
     # RK4 step map I + E of y' = [[0, 1], [-a(t), 0]] y with stage rates
-    # a = ka, km, km, kb:
-    #   E00 = -h^2 (ka + 2 km) / 6 + h^4 km ka / 24
-    #   E01 = h - h^3 km / 6
-    #   E10 = -h (ka + 4 km + kb) / 6 + h^3 km (ka + kb) / 12
-    #   E11 = -h^2 (2 km + kb) / 6 + h^4 km kb / 24
-    # each in that association, built in place in the rows of e, which
-    # hold the shared terms (2 km, h^4 km, h^3 km) until their own turn;
-    # the record's alpha holds kappa/m at the steps until its own turn
-    alpha = np.divide(k_step, c.m, out=np.empty_like(t))
-    ka, kb = alpha[:-1], alpha[1:]
-    km = k_mid
-    km /= c.m
+    # a = kappa/m at the step's start, midpoint (twice) and end
+    a, am, b = ka / c.m, km / c.m, kb / c.m
+    del km, kb
     h2 = h * h
-    e = np.empty((4, n_steps + 1))
-    e[:, 0] = 0.0
-    e00, e01, e10, e11 = e[:, 1:]
-    np.multiply(km, 2.0, out=e01)
-    np.add(ka, e01, out=e00)
-    np.add(e01, kb, out=e11)
-    for row in (e00, e11):
-        row *= -h2
-        row /= 6.0
-    np.multiply(km, h2 * h2, out=e01)
-    np.multiply(e01, ka, out=e10)
-    e10 /= 24.0
-    e00 += e10
-    e01 *= kb
-    e01 /= 24.0
-    e11 += e01
-    np.multiply(km, h2 * h, out=e01)
-    np.add(ka, kb, out=e10)
-    e10 *= e01
-    e10 /= 12.0
-    km *= 4.0
-    km += ka
-    km += kb
-    km *= -h
-    km /= 6.0
-    e10 += km
-    e01 /= 6.0
-    np.subtract(h, e01, out=e01)
-    del ka, kb, km, k_mid
+    e = np.zeros((4, t.size))
+    e[0, 1:] = -h2 * (a + 2.0 * am) / 6.0 + h2 * h2 * am * a / 24.0
+    e[1, 1:] = h - h2 * h * am / 6.0
+    e[2, 1:] = -h * (a + 4.0 * am + b) / 6.0 + h2 * h * am * (a + b) / 12.0
+    e[3, 1:] = -h2 * (2.0 * am + b) / 6.0 + h2 * h2 * am * b / 24.0
+    del a, am, b, h, h2
 
-    # the pair u1 = 1 + P00, u2 = P01, u1' = P10, u2' = 1 + P11 in the
-    # rows of e; each row is reused as scratch once it has been read for
-    # the last time, so the record's arrays are the only ones made
-    p = _prefix_step_maps(e)
-    p[0] += 1.0
-    p[3] += 1.0
-    u1, u2, du1, du2 = p
+    # the pair u1 = 1 + P00, u2 = P01, u1' = P10, u2' = 1 + P11
+    u1, u2, du1, du2 = _prefix_step_maps(e)
+    u1 += 1.0
+    du2 += 1.0
     q = c.D**2 / s_start
-    sdot = np.empty_like(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        # s = s0 u1^2 + q u2^2
-        s = np.square(u1)
-        s *= s_start
-        np.square(u2, out=sdot)
-        sdot *= q
-        s += sdot
+        s = s_start * u1**2 + q * u2**2
     floor = 1e-16 * s_start
     if not (s.min() > floor and s.max() < np.inf):
         k = int(np.flatnonzero(~(np.isfinite(s) & (s > floor)))[0])
         raise IntegrationError(f"width collapsed or blew up at t={t[k]:.6g}", t=float(t[k]))
-    # sdot = 2 ((s0 u1) u1' + (q u2) u2')
-    np.multiply(u1, s_start, out=sdot)
-    sdot *= du1
-    np.multiply(u2, q, out=alpha)
-    alpha *= du2
-    sdot += alpha
-    sdot *= 2.0
-    # beta = (-hbar theta) / (4 m D), theta = atan2(D u2, s0 u1) continued
-    np.multiply(u2, c.D, out=du2)
-    np.multiply(u1, s_start, out=du1)
-    beta = _gouy_angle(np.arctan2(du2, du1, out=u1))
-    beta *= -c.hbar
-    beta /= 4.0 * c.m * c.D
-    # alpha = (m sdot) / (4 hbar s)
-    np.multiply(sdot, c.m, out=alpha)
-    np.multiply(s, 4.0 * c.hbar, out=u2)
-    alpha /= u2
-    energy = _record_energy(s, sdot, k_step, c, p[2:])
-    return TrajectoryRecord(t=t, s=s, sdot=sdot, alpha=alpha, beta=beta, energy=energy)
+    sdot = 2.0 * (s_start * u1 * du1 + q * u2 * du2)
+    theta = _gouy_angle(np.arctan2(c.D * u2, s_start * u1))
+    del e, u1, u2, du1, du2
+    return TrajectoryRecord(
+        t=t, s=s, sdot=sdot, alpha=c.m * sdot / (4.0 * c.hbar * s),
+        beta=-c.hbar * theta / (4.0 * c.m * c.D),
+        energy=energy_of(s, sdot, np.append(ka, kappa_t.values[-1]), c),
+        stability_margin=margin)
 
 
 def wigner_at(x, p, s, alpha, c: PhysConsts):

@@ -8,16 +8,16 @@ everything downstream of that correspondence lives in :mod:`swifttrap.analog`.
 
 This module holds the parameter and protocol containers and the
 closed-form identities that need no integration: equilibrium stiffnesses
-and the phase curvature alpha.  It also holds the
-prefix product of 2x2 step maps on which both fixed-step integrators (the
-width equation and the variance flow) are built, since each of their RK4
-steps is a linear (or affine) map of the state; the scan runs in place on
-the maps it is given.
+and the phase curvature alpha.  It also holds what both fixed-step
+integrators (the width equation and the variance flow) are built on: the
+layout of their substeps on a schedule's nodes, and the prefix product of
+2x2 step maps, since each of their RK4 steps is a linear (or affine) map
+of the state; the scan runs in place on the maps it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class SGridProtocol:
     s_nodes: np.ndarray
     kbar: np.ndarray
     orientation: str
+    # (key, cells) of the last duration-cell pass over this schedule, kept
+    # by analog._schedule_cells; the key holds the nodes' and kbar's bytes
+    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.s_nodes = np.asarray(self.s_nodes, dtype=float)
@@ -204,6 +207,37 @@ class EnsembleStats:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
             if getattr(self, name).shape != self.times.shape:
                 raise ValueError(f"{name} must match times in shape")
+
+
+def _node_substeps(proto: TimeProtocol, dt: float):
+    """Equal substeps of at most dt that never straddle a node of proto.
+
+    A cell of length L takes ceil(L/dt) equal substeps, so the schedule,
+    linear inside each cell, is smooth over every substep and RK4 keeps its
+    fourth order.  Returns (ta, h, ends, va, vm, vb), each flattened over
+    all substeps in time order: the substep's start time ta and length h,
+    the cumulative substep count at the end of each cell (node j + 1 ends
+    substep ends[j] - 1), and the schedule's value at the start, midpoint
+    and end of the substep, from its cell's own line (no search).  A
+    substep starting at a node has ta and va equal to the node's own time
+    and value.
+    """
+    t_nodes, values = proto.t_nodes, proto.values
+    cells = np.diff(t_nodes)
+    m_sub = np.maximum(1, np.ceil(cells / dt).astype(int))
+    ends = np.cumsum(m_sub)
+    # substep i of cell j, flattened over all cells
+    j = np.repeat(np.arange(cells.size), m_sub)
+    i = np.arange(ends[-1]) - (ends - m_sub)[j]
+    t0 = t_nodes[j]
+    h = (cells / m_sub)[j]
+    v0 = values[j]
+    slope = (np.diff(values) / cells)[j]
+    ta = t0 + i * h
+    va = v0 + slope * (ta - t0)
+    vm = v0 + slope * (ta + 0.5 * h - t0)
+    vb = v0 + slope * (ta + h - t0)
+    return ta, h, ends, va, vm, vb
 
 
 def _compose_step_maps(a: np.ndarray, b: np.ndarray, ab: np.ndarray,

@@ -13,6 +13,7 @@ from swifttrap import (
     duration,
     equilibrium_kbar,
     evolve_variance,
+    f_energy,
     flow_gap,
     quantum_from_classical_s,
     quantum_from_classical_t,
@@ -301,11 +302,13 @@ def test_fitted_cells_memo_matches_from_scratch(consts):
 
 
 def test_fitted_cells_geometry_is_shared_and_read_only(consts):
-    # duration, time table and energy cost of one schedule share one entry
+    # duration, time table and energy cost of one schedule share one entry;
+    # the duration reads the time table's cells and needs no geometry
     p = solve_bvp(OptimizationProblem("phase", 1.0, 0.5, 1.0, 2.0, 501), consts).protocol
     _cell_geometry.cache_clear()
     to_time_domain(p, consts)
     duration(p, consts)
+    f_energy(p, consts)
     info = _cell_geometry.cache_info()
     assert info.misses == 1 and info.hits == 1
     for a in _cell_geometry(p.s_nodes.tobytes(), True, True):

@@ -76,6 +76,11 @@ def test_verify_ermakov_passes_on_emitted_protocol(tmp_path):
     verdict = json.loads((out2 / "verify.json").read_text())
     assert verdict["passed"] is True
     assert verdict["ermakov"]["err_s_end"] <= 1e-3
+    # one width-equation step per emitted cell, each far inside RK4's bound
+    t = np.loadtxt(tmp_path / "protocol_t.csv", delimiter=",", skiprows=1, usecols=0)
+    assert verdict["ermakov"]["n_steps"] == t.size - 1 == 2000
+    assert verdict["ermakov"]["max_step"] == pytest.approx(np.max(np.diff(t)), rel=1e-9)
+    assert 0.0 < verdict["ermakov"]["stability_margin"] < 0.01
 
 
 def test_verify_both_runs_ensembles(tmp_path):

@@ -18,9 +18,12 @@ from swifttrap import (
     g_penalty,
     j_total,
     solve_bvp,
+    time_of_s,
+    to_time_domain,
     work_classical,
     work_from_schedule,
 )
+from swifttrap import analog
 from swifttrap.analog import _pinned_ends
 
 ROOT2 = np.sqrt(2.0)
@@ -174,6 +177,35 @@ def test_a_cost_lives_only_in_its_table_entry(consts, monkeypatch):
     rep = j_total(res.protocol, prob, consts)
     assert rep.f_absorbed == 4.0 * rep.f_energy / consts.m + rep.f_alpha
     _assert_local_minimum(res.protocol, prob, consts)
+
+
+def test_emission_and_j_total_make_one_cell_pass(consts, monkeypatch):
+    # a schedule's time table and its j_total read one pass over its
+    # duration cells, and each result is bitwise the one from a pass of its
+    # own weight alone; a changed schedule makes a new pass
+    prob = OptimizationProblem("energy", 1.0, 0.3, 1.0, 2.0, 501)
+    p = solve_bvp(prob, consts).protocol
+    real = analog._duration_cells
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args))
+        return real(*args)
+
+    monkeypatch.setattr(analog, "_duration_cells", counted)
+    emitted = to_time_domain(p, consts)
+    report = j_total(p, prob, consts)
+    assert calls == [3]
+    cells = real(p, consts)
+    t_nodes = np.concatenate(([0.0], np.cumsum(0.5 * cells)))
+    assert emitted.t_nodes.tobytes() == t_nodes.tobytes()
+    assert time_of_s(p, consts).tobytes() == t_nodes.tobytes()
+    assert report.duration == duration(p, consts) == float(0.5 * np.sum(cells))
+    assert report.f_energy == f_energy(p, consts)
+    assert len(calls) == 1
+    p.kbar[p.kbar.size // 2] *= 1.0 + 1e-9
+    assert duration(p, consts) == float(0.5 * np.sum(real(p, consts)))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("pinned", ["both", "start", "neither"])

@@ -64,23 +64,24 @@ def test_alpha_tracks_width_velocity(consts):
     assert np.max(np.abs(run.alpha - expect)) <= 1e-14
 
 
-def _stepping_reference(kappa_t, s_start, c, n_steps):
+def _stepping_reference(kappa_t, s_start, c, t):
     """RK4 stepped on (sigma, sigmadot, beta) of the nonlinear width equation
     sigma'' = -(kappa/m) sigma + 4 D^2 / sigma^3, sigma = sqrt(2 s), with
-    betadot = -hbar/(4 m s) as a rider quadrature; one step at a time."""
-    t0, t1 = kappa_t.span
-    h = (t1 - t0) / n_steps
-    kap = np.interp(t0 + 0.5 * h * np.arange(2 * n_steps + 1),
+    betadot = -hbar/(4 m s) as a rider quadrature; one step at a time over
+    the step grid t, kappa interpolated at each step's start, midpoint and
+    end."""
+    h_all = np.diff(t)
+    kap = np.interp(np.column_stack((t[:-1], t[:-1] + 0.5 * h_all, t[1:])),
                     kappa_t.t_nodes, kappa_t.values)
 
     def accel(sigma, kappa):
         return 4.0 * c.D**2 / sigma**3 - kappa / c.m * sigma
 
     sig, v, beta = np.sqrt(2.0 * s_start), 0.0, 0.0
-    out = np.empty((n_steps + 1, 3))
+    out = np.empty((t.size, 3))
     out[0] = sig, v, beta
-    for k in range(n_steps):
-        ka, km, kb = kap[2 * k: 2 * k + 3]
+    for k, h in enumerate(h_all):
+        ka, km, kb = kap[k]
         a1 = accel(sig, ka)
         s2, v2 = sig + 0.5 * h * v, v + 0.5 * h * a1
         a2 = accel(s2, km)
@@ -112,14 +113,14 @@ def _reference_cases(consts, cache):
 @pytest.mark.parametrize("case", ["breathing", "energy mu=0.1", "chen inverted"])
 def test_linear_flow_matches_stepping_reference(consts, cache, case):
     # the record rebuilt from the linear flow is the nonlinear width
-    # equation's own solution.  At twice the default step count the two
-    # schemes agree to rounding; at the default step the stepping scheme's
-    # truncation error on the breathing quench is 1.8e-12 of s against the
-    # closed form, where the linear flow's is 5.7e-14
+    # equation's own solution.  Stepped on the same grid of about 2e4 steps,
+    # the two schemes agree to rounding; at the default step (1028 steps of
+    # about 0.005) their truncation errors on the breathing quench differ by
+    # 1.6e-8 of s
     proto = _reference_cases(consts, cache)[case]
-    n_steps = 20_000
-    run = integrate_ermakov(proto, 1.0, consts, dt=(proto.span[1] - proto.span[0]) / n_steps)
-    ref = _stepping_reference(proto, 1.0, consts, n_steps)
+    run = integrate_ermakov(proto, 1.0, consts, dt=(proto.span[1] - proto.span[0]) / 20_000)
+    assert 20_000 <= run.t.size - 1 <= 22_000
+    ref = _stepping_reference(proto, 1.0, consts, run.t)
     for name, want in ref.items():
         got = getattr(run, name)
         rel = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -128,25 +129,51 @@ def test_linear_flow_matches_stepping_reference(consts, cache, case):
 
 def test_beta_is_the_gouy_phase_integral(consts, cache):
     # beta = -hbar theta / (4 m D) must equal the integral of -hbar/(4 m s);
-    # composite Simpson over step pairs of the record's own samples
+    # composite Simpson over step pairs of the record's own samples, in its
+    # form for two unequal steps h0, h1
     for proto in _reference_cases(consts, cache).values():
-        run = integrate_ermakov(proto, 1.0, consts)
+        run = integrate_ermakov(proto, 1.0, consts, dt=(proto.span[1] - proto.span[0]) / 1.0e4)
         f = -consts.hbar / (4.0 * consts.m * run.s)
-        h = run.t[1] - run.t[0]
-        quad = np.concatenate(([0.0], np.cumsum(h / 3.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2]))))
-        assert np.max(np.abs(run.beta[::2] - quad)) <= 1e-12 * np.max(np.abs(quad))
+        h = np.diff(run.t)
+        h0, h1 = h[:-1:2], h[1::2]
+        f0, f1, f2 = f[:-2:2], f[1:-1:2], f[2::2]
+        pairs = (h0 + h1) / 6.0 * ((2.0 - h1 / h0) * f0 + (h0 + h1) ** 2 / (h0 * h1) * f1
+                                   + (2.0 - h0 / h1) * f2)
+        quad = np.concatenate(([0.0], np.cumsum(pairs)))
+        beta = run.beta[:2 * pairs.size + 1:2]
+        assert np.max(np.abs(beta - quad)) <= 1e-12 * np.max(np.abs(quad))
 
 
 def test_stability_guard_threshold(consts):
     # RK4 is stable on the imaginary axis up to h sqrt(kappa/m) = 2 sqrt(2);
-    # ten steps of h = 0.1 put the threshold at kappa = 800 m
-    edge = consts.m * (2.0 * np.sqrt(2.0) / 0.1) ** 2
-    below = integrate_ermakov(_const_quantum(edge * (1.0 - 1e-6), span=1.0), 1.0,
-                              consts, dt=0.1)
-    assert below.t.size == 11 and np.all(np.isfinite(below.s)) and below.s.min() > 0.0
+    # two cells of 0.5 at dt = 0.125 take eight steps of h = 0.125, which
+    # put the threshold at kappa = 512 m
+    edge = consts.m * (2.0 * np.sqrt(2.0) / 0.125) ** 2
+    t = np.array([0.0, 0.5, 1.0])
+    below = integrate_ermakov(TimeProtocol(t, np.full(3, edge * (1.0 - 1e-6)), "quantum"),
+                              1.0, consts, dt=0.125)
+    assert below.t.size == 9 and np.all(np.isfinite(below.s)) and below.s.min() > 0.0
+    assert below.stability_margin == pytest.approx(2.0 * np.sqrt(2.0 * (1.0 - 1e-6)), rel=1e-12)
     with pytest.raises(IntegrationError, match="stability") as exc:
-        integrate_ermakov(_const_quantum(edge * (1.0 + 1e-6), span=1.0), 1.0, consts, dt=0.1)
+        integrate_ermakov(TimeProtocol(t, np.full(3, edge * (1.0 + 1e-6)), "quantum"),
+                          1.0, consts, dt=0.125)
     assert exc.value.t == 0.0
+
+
+def test_stability_guard_uses_each_steps_own_length(consts):
+    # at dt = 0.25 the cell [0, 0.375] takes two steps of 0.1875 and the cell
+    # [0.375, 1] three of 0.2083; a constant kappa = 200 m is stable for the
+    # first steps (margin 2.65) and not for the later ones (2.95)
+    proto = TimeProtocol([0.0, 0.375, 1.0], np.full(3, 200.0 * consts.m), "quantum")
+    with pytest.raises(IntegrationError, match="stability") as exc:
+        integrate_ermakov(proto, 1.0, consts, dt=0.25)
+    assert exc.value.t == 0.375
+    assert "h=0.208 " in str(exc.value) and "h*sqrt(|kappa|/m)=2.95 " in str(exc.value)
+    # at dt = 0.2 the steps are 0.1875 and 0.15625, and the margin is the
+    # longer step's
+    run = integrate_ermakov(proto, 1.0, consts, dt=0.2)
+    assert run.t.size == 2 + 4 + 1
+    assert run.stability_margin == pytest.approx(0.1875 * np.sqrt(200.0), rel=1e-12)
 
 
 def test_gouy_angle_matches_unwrap_across_branch_crossings():
@@ -167,55 +194,62 @@ def test_gouy_angle_ignores_rounding_noise_on_a_flat_angle():
         assert np.array_equal(_gouy_angle(noisy), noisy), level
 
 
-def _three_array_failure_time(proto, c, dt):
-    """First step failing h sqrt(max stage |kappa|/m) > 2 sqrt(2), by step."""
-    t0, t1 = proto.span
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
-    kap = np.interp(t0 + 0.5 * h * np.arange(2 * n_steps + 1), proto.t_nodes, proto.values)
-    ka, km, kb = kap[:-1:2] / c.m, kap[1::2] / c.m, kap[2::2] / c.m
-    stiff = h * np.sqrt(np.maximum(np.maximum(np.abs(ka), np.abs(km)), np.abs(kb)))
+def _node_steps(proto, dt):
+    """Rows (start, length, cell start, cell start value, cell slope) of
+    every step, laid out cell by cell."""
+    rows = []
+    for t0, t1, v0, v1 in zip(proto.t_nodes[:-1], proto.t_nodes[1:],
+                              proto.values[:-1], proto.values[1:]):
+        m = max(1, int(np.ceil((t1 - t0) / dt)))
+        h = (t1 - t0) / m
+        rows += [(t0 + i * h, h, t0, v0, (v1 - v0) / (t1 - t0)) for i in range(m)]
+    return np.array(rows).T
+
+
+def _first_bad_step(proto, c, dt):
+    """First step failing h sqrt(max stage |kappa|/m) > 2 sqrt(2), by step,
+    with kappa interpolated on the protocol at the three stage times."""
+    ta, h, *_ = _node_steps(proto, dt)
+    kap = np.interp(np.stack((ta, ta + 0.5 * h, ta + h)), proto.t_nodes, proto.values)
+    stiff = h * np.sqrt(np.max(np.abs(kap), axis=0) / c.m)
     k = int(np.flatnonzero(stiff > 2.0 * np.sqrt(2.0))[0])
-    return float((t0 + h * np.arange(n_steps + 1))[k]), stiff[k]
+    return float(ta[k]), stiff[k], k == 0 or ta[k] in proto.t_nodes
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_stability_guard_on_a_ramp_reports_the_first_bad_step(consts, sign):
-    # kappa ramps through the bound 8 m / h^2 (h = 0.01) mid-span; the
-    # check names the step a per-step check names, whether the first
-    # sample past the bound is a step (the ramp crosses it at 0.6364,
-    # between the midpoint 0.635 and the step 0.64) or a midpoint (0.6325,
-    # between the step 0.63 and the midpoint 0.635)
-    edge = 8.0 * consts.m / 0.01**2
-    t = np.linspace(0.0, 1.0, 7)
-    for intercept, first_bad in ((0.3, "step"), (1.0 - 1.1 * 0.6325, "midpoint")):
-        proto = TimeProtocol(t, sign * edge * (intercept + 1.1 * t), "quantum")
-        half_grid = np.interp(0.005 * np.arange(201), t, proto.values)
-        i = int(np.flatnonzero(np.abs(half_grid) > edge)[0])
-        assert ("step", "midpoint")[i % 2] == first_bad
-        want_t, want_stiff = _three_array_failure_time(proto, consts, 0.01)
-        assert 0.4 < want_t < 0.8
+    # at dt = 0.025 the cell [0, 0.41] takes 17 steps of 0.024118 and the
+    # cell [0.41, 1] 24 of 0.024583, whose bounds are |kappa| = 13753 m and
+    # 13238 m.  A ramp crossing 13238 m mid-cell fails at the step whose end
+    # sample is past it; a ramp that reaches the node at 13410 m passes the
+    # short steps and fails at the first long one, at the node
+    t = np.array([0.0, 0.41, 1.0])
+    for intercept, slope, at_node in ((11000.0, 3000.0, False), (13000.0, 1000.0, True)):
+        proto = TimeProtocol(t, sign * consts.m * (intercept + slope * t), "quantum")
+        want_t, want_stiff, want_node = _first_bad_step(proto, consts, 0.025)
+        assert want_node == at_node and 0.4 < want_t < 0.8
         with pytest.raises(IntegrationError, match="stability") as exc:
-            integrate_ermakov(proto, 1.0, consts, dt=0.01)
-        assert exc.value.t == want_t, first_bad
+            integrate_ermakov(proto, 1.0, consts, dt=0.025)
+        assert exc.value.t == want_t, at_node
         assert f"h*sqrt(|kappa|/m)={want_stiff:.3g} " in str(exc.value)
 
 
-def _half_step_reference(kappa_t, s_start, c, dt=None):
-    """The width equation built the direct way: kappa on the whole
-    half-step grid, the step maps as whole-array expressions, the recursive
-    scan, and the record as plain expressions."""
+def _node_step_reference(kappa_t, s_start, c, dt=None):
+    """The width equation built the plain way: steps laid out cell by cell,
+    kappa from each cell's line, the step maps as whole-array expressions,
+    the recursive scan, and the record as plain expressions."""
     t0, t1 = kappa_t.span
-    n = max(1, int(round((t1 - t0) / (dt or (t1 - t0) / 1.0e4))))
-    h = (t1 - t0) / n
-    kap = np.interp(t0 + 0.5 * h * np.arange(2 * n + 1), kappa_t.t_nodes, kappa_t.values)
-    ka, km, kb = kap[:-1:2] / c.m, kap[1::2] / c.m, kap[2::2] / c.m
+    ta, h, tc, vc, slope = _node_steps(kappa_t, dt or (t1 - t0) / 1.0e3)
+    ka = vc + slope * (ta - tc)
+    km = vc + slope * (ta + 0.5 * h - tc)
+    kb = vc + slope * (ta + h - tc)
+    a, am, b = ka / c.m, km / c.m, kb / c.m
     h2 = h * h
-    e = np.zeros((4, n + 1))
-    e[0, 1:] = -h2 * (ka + 2.0 * km) / 6.0 + h2 * h2 * km * ka / 24.0
-    e[1, 1:] = h - h2 * h * km / 6.0
-    e[2, 1:] = -h * (ka + 4.0 * km + kb) / 6.0 + h2 * h * km * (ka + kb) / 12.0
-    e[3, 1:] = -h2 * (2.0 * km + kb) / 6.0 + h2 * h2 * km * kb / 24.0
+    e = np.zeros((4, ta.size + 1))
+    e[0, 1:] = -h2 * (a + 2.0 * am) / 6.0 + h2 * h2 * am * a / 24.0
+    e[1, 1:] = h - h2 * h * am / 6.0
+    e[2, 1:] = -h * (a + 4.0 * am + b) / 6.0 + h2 * h * am * (a + b) / 12.0
+    e[3, 1:] = -h2 * (2.0 * am + b) / 6.0 + h2 * h2 * am * b / 24.0
     p = _recursive_scan(e)
     u1, du1, u2, du2 = 1.0 + p[0], p[2], p[1], 1.0 + p[3]
     q = c.D**2 / s_start
@@ -224,14 +258,14 @@ def _half_step_reference(kappa_t, s_start, c, dt=None):
     raw = np.arctan2(c.D * u2, s_start * u1)
     theta = raw + 2.0 * np.pi * np.concatenate(
         ([0.0], np.cumsum(np.diff(raw) < -np.pi, dtype=float)))
-    return {"t": t0 + h * np.arange(n + 1), "s": s, "sdot": sdot,
+    return {"t": np.append(ta, t1), "s": s, "sdot": sdot,
             "alpha": c.m * sdot / (4.0 * c.hbar * s),
             "beta": -c.hbar * theta / (4.0 * c.m * c.D),
-            "energy": energy_of(s, sdot, kap[::2], c)}
+            "energy": energy_of(s, sdot, np.append(ka, kappa_t.values[-1]), c)}
 
 
 @pytest.mark.parametrize("case", ["cached", "chen inverted", "odd steps"])
-def test_record_is_the_half_step_construction_to_the_bit(consts, cache, case):
+def test_record_is_the_node_step_construction_to_the_bit(consts, cache, case):
     if case == "cached":
         runs = [(cache.timedomain(cost, mu).quantum, None)
                 for cost in ("energy", "phase") for mu in (0.1, 0.5, 1.0)]
@@ -242,13 +276,63 @@ def test_record_is_the_half_step_construction_to_the_bit(consts, cache, case):
                 for p in protos]
     for proto, dt in runs:
         run = integrate_ermakov(proto, 1.0, consts, dt)
-        for name, want in _half_step_reference(proto, 1.0, consts, dt).items():
+        for name, want in _node_step_reference(proto, 1.0, consts, dt).items():
             assert same_bits(getattr(run, name), want), (case, name)
 
 
+def _landing_cases(cache):
+    return {f"{cost} lam={lam:g} mu={mu:g} 1->{s_f:g}": cache.timedomain(cost, mu, lam, 1.0, s_f)
+            for cost, lam, mu, s_f in (("energy", 1.0, 0.1, 2.0), ("phase", 1.0, 0.5, 2.0),
+                                       ("work", 1.0, 0.5, 2.0), ("energy", 10.0, 0.001, 5.0),
+                                       ("work", 10.0, 0.001, 5.0), ("phase", 10.0, 0.01, 5.0))}
+
+
+def test_emitted_schedule_takes_one_step_per_cell(consts, cache):
+    # the largest emitted cell is 1.8 span / 2000, under the default step of
+    # span / 1000, so the step grid is the 2001 emitted nodes themselves
+    for name, em in _landing_cases(cache).items():
+        run = integrate_ermakov(em.quantum, 1.0, consts)
+        assert run.t.size == 2001, name
+        assert same_bits(run.t, em.quantum.t_nodes), name
+
+
+def test_every_node_is_a_step(consts, cache):
+    # no step straddles a node: the nodes are a subset of the increasing step
+    # grid, for coarse and fine steps and for cells far from multiples of dt
+    cases = _reference_cases(consts, cache)
+    rng = np.random.default_rng(9)
+    jagged = TimeProtocol(np.cumsum(rng.uniform(0.01, 0.3, 40)) - 0.01,
+                          rng.uniform(0.0, 2.0, 40), "quantum")
+    for proto in (*cases.values(), jagged):
+        span = proto.span[1] - proto.span[0]
+        for dt in (None, span / 317.0, span / 4999.0, 0.5 * span):
+            run = integrate_ermakov(proto, 1.0, consts, dt)
+            assert np.all(np.diff(run.t) > 0.0)
+            assert np.all(np.isin(proto.t_nodes, run.t))
+            assert np.max(np.diff(run.t)) <= (dt or span / 1.0e3) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("case", ["energy lam=1 mu=0.1 1->2", "phase lam=1 mu=0.5 1->2",
+                                  "work lam=1 mu=0.5 1->2", "energy lam=10 mu=0.001 1->5",
+                                  "work lam=10 mu=0.001 1->5", "phase lam=10 mu=0.01 1->5"])
+def test_landing_agrees_with_a_refined_node_step_run(consts, cache, case):
+    # one step per emitted cell against 64 equal steps per cell, taken as one
+    # step per cell of the same piecewise-linear kappa on 64x the nodes: the
+    # landing values s(T) and sdot(T) that verify reads agree to 1e-9
+    proto = _landing_cases(cache)[case].quantum
+    run = integrate_ermakov(proto, 1.0, consts)
+    t, cells = proto.t_nodes, np.diff(proto.t_nodes)
+    t_fine = np.append((t[:-1, None] + cells[:, None] * (np.arange(64) / 64.0)).ravel(), t[-1])
+    fine = integrate_ermakov(TimeProtocol(t_fine, proto(t_fine), "quantum"), 1.0, consts,
+                             dt=np.max(np.diff(t_fine)))
+    assert fine.t.size - 1 == 64 * (run.t.size - 1)
+    assert abs(run.s[-1] - fine.s[-1]) <= 1e-9, case
+    assert abs(run.sdot[-1] - fine.sdot[-1]) <= 1e-9, case
+
+
 def test_width_equation_peak_memory_pin(consts, cache):
-    # the record's own six arrays plus the step maps and the scan's scratch;
-    # the direct construction peaks above four records
+    # the record's own six arrays plus the substep layout, the step maps
+    # and the scan's scratch, each freed once read for the last time
     proto = cache.timedomain("energy", 0.1).quantum
     integrate_ermakov(proto, 1.0, consts)
     tracemalloc.start()
@@ -260,7 +344,7 @@ def test_width_equation_peak_memory_pin(consts, cache):
     finally:
         tracemalloc.stop()
     record = sum(getattr(run, k).nbytes for k in ("t", "s", "sdot", "alpha", "beta", "energy"))
-    assert run.t.size == 10001
+    assert run.t.size == 2001
     assert peak <= 3.0 * record
 
 
