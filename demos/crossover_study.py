@@ -11,7 +11,6 @@ import numpy as np
 
 from swifttrap import (
     LAGRANGIANS,
-    BvpOptions,
     ConvergenceError,
     OptimizationProblem,
     PhysConsts,
@@ -36,7 +35,7 @@ def main():
             prob = OptimizationProblem(cost=cost, lam=LAM, mu=mu,
                                        s_i=1.0, s_f=2.0, n_grid=2001)
             try:
-                res = solve_bvp(prob, c, BvpOptions())
+                res = solve_bvp(prob, c)
             except ConvergenceError:
                 print(f"   {mu:7.3f}  (no solution: gap closes at this smoothing)")
                 continue

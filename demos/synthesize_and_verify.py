@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from swifttrap import (
-    BvpOptions,
     McConfig,
     OptimizationProblem,
     PhysConsts,
@@ -31,7 +30,7 @@ def main():
 
     print("== 1. variational solve on the width grid ==")
     t0 = time.perf_counter()
-    res = solve_bvp(prob, c, BvpOptions())
+    res = solve_bvp(prob, c)
     print(f"   converged in {res.iterations} Newton steps "
           f"({time.perf_counter() - t0:.2f} s), residual {res.residual:.2e}")
 

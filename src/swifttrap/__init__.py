@@ -38,7 +38,6 @@ from .analog import (
     variance_rate,
 )
 from .solver import (
-    BvpOptions,
     BvpResult,
     WorkOptimalBundle,
     analytic_work_optimal,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LAGRANGIANS",
     "BornReport",
-    "BvpOptions",
     "BvpResult",
     "ConvergenceError",
     "CostReport",

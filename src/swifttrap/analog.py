@@ -145,6 +145,15 @@ def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
     return VarianceTrajectory(t=t_nodes.copy(), s=s_out, sdot=sdot)
 
 
+def _kappa(s, kbar, rate, c: PhysConsts):
+    """hbar^2/(2 m s^2) + rate - (m/gamma^2) kbar^2, the quantum stiffness.
+
+    rate is the (m/gamma) d(kbar)/dt term, written in time or, through
+    dt = gamma ds / (2 gap), as (2m/gamma^2) gap d(kbar)/ds.
+    """
+    return c.hbar**2 / (2.0 * c.m * s**2) + rate - (c.m / c.gamma**2) * kbar**2
+
+
 def quantum_from_classical_t(kbar_t: TimeProtocol, s_t: np.ndarray,
                              c: PhysConsts) -> TimeProtocol:
     """Map a time-domain classical schedule plus its variance history to kappa(t).
@@ -165,9 +174,7 @@ def quantum_from_classical_t(kbar_t: TimeProtocol, s_t: np.ndarray,
         raise ValueError("variance samples must be positive")
     kbar = kbar_t.values
     kbar_dot = np.gradient(kbar, kbar_t.t_nodes, edge_order=2)
-    kappa = (c.hbar**2 / (2.0 * c.m * s_t**2)
-             + (c.m / c.gamma) * kbar_dot
-             - (c.m / c.gamma**2) * kbar**2)
+    kappa = _kappa(s_t, kbar, (c.m / c.gamma) * kbar_dot, c)
     return TimeProtocol(kbar_t.t_nodes.copy(), kappa, "quantum")
 
 
@@ -183,11 +190,8 @@ def quantum_from_classical_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
     """
     c.require_quantum()
     kbar_prime = np.gradient(p.kbar, p.s_nodes, edge_order=2)
-    g = flow_gap(p, c)
-    s = p.s_nodes
-    return (c.hbar**2 / (2.0 * c.m * s**2)
-            + (2.0 * c.m / c.gamma**2) * g * kbar_prime
-            - (c.m / c.gamma**2) * p.kbar**2)
+    rate = (2.0 * c.m / c.gamma**2) * flow_gap(p, c) * kbar_prime
+    return _kappa(p.s_nodes, p.kbar, rate, c)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +470,7 @@ def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int = 2001) -> TimeDoma
     if pinned_right:
         kbar_dot_nodes[-1] = 0.0
 
-    kappa_nodes = (c.hbar**2 / (2.0 * c.m * p.s_nodes**2)
-                   + (c.m / c.gamma) * kbar_dot_nodes
-                   - (c.m / c.gamma**2) * p.kbar**2)
+    kappa_nodes = _kappa(p.s_nodes, p.kbar, (c.m / c.gamma) * kbar_dot_nodes, c)
 
     # graded toward both ends, where kappa(t) ramps hardest; spacing runs
     # from 0.2 to 1.8 times uniform

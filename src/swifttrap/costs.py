@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import _energy_weight, _fitted_cells, _pinned_ends, _schedule_cells, flow_gap
+from .analog import _schedule_cells, flow_gap
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 from .dynamics import TrajectoryRecord
 
@@ -78,10 +78,11 @@ def f_energy(p: SGridProtocol, c: PhysConsts) -> float:
     The derivative term 2 s kbar' is integrated by parts to
     2 (s_f kbar_f - s_i kbar_i) - 2 integral kbar ds, so no numerical
     differentiation of kbar enters; the middle term shares the duration
-    integrand's endpoint handling.
+    integrand's endpoint handling and its cell pass (_schedule_cells), so a
+    schedule that stalls inside raises InfeasibleProtocolError, as
+    duration does.
     """
-    g = flow_gap(p, c)
-    return _f_energy(p, c, _fitted_cells(p.s_nodes, _energy_weight(p, c), g, *_pinned_ends(g)))
+    return _f_energy(p, c, _schedule_cells(p, c)[1])
 
 
 def f_alpha(p: SGridProtocol, c: PhysConsts) -> float:

@@ -33,14 +33,18 @@ flux and source are exact for kbar = a + b tau^(2/3); away from the ends
 this is the ordinary three-point scheme.  Durations then refine at
 second order.
 
-The discrete equations are solved by damped Newton: steps that would
-cross the singular manifold D*gamma = s*kbar, or that do not lower the
-largest residual, are halved.  A solve whose residual stops falling
-raises within a few iterations instead of running to max_iter;
-compressions (s_f < s_i) all end this way for now.  The initial iterate
-is built from the two leading balances of the right-hand side.  With
-kbar'' dropped, setting it to zero leaves the outer (mu -> 0) root g_out,
-which each Lagrangian gives in closed form:
+The discrete equations are solved by damped Newton, one path with no
+per-call options: steps that would cross the singular manifold
+D*gamma = s*kbar, or that do not lower the largest residual, are halved.
+Each iterate's interior gap D*gamma - s*kbar is formed once, and its
+feasibility, its residual and the Jacobian diagonal of the next step
+read that one array.  A full step below the module constant _TOL
+(1e-10) converges; the constant _MAX_ITER (50000) caps the iterations,
+but a solve whose residual stops falling raises within a few iterations
+instead of running to it; compressions (s_f < s_i) all end this way for
+now.  The initial iterate is built from the two leading balances of the
+right-hand side.  With kbar'' dropped, setting it to zero leaves the
+outer (mu -> 0) root g_out, which each Lagrangian gives in closed form:
 
 * energy:  g_out = gamma sqrt(s / (2 lam) + D^2)
 * phase:   g_out = 2 sqrt(2) gamma hbar s / (m sqrt(lam))
@@ -82,12 +86,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analog import _kappa
 from .costs import LAGRANGIANS
 from .errors import ConvergenceError, SingularityTrapError, SingularManifoldError
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 
 __all__ = [
-    "BvpOptions",
     "BvpResult",
     "WorkOptimalBundle",
     "analytic_work_optimal",
@@ -96,31 +100,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BvpOptions:
-    """Iteration controls for the damped Newton solver."""
-
-    max_iter: int = 50000
-    tol: float = 1e-10
-    # multiplies the outer root g_out, the interior gap of the start
-    # iterate (see solve_bvp)
-    init_amplitude: float = 1.0
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.init_amplitude <= 0.0:
-            raise ValueError("init_amplitude must be positive")
-
-
-def _gap_or_raise(s, kbar, c):
-    g = c.D * c.gamma - s * kbar
-    if np.any(g == 0.0):
-        raise SingularManifoldError(
-            "evaluation on the singular manifold D*gamma = s*kbar")
-    return g
+def _el_rhs(s, kbar, g, prob, c):
+    """(gamma s / g^2 + lam dell/dkbar) / (2 mu) for the gap g = D gamma - s kbar."""
+    dl = LAGRANGIANS[prob.cost].dl(s, kbar, g, prob.lam, c)
+    return (c.gamma * s / g**2 + dl) / (2.0 * prob.mu)
 
 
 def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
@@ -133,16 +116,17 @@ def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
         raise ValueError("mu = 0 has no smoothing term; the EL equation degenerates")
     s = np.asarray(s, dtype=float)
     kbar = np.asarray(kbar, dtype=float)
-    g = _gap_or_raise(s, kbar, c)
-    dl = LAGRANGIANS[prob.cost].dl(s, kbar, g, prob.lam, c)
-    out = (c.gamma * s / g**2 + dl) / (2.0 * prob.mu)
+    g = c.D * c.gamma - s * kbar
+    if np.any(g == 0.0):
+        raise SingularManifoldError(
+            "evaluation on the singular manifold D*gamma = s*kbar")
+    out = _el_rhs(s, kbar, g, prob, c)
     return float(out) if out.ndim == 0 else out
 
 
-def _el_rhs_slope(s, kbar, prob, c):
-    """d(el_rhs)/d(kbar) pointwise, the Newton Jacobian's diagonal term:
-    (2 gamma s^2 / gap^3 + lam d^2(ell)/d(kbar)^2) / (2 mu)."""
-    g = c.D * c.gamma - s * kbar
+def _el_rhs_slope(s, kbar, g, prob, c):
+    """d(el_rhs)/d(kbar) pointwise at the gap g, the Newton Jacobian's
+    diagonal term: (2 gamma s^2 / g^3 + lam d^2(ell)/d(kbar)^2) / (2 mu)."""
     d2l = LAGRANGIANS[prob.cost].d2l(s, kbar, g, prob.lam, c)
     return c.gamma * s**2 / (prob.mu * g**3) + d2l / (2.0 * prob.mu)
 
@@ -183,6 +167,10 @@ class BvpResult:
 
 # iterations over which damped Newton must at least halve the residual
 _STALL_WINDOW = 4
+
+# iteration cap, and the full Newton step below which a solve has converged
+_MAX_ITER = 50000
+_TOL = 1e-10
 
 # width of the end regions in which the node map grades like tau ~ xi^3
 _LAYER_WIDTH = 0.05
@@ -378,8 +366,7 @@ def _solver_grid(s_i: float, s_f: float, n: int) -> _SolverGrid:
     return grid
 
 
-def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
-              opts: BvpOptions = BvpOptions()) -> BvpResult:
+def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     """Solve the Euler-Lagrange boundary problem for prob.cost.
 
     prob.n_grid nodes from s_i to s_f, graded toward both ends by
@@ -390,20 +377,22 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     balances of the right-hand side (see the module docstring):
     L = C tau^(2/3) is the end layer, tau the distance to the nearer end,
     with C^3 = 9 s (gamma s + P) / (4 mu), P the Lagrangian's pole
-    coefficient; B = init_amplitude g_out is its outer root.  B^-4 is
-    formed directly, so lam = 0 gives gap = L.  Each Newton step is one
-    _solve_tridiagonal call.
+    coefficient; B = g_out is its outer root.  B^-4 is formed directly,
+    so lam = 0 gives gap = L.  Each Newton step is one _solve_tridiagonal
+    call.
 
     Iteration is damped Newton on the discrete equations: a step is halved
     until it stays feasible and lowers the largest weighted residual (the
     one BvpResult.residual reports; no decrease is demanded once the step
-    is below tol).  Convergence is declared on a full step smaller than
-    opts.tol.
+    is below _TOL).  Convergence is declared on a full step smaller than
+    _TOL.  Each iterate's interior gap D gamma - s kbar is formed once;
+    its feasibility, its residual and the next step's Jacobian diagonal
+    all read that array.
 
-    Raises ConvergenceError when max_iter is reached or the residual
-    fails to halve over _STALL_WINDOW iterations, and SingularityTrapError
-    when that stall (or a damping underflow) came with steps backed off
-    the singular manifold.
+    Raises ConvergenceError when _MAX_ITER iterations are reached or the
+    residual fails to halve over _STALL_WINDOW iterations, and
+    SingularityTrapError when that stall (or a damping underflow) came
+    with steps backed off the singular manifold.
     """
     if prob.mu == 0.0:
         raise ValueError("mu = 0 is only solvable for the work cost, in closed form; "
@@ -420,24 +409,28 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
     # alone; bulk: the right-hand side vanishes (kbar'' = 0)
     a = (c.gamma * s_int + lagrangian.pole(prob.lam, c)) / (2.0 * prob.mu)
     layer = np.cbrt(4.5 * s_int * a * tau**2)
-    bulk_inv4 = lagrangian.outer_gap_inv4(s_int, prob.lam, c) / opts.init_amplitude**4
+    bulk_inv4 = lagrangian.outer_gap_inv4(s_int, prob.lam, c)
     gap0 = (layer**-4 + bulk_inv4) ** -0.25
     kbar = np.empty(n)
     kbar[0], kbar[-1] = Dg / prob.s_i, Dg / prob.s_f
     kbar[1:-1] = (Dg - sgn * gap0) / s_int
 
-    def feasible(k):
-        return bool(np.all((Dg - s_int * k[1:-1]) * sgn > 0.0))
+    def gap(k):
+        return Dg - s_int * k[1:-1]
 
-    def residual(k):
+    def feasible(g):
+        return bool(np.all(g * sgn > 0.0))
+
+    def residual(k, g):
         # difference-of-differences form: no O(|K|) cancellation
         dk = np.diff(k)
-        return upper * dk[1:] - lower * dk[:-1] - el_rhs(s_int, k[1:-1], prob, c)
+        return upper * dk[1:] - lower * dk[:-1] - _el_rhs(s_int, k[1:-1], g, prob, c)
 
     def merit(r):
         return float(np.max(np.abs(grid.row_weight * r)))
 
-    if not feasible(kbar):
+    g = gap(kbar)
+    if not feasible(g):
         raise SingularityTrapError("initial iterate is infeasible", iterations=0)
 
     rejections = 0
@@ -447,17 +440,17 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
         return err(message, iterations=it, history=history,
                    update_history=[step for _, step, _ in history[-50:]])
 
-    resid = residual(kbar)
+    resid = residual(kbar, g)
     norms = [merit(resid)]
     trapped_at = -1           # last iteration that backed off the manifold
     it = 0
     while True:
-        if it >= opts.max_iter:
+        if it >= _MAX_ITER:
             raise failure(ConvergenceError,
-                          f"no convergence within {opts.max_iter} iterations "
-                          f"(last update {history[-1][1]:.3e}, tol {opts.tol:.1e})")
+                          f"no convergence within {_MAX_ITER} iterations "
+                          f"(last update {history[-1][1]:.3e}, tol {_TOL:.1e})")
         it += 1
-        diag = grid.stencil_diag - _el_rhs_slope(s_int, kbar[1:-1], prob, c)
+        diag = grid.stencil_diag - _el_rhs_slope(s_int, kbar[1:-1], g, prob, c)
         delta = _solve_tridiagonal(grid.layout, diag, -resid)
         step = float(np.max(np.abs(delta)))
         if not np.isfinite(step):
@@ -466,16 +459,17 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
             raise failure(ConvergenceError, "Newton step blew up")
         cand = kbar.copy()
         cand[1:-1] += delta
-        if step < opts.tol and feasible(cand):
+        cand_g = gap(cand)
+        if step < _TOL and feasible(cand_g):
             # converged: the residual sits at its rounding floor, so no
             # decrease is demanded of this last step
-            kbar = cand
+            kbar, g = cand, cand_g
             history.append((2.0 * prob.mu * norms[-1], step, 1.0))
             break
         r = 1.0
         while True:
-            if feasible(cand):
-                cand_resid = residual(cand)
+            if feasible(cand_g):
+                cand_resid = residual(cand, cand_g)
                 cand_norm = merit(cand_resid)
                 if cand_norm < (1.0 - 1.0e-4 * r) * norms[-1]:
                     break
@@ -487,6 +481,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
                 break
             cand = kbar.copy()
             cand[1:-1] += r * delta
+            cand_g = gap(cand)
         history.append((2.0 * prob.mu * norms[-1], r * step, r))
         if r < 1e-12 or (it > _STALL_WINDOW
                          and cand_norm > 0.5 * norms[-_STALL_WINDOW]):
@@ -498,11 +493,11 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts,
                     else "without lowering the residual")
             raise failure(err, f"damped Newton stalled {what} "
                                f"(residual {norms[-1]:.3e} after {it} iterations)")
-        kbar = cand
+        kbar, g = cand, cand_g
         resid = cand_resid
         norms.append(cand_norm)
 
-    residual_max = 2.0 * prob.mu * merit(residual(kbar))
+    residual_max = 2.0 * prob.mu * merit(residual(kbar, g))
     orientation = "expansion" if sgn > 0 else "compression"
     return BvpResult(protocol=SGridProtocol(s.copy(), kbar, orientation), iterations=it,
                      final_update=history[-1][1], residual=residual_max,
@@ -569,12 +564,9 @@ def analytic_work_optimal(lam: float, s_i: float, s_f: float, c: PhysConsts,
         return c.D * c.gamma / s - sign * np.sqrt(c.gamma / (lam * s))
 
     def kappa_of(s):
-        kb = kbar_of(s)
         kbp = -c.D * c.gamma / s**2 + sign * 0.5 * np.sqrt(c.gamma / lam) * s**-1.5
         gap = sign * np.sqrt(c.gamma * s / lam)
-        return (c.hbar**2 / (2.0 * c.m * s**2)
-                + (2.0 * c.m / c.gamma**2) * gap * kbp
-                - (c.m / c.gamma**2) * kb**2)
+        return _kappa(s, kbar_of(s), (2.0 * c.m / c.gamma**2) * gap * kbp, c)
 
     dur = float(root_gl * abs(np.sqrt(s_f) - np.sqrt(s_i)))
     s = np.linspace(s_i, s_f, n)

@@ -303,14 +303,15 @@ def test_fitted_cells_memo_matches_from_scratch(consts):
 
 def test_fitted_cells_geometry_is_shared_and_read_only(consts):
     # duration, time table and energy cost of one schedule share one entry;
-    # the duration reads the time table's cells and needs no geometry
+    # the duration and the energy cost read the time table's cells and
+    # need no geometry
     p = solve_bvp(OptimizationProblem("phase", 1.0, 0.5, 1.0, 2.0, 501), consts).protocol
     _cell_geometry.cache_clear()
     to_time_domain(p, consts)
     duration(p, consts)
     f_energy(p, consts)
     info = _cell_geometry.cache_info()
-    assert info.misses == 1 and info.hits == 1
+    assert info.misses == 1 and info.hits == 0
     for a in _cell_geometry(p.s_nodes.tobytes(), True, True):
         assert not a.flags.writeable
         with pytest.raises(ValueError):

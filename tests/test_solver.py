@@ -1,12 +1,12 @@
 """Stationarity right-hand sides and the damped tridiagonal solver."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from swifttrap import (
-    BvpOptions,
     ConvergenceError,
     OptimizationProblem,
     PhysConsts,
@@ -25,6 +25,7 @@ from swifttrap.solver import (
     _STALL_WINDOW,
     _reduction_layout,
     _solve_tridiagonal,
+    _solver_grid,
 )
 
 from conftest import REFERENCE_DURATIONS
@@ -108,7 +109,7 @@ def test_table_reproduces_printed_equations(cost, c):
             want, scale = _printed_rhs_terms(cost, s, kbar, prob, c)
             assert np.all(np.abs(el_rhs(s, kbar, prob, c) - want) <= 4.0 * eps * scale)
             want, scale = _printed_rhs_slope(cost, s, kbar, prob, c)
-            got = solver._el_rhs_slope(s, kbar, prob, c)
+            got = solver._el_rhs_slope(s, kbar, c.D * c.gamma - s * kbar, prob, c)
             assert np.all(np.abs(got - want) <= 4.0 * eps * scale), (lam, mu)
 
 
@@ -200,13 +201,15 @@ def test_smoothing_weight_flattens_schedule(cache, cost):
     assert durs[0] < durs[1] < durs[2]
 
 
-def test_solution_independent_of_relaxation(cache, consts):
+def test_solution_independent_of_relaxation(cache, consts, monkeypatch):
     # the converged schedule does not depend on the iteration path: a
-    # different starting iterate takes different steps and reaches the
-    # same kbar
+    # different starting iterate, with the outer root scaled by 0.15,
+    # takes different steps and reaches the same kbar
     baseline = cache.bvp("phase", 0.5)
-    redone = solve_bvp(_prob("phase", mu=0.5), consts,
-                       opts=BvpOptions(init_amplitude=0.15))
+    phase = LAGRANGIANS["phase"]
+    monkeypatch.setitem(LAGRANGIANS, "phase", dataclasses.replace(
+        phase, outer_gap_inv4=lambda s, lam, c: phase.outer_gap_inv4(s, lam, c) / 0.15**4))
+    redone = solve_bvp(_prob("phase", mu=0.5), consts)
     assert redone.history != baseline.history
     assert np.max(np.abs(redone.kbar - baseline.kbar)) <= 1e-8
 
@@ -232,15 +235,16 @@ def test_work_solution_approaches_closed_form(consts):
     assert k_fine < 0.05
 
 
-def test_divergent_problem_raises(consts):
+def test_divergent_problem_raises(consts, monkeypatch):
     # a solve that has not converged when its iteration cap runs out; the
     # cap sits below what Newton needs on this (solvable) problem
     prob = OptimizationProblem(cost="energy", lam=10.0, mu=0.001,
                                s_i=1.0, s_f=2.0, n_grid=501)
     needed = solve_bvp(prob, consts).iterations
     assert needed >= 3
+    monkeypatch.setattr(solver, "_MAX_ITER", needed - 1)
     with pytest.raises(ConvergenceError) as exc:
-        solve_bvp(prob, consts, BvpOptions(max_iter=needed - 1))
+        solve_bvp(prob, consts)
     assert exc.value.iterations == needed - 1
     assert len(exc.value.update_history) == needed - 1
     # the full trace travels with the failure, one triple per iteration
@@ -248,19 +252,39 @@ def test_divergent_problem_raises(consts):
     assert [step for _, step, _ in exc.value.history] == exc.value.update_history
 
 
-def test_stall_exits_early(consts):
+def test_stall_exits_early(consts, monkeypatch):
     # a tol below the rounding floor can never be met: once the residual
     # stops falling the stall exit must end the solve within the stall
-    # window instead of running to max_iter.  The tol=1e-30 solve follows
+    # window instead of running to _MAX_ITER.  The tol=1e-30 solve follows
     # the same iterates, so it cannot stop before `needed`; under quadratic
     # convergence the step that converges is already at the rounding floor,
     # and the damping-underflow exit can fire in that same iteration
     for cost in ("energy", "phase", "work"):
         prob = _prob(cost)
         needed = solve_bvp(prob, consts).iterations
-        with pytest.raises(ConvergenceError) as exc:
-            solve_bvp(prob, consts, BvpOptions(tol=1e-30))
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_TOL", 1e-30)
+            with pytest.raises(ConvergenceError) as exc:
+                solve_bvp(prob, consts)
         assert needed <= exc.value.iterations <= needed + _STALL_WINDOW + 1
+
+
+def test_reported_residual_is_that_of_public_el_rhs():
+    # the solve's own right-hand side and the public el_rhs are one
+    # definition: the residual it reports, recomputed on the returned
+    # schedule through el_rhs and the grid's stencil, agrees to the bit
+    grid = _solver_grid(1.0, 5.0, 501)
+    for c in (PhysConsts(), _CUSTOM_CONSTS):
+        for cost in ("energy", "phase", "work"):
+            prob = OptimizationProblem(cost=cost, lam=1.0, mu=0.1, s_i=1.0, s_f=5.0, n_grid=501)
+            res = solve_bvp(prob, c)
+            assert res.s_nodes.tobytes() == grid.s.tobytes()
+            k = res.kbar
+            dk = np.diff(k)
+            r = (grid.upper * dk[1:] - grid.lower * dk[:-1]
+                 - el_rhs(res.s_nodes[1:-1], k[1:-1], prob, c))
+            want = 2.0 * prob.mu * float(np.max(np.abs(grid.row_weight * r)))
+            assert res.residual == want, (cost, c)
 
 
 def test_reference_solves_converge_quickly(cache):
@@ -316,7 +340,7 @@ def test_outer_gap_is_root_of_rhs(cost, c):
         kbar = (c.D * c.gamma - g) / s
         # the Newton correction to kbar that would zero the right-hand
         # side is a few ulps of the terms kbar is formed from
-        correction = el_rhs(s, kbar, prob, c) / solver._el_rhs_slope(s, kbar, prob, c)
+        correction = el_rhs(s, kbar, prob, c) / solver._el_rhs_slope(s, kbar, g, prob, c)
         ulp = np.finfo(float).eps * (c.D * c.gamma / s + np.abs(kbar))
         assert np.all(np.abs(correction) <= 4.0 * ulp), lam
 
@@ -412,16 +436,6 @@ def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
         res = solve_bvp(prob, consts)
         assert len(margins) == res.iterations
         assert min(margins) > 0.0, (prob.cost, prob.mu)
-
-
-def test_options_validation():
-    BvpOptions()
-    with pytest.raises(ValueError):
-        BvpOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        BvpOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        BvpOptions(init_amplitude=-1.0)
 
 
 # ---------------------------------------------------------------------------
