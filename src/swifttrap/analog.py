@@ -2,7 +2,8 @@
 
 A Gaussian ground state of width s in a quantum trap kappa(t) has the same
 position statistics as an overdamped bead in a classical trap kbar(t) when
-D = hbar/(2m).  The bridge works in both directions:
+D = hbar/(2m), which PhysConsts holds by construction, so every map here
+applies to any constants it accepts.  The bridge works in both directions:
 
 * forward: drive the bead with kbar(t), its variance obeys
   sdot = (2/gamma) * (D*gamma - kbar*s);
@@ -164,7 +165,6 @@ def quantum_from_classical_t(kbar_t: TimeProtocol, s_t: np.ndarray,
     produced by this same schedule (e.g. from evolve_variance), sampled on
     the same grid.
     """
-    c.require_quantum()
     if kbar_t.kind != "classical":
         raise ValueError("expected a classical schedule")
     s_t = np.asarray(s_t, dtype=float)
@@ -188,7 +188,6 @@ def quantum_from_classical_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
     derivative term carries a zero prefactor, so the result collapses to
     m D^2 / s^2 at machine precision regardless of discretization.
     """
-    c.require_quantum()
     kbar_prime = np.gradient(p.kbar, p.s_nodes, edge_order=2)
     rate = (2.0 * c.m / c.gamma**2) * flow_gap(p, c) * kbar_prime
     return _kappa(p.s_nodes, p.kbar, rate, c)
@@ -452,7 +451,6 @@ def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int = 2001) -> TimeDoma
     land.  The quantum schedule is then produced by the time-domain map on
     that grid.
     """
-    c.require_quantum()
     if n_t < 9:
         raise ValueError("n_t too small")
     t_nodes = time_of_s(p, c)

@@ -80,7 +80,6 @@ def adiabatic_reference(s_start: float, s_end: float, t_final: float,
     the t_final -> infinity limit; for finite t_final the packet lags by
     O(1/t_final).  Returns the schedule and the target s(t).
     """
-    c.require_quantum()
     if s_start <= 0.0 or s_end <= 0.0:
         raise ValueError("endpoint variances must be positive")
     if t_final <= 0.0:

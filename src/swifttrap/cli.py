@@ -133,12 +133,13 @@ def _consts_from_args(args) -> PhysConsts:
         return PhysConsts()
     if args.hbar is None or args.m is None or args.gamma is None:
         raise UsageError("--units custom requires --hbar, --m and --gamma")
-    d = args.hbar / (2.0 * args.m)
-    if args.D is not None and abs(args.D - d) > 1e-12 * abs(d):
+    c = PhysConsts(hbar=args.hbar, m=args.m, gamma=args.gamma)
+    # --D only cross-checks the user's input: PhysConsts derives it
+    if args.D is not None and abs(args.D - c.D) > 1e-12 * abs(c.D):
         raise UsageError(
             "inconsistent --D: the quantum/classical correspondence fixes "
-            f"D = hbar/(2m) = {d!r}")
-    return PhysConsts(hbar=args.hbar, m=args.m, gamma=args.gamma, D=d)
+            f"D = hbar/(2m) = {c.D!r}")
+    return c
 
 
 def _write_manifest(outdir: str, command: str, parameters: dict,
@@ -181,9 +182,11 @@ def _read_protocol(path: str) -> dict[str, np.ndarray]:
         if name not in header:
             raise ProtocolParseError(f"{path}: line 1: missing column {name!r}")
     data: dict[str, list[float]] = {name: [] for name in header}
+    row_lines: list[int] = []  # file line of each data row
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        row_lines.append(ln)
         parts = line.split(",")
         if len(parts) != len(header):
             raise ProtocolParseError(
@@ -203,7 +206,7 @@ def _read_protocol(path: str) -> dict[str, np.ndarray]:
     bad = np.nonzero(np.diff(cols["t"]) <= 0.0)[0]
     if bad.size:
         raise ProtocolParseError(
-            f"{path}: line {int(bad[0]) + 3}: time column not strictly increasing")
+            f"{path}: line {row_lines[bad[0] + 1]}: time column not strictly increasing")
     if np.any(cols["s"] <= 0.0):
         raise ProtocolParseError(f"{path}: variance column must be positive")
     return cols

@@ -91,7 +91,6 @@ def f_alpha(p: SGridProtocol, c: PhysConsts) -> float:
     The integrand gap/s^2 vanishes at equilibrium-pinned endpoints, so a
     plain trapezoid is enough.
     """
-    c.require_quantum()
     g = flow_gap(p, c)
     return (c.m**2 / (8.0 * c.gamma * c.hbar**2)) * _trapz(g / p.s_nodes**2, p.s_nodes)
 

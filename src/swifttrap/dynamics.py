@@ -140,7 +140,6 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     RK4's stability bound on the imaginary axis, and at the first sample
     where s is non-finite or at most 1e-16 * s_start.
     """
-    c.require_quantum()
     if kappa_t.kind != "quantum":
         raise ValueError("integrate_ermakov expects a quantum schedule")
     if s_start <= 0.0:
@@ -205,7 +204,6 @@ def wigner_at(x, p, s, alpha, c: PhysConsts):
     normalized to one, Gaussian in both directions, sheared by the phase
     curvature.
     """
-    c.require_quantum()
     if np.any(np.asarray(s) <= 0.0):
         raise ValueError("variance must be positive")
     x = np.asarray(x, dtype=float)

@@ -23,18 +23,21 @@ class SingularManifoldError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iterative solver failed to reach tolerance.
 
-    Carries the iteration count, the trailing update-norm history and the
-    solve's full trace so callers can report how the solve stalled.
-    history holds one (residual, step, damping) triple per iteration, as
-    BvpResult.history does; an iteration whose step was not finite is
-    recorded with damping 0.
+    Carries the iteration count and the solve's full trace so callers can
+    report how the solve stalled.  history holds one (residual, step,
+    damping) triple per iteration, as BvpResult.history does; an iteration
+    whose step was not finite is recorded with damping 0.  update_history,
+    the steps of its last 50 records, is read from it.
     """
 
-    def __init__(self, message, iterations=None, update_history=None, history=None):
+    def __init__(self, message, iterations=None, history=None):
         super().__init__(message)
         self.iterations = iterations
-        self.update_history = list(update_history) if update_history is not None else []
         self.history = list(history) if history is not None else []
+
+    @property
+    def update_history(self) -> list[float]:
+        return [step for _, step, _ in self.history[-50:]]
 
 
 class SingularityTrapError(ConvergenceError):

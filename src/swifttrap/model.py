@@ -3,7 +3,8 @@
 The quantum side is a particle of mass m in a trap of stiffness kappa(t),
 prepared in its Gaussian ground state.  The classical side is an overdamped
 bead (drag gamma, diffusion constant D) in a trap of stiffness kbar(t).
-The two pictures describe the same position statistics when D = hbar/(2m);
+The two pictures describe the same position statistics when D = hbar/(2m),
+so PhysConsts derives D from hbar and m instead of taking it as an input;
 everything downstream of that correspondence lives in :mod:`swifttrap.analog`.
 
 This module holds the parameter and protocol containers and the
@@ -27,35 +28,25 @@ class PhysConsts:
     """Physical constants of the matched quantum/classical pair.
 
     Defaults are the dimensionless convention used throughout the tests:
-    hbar = gamma = 1, m = 1/2, so D = hbar/(2m) = 1.
+    hbar = gamma = 1, m = 1/2.  The diffusion constant is not an input:
+    the correspondence fixes D = hbar/(2m) (Nelson, Phys. Rev. 150, 1079
+    (1966)), so it is derived here, 1 for the defaults.
     """
 
     hbar: float = 1.0
     m: float = 0.5
     gamma: float = 1.0
-    D: float = 1.0
+    D: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("hbar", "m", "gamma", "D"):
+        for name in ("hbar", "m", "gamma"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0.0:
                 raise ValueError(f"PhysConsts.{name} must be positive, got {v!r}")
-
-    def is_quantum_consistent(self, rtol: float = 1e-12) -> bool:
-        """True when D = hbar/(2m) within relative tolerance."""
-        return abs(self.D - self.hbar / (2.0 * self.m)) <= rtol * self.D
-
-    def require_quantum(self) -> None:
-        """Raise unless the diffusion constant matches hbar/(2m).
-
-        Operations that translate between the classical bead and the
-        quantum oscillator only make sense on the matched manifold.
-        """
-        if not self.is_quantum_consistent():
-            raise ValueError(
-                "quantum/classical correspondence requires D = hbar/(2m); "
-                f"got D={self.D}, hbar/(2m)={self.hbar / (2.0 * self.m)}"
-            )
+        d = self.hbar / (2.0 * self.m)
+        if not np.isfinite(d) or d <= 0.0:
+            raise ValueError(f"PhysConsts.D = hbar/(2m) must be positive, got {d!r}")
+        object.__setattr__(self, "D", d)
 
 
 @dataclass
@@ -64,12 +55,12 @@ class SGridProtocol:
 
     kbar[j] is the stiffness applied when the ensemble variance passes
     through s_nodes[j].  Nodes run from the initial variance to the target,
-    so they decrease for a compression.
+    so they decrease for a compression; the node order is the schedule's
+    orientation.
     """
 
     s_nodes: np.ndarray
     kbar: np.ndarray
-    orientation: str
     # (key, cells) of the last duration-cell pass over this schedule, kept
     # by analog._schedule_cells; the key holds the nodes' and kbar's bytes
     _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -83,22 +74,10 @@ class SGridProtocol:
             raise ValueError("need at least 3 nodes")
         if np.any(self.s_nodes <= 0.0):
             raise ValueError("variance nodes must be positive")
-        d = np.diff(self.s_nodes)
-        if self.orientation == "expansion":
-            if not np.all(d > 0.0):
-                raise ValueError("expansion requires strictly increasing s_nodes")
-        elif self.orientation == "compression":
-            if not np.all(d < 0.0):
-                raise ValueError("compression requires strictly decreasing s_nodes")
-        else:
-            raise ValueError(f"orientation must be 'expansion' or 'compression', got {self.orientation!r}")
-
-    @classmethod
-    def from_samples(cls, s_nodes, kbar) -> "SGridProtocol":
-        """Build a protocol, inferring orientation from the node order."""
-        s_nodes = np.asarray(s_nodes, dtype=float)
-        orientation = "expansion" if s_nodes[-1] > s_nodes[0] else "compression"
-        return cls(s_nodes, np.asarray(kbar, dtype=float), orientation)
+        d = np.diff(self.s_nodes) * self.direction
+        if not np.all(d > 0.0):
+            raise ValueError("s_nodes must be strictly increasing (expansion) "
+                             "or strictly decreasing (compression)")
 
     @property
     def s_start(self) -> float:
@@ -109,9 +88,14 @@ class SGridProtocol:
         return float(self.s_nodes[-1])
 
     @property
+    def orientation(self) -> str:
+        """"expansion" when the nodes increase, "compression" when they decrease."""
+        return "expansion" if self.direction > 0.0 else "compression"
+
+    @property
     def direction(self) -> float:
         """+1 for expansion, -1 for compression."""
-        return 1.0 if self.orientation == "expansion" else -1.0
+        return 1.0 if self.s_nodes[-1] > self.s_nodes[0] else -1.0
 
 
 @dataclass
@@ -329,10 +313,9 @@ def equilibrium_kbar(s, c: PhysConsts):
 def equilibrium_kappa(s, c: PhysConsts):
     """Quantum stiffness whose ground state has position variance s.
 
-    Equals m*D^2/s^2 on the matched manifold D = hbar/(2m); identical to
+    Equals m*D^2/s^2, with D = hbar/(2m); identical to
     (m/gamma^2) * equilibrium_kbar(s)^2.
     """
-    c.require_quantum()
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0):
         raise ValueError("variance must be positive")

@@ -113,9 +113,27 @@ def _moments(x: np.ndarray) -> tuple[float, float, float]:
     return mean, var, kurt
 
 
-def _run_em(rates: np.ndarray, h: float, t0: float, s_start: float,
-            cfg: McConfig, c: PhysConsts, n_steps: int) -> EnsembleStats:
-    """Sample x <- (1 + rate_k h) x + sqrt(2 D h) xi exactly at the checkpoints."""
+def _run_em(t_nodes: np.ndarray, values: np.ndarray, divisor: float, bound_name: str,
+            s_start: float, cfg: McConfig, c: PhysConsts) -> EnsembleStats:
+    """Sample x <- (1 + rate_k h) x + sqrt(2 D h) xi exactly at the checkpoints.
+
+    The drift rate is values / divisor, linear in t between t_nodes; its
+    stability bound is |divisor| / max|values|, which bound_name spells
+    out in the error.  The step h = span / round(span / dt) must lie below
+    that bound, and the rate is sampled at each step's start.
+    """
+    t0 = float(t_nodes[0])
+    span = float(t_nodes[-1] - t_nodes[0])
+    vmax = float(np.max(np.abs(values)))
+    bound = abs(divisor) / vmax if vmax > 0.0 else np.inf
+    dt = _resolve_dt(cfg, bound, span)
+    n_steps = max(1, int(round(span / dt)))
+    h = span / n_steps
+    if h >= bound:
+        raise ValueError(f"step h={h:.3g} (dt={dt:.3g}) violates the stability bound "
+                         f"{bound_name}={bound:.3g}")
+    rates = np.interp(t0 + h * np.arange(n_steps), t_nodes, values) / divisor
+
     idx = _checkpoint_steps(cfg, t0, h, n_steps)
     rng = ensemble_stream(cfg.seed)
     x = rng.standard_normal(cfg.n_particles)
@@ -157,19 +175,9 @@ def simulate_classical(kbar_t: TimeProtocol, s_start: float, cfg: McConfig,
         raise ValueError("expected a classical schedule")
     if s_start <= 0.0:
         raise ValueError("starting variance must be positive")
-    t0, t1 = kbar_t.span
-    span = t1 - t0
-    kmax = float(np.max(np.abs(kbar_t.values)))
-    bound = c.gamma / kmax if kmax > 0.0 else np.inf
-    dt = _resolve_dt(cfg, bound, span)
-    n_steps = max(1, int(round(span / dt)))
-    h = span / n_steps
-    if h >= bound:
-        raise ValueError(f"step h={h:.3g} (dt={dt:.3g}) violates the stability bound "
-                         f"gamma/|kbar|max={bound:.3g}")
-    kb = np.interp(t0 + h * np.arange(n_steps), kbar_t.t_nodes, kbar_t.values)
-    rates = -kb / c.gamma
-    return _run_em(rates, h, t0, s_start, cfg, c, n_steps)
+    # rate -kbar/gamma; kbar / (-gamma) is that quotient to the bit
+    return _run_em(kbar_t.t_nodes, kbar_t.values, -c.gamma, "gamma/|kbar|max",
+                   s_start, cfg, c)
 
 
 def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts) -> EnsembleStats:
@@ -180,19 +188,8 @@ def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts) -> Ense
     keeps a Gaussian ensemble in lockstep with the Gaussian state
     (s, alpha), so its density tracks the Born density N(0, s(t)).
     """
-    t0 = float(run.t[0])
-    span = float(run.t[-1] - run.t[0])
     rate_nodes = (c.hbar / c.m) * (2.0 * run.alpha - 0.5 / run.s)
-    rmax = float(np.max(np.abs(rate_nodes)))
-    bound = 1.0 / rmax if rmax > 0.0 else np.inf
-    dt = _resolve_dt(cfg, bound, span)
-    n_steps = max(1, int(round(span / dt)))
-    h = span / n_steps
-    if h >= bound:
-        raise ValueError(f"step h={h:.3g} (dt={dt:.3g}) violates the stability bound "
-                         f"1/|drift rate|max={bound:.3g}")
-    rates = np.interp(t0 + h * np.arange(n_steps), run.t, rate_nodes)
-    return _run_em(rates, h, t0, float(run.s[0]), cfg, c, n_steps)
+    return _run_em(run.t, rate_nodes, 1.0, "1/|drift rate|max", float(run.s[0]), cfg, c)
 
 
 @dataclass

@@ -147,14 +147,18 @@ class BvpResult:
     iteration: the weighted residual, in the units of residual, of the
     iterate the step was taken from, the largest |change of kbar| the
     step made, and the factor the line search scaled the full step by.
+    final_update is the last of those steps.
     """
 
     protocol: SGridProtocol
     iterations: int
-    final_update: float
     residual: float
     rejections: int
     history: list[tuple[float, float, float]]
+
+    @property
+    def final_update(self) -> float:
+        return self.history[-1][1]
 
     @property
     def kbar(self) -> np.ndarray:
@@ -437,8 +441,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     history: list[tuple[float, float, float]] = []
 
     def failure(err, message):
-        return err(message, iterations=it, history=history,
-                   update_history=[step for _, step, _ in history[-50:]])
+        return err(message, iterations=it, history=history)
 
     resid = residual(kbar, g)
     norms = [merit(resid)]
@@ -498,10 +501,8 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
         norms.append(cand_norm)
 
     residual_max = 2.0 * prob.mu * merit(residual(kbar, g))
-    orientation = "expansion" if sgn > 0 else "compression"
-    return BvpResult(protocol=SGridProtocol(s.copy(), kbar, orientation), iterations=it,
-                     final_update=history[-1][1], residual=residual_max,
-                     rejections=rejections, history=history)
+    return BvpResult(protocol=SGridProtocol(s.copy(), kbar), iterations=it,
+                     residual=residual_max, rejections=rejections, history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +534,7 @@ class WorkOptimalBundle:
     kappa_t: np.ndarray
 
     def s_protocol(self) -> SGridProtocol:
-        return SGridProtocol.from_samples(self.s, self.kbar_s)
+        return SGridProtocol(self.s, self.kbar_s)
 
     def classical_time_protocol(self) -> TimeProtocol:
         return TimeProtocol(self.t, self.kbar_t, "classical")
@@ -550,7 +551,6 @@ def analytic_work_optimal(lam: float, s_i: float, s_f: float, c: PhysConsts,
     kbar(s) and its analytic derivative into the s-domain map, so the
     m D^2/s^2 collapse is exercised rather than assumed.
     """
-    c.require_quantum()
     if lam <= 0.0 or not np.isfinite(lam):
         raise ValueError("lam must be positive")
     if s_i <= 0.0 or s_f <= 0.0 or s_i == s_f:

@@ -100,13 +100,14 @@ def test_equilibrium_identities(consts):
 
     # discretized map on the equilibrium branch collapses to m D^2 / s^2
     sg = np.linspace(1.0, 2.0, 301)
-    p_eq = SGridProtocol.from_samples(sg, equilibrium_kbar(sg, c))
+    p_eq = SGridProtocol(sg, equilibrium_kbar(sg, c))
     kappa = quantum_from_classical_s(p_eq, c)
     assert np.max(np.abs(kappa * sg**2 / (c.m * c.D**2) - 1.0)) <= 1e-12
 
-    assert c.is_quantum_consistent()
-    with pytest.raises(ValueError):
-        PhysConsts(D=1.5).require_quantum()
+    # D is derived from hbar/(2m), never passed in
+    assert c.D == c.hbar / (2 * c.m)
+    with pytest.raises(TypeError):
+        PhysConsts(D=1.5)
 
     assert time.perf_counter() - t0 < 1.0
 
@@ -292,7 +293,7 @@ def test_invariant_map_consistency(cache, invariant_clock):
         # analytic schedule with equilibrium-pinned ends
         s = np.linspace(1.0, 2.0, 2001)
         gap = 0.5 * ((s - 1.0) * (2.0 - s)) ** (2.0 / 3.0)
-        p_beta = SGridProtocol.from_samples(s, (c.D * c.gamma - gap) / s)
+        p_beta = SGridProtocol(s, (c.D * c.gamma - gap) / s)
         protocols = [(p_beta, None), (cache.bvp("phase", 0.5).protocol,
                                       cache.timedomain("phase", 0.5))]
         for p, td in protocols:

@@ -40,7 +40,7 @@ def _pinned_analytic(amplitude=0.5, n=2001):
     a duration known in closed form through the Beta function."""
     s = np.linspace(1.0, 2.0, n)
     gap = amplitude * ((s - 1.0) * (2.0 - s)) ** (2.0 / 3.0)
-    return s, SGridProtocol.from_samples(s, (1.0 - gap) / s)
+    return s, SGridProtocol(s, (1.0 - gap) / s)
 
 
 def test_variance_rate_signs_and_validation(consts):
@@ -53,14 +53,14 @@ def test_variance_rate_signs_and_validation(consts):
 
 def test_flow_gap_matches_definition(consts):
     s = np.linspace(1.0, 2.0, 11)
-    p = SGridProtocol.from_samples(s, 0.3 * np.ones(11))
+    p = SGridProtocol(s, 0.3 * np.ones(11))
     assert np.allclose(flow_gap(p, consts), 1.0 - 0.3 * s, rtol=1e-15)
 
 
 def test_duration_closed_form_smooth(consts):
     # gap = sqrt(s): dt = (1/2) int ds / sqrt(s) = sqrt(2) - 1
     s = np.linspace(1.0, 2.0, 2001)
-    p = SGridProtocol.from_samples(s, (1.0 - np.sqrt(s)) / s)
+    p = SGridProtocol(s, (1.0 - np.sqrt(s)) / s)
     assert duration(p, consts) == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-8)
 
 
@@ -85,7 +85,7 @@ def test_interior_stall_is_rejected(consts):
     kbar = equilibrium_kbar(s, consts).copy()
     kbar += 0.2 * np.sin(np.pi * (s - 1.0))   # gap < 0: flow reversed
     with pytest.raises(InfeasibleProtocolError) as exc:
-        duration(SGridProtocol.from_samples(s, kbar), consts)
+        duration(SGridProtocol(s, kbar), consts)
     assert exc.value.node is not None
 
 
@@ -95,7 +95,7 @@ def test_linearly_vanishing_gap_diverges(consts):
     s = np.linspace(1.0, 2.0, 1001)
     gap = 0.5 * (s - 1.0) * (2.0 - s)
     with pytest.raises(InfeasibleProtocolError, match="diverges"):
-        duration(SGridProtocol.from_samples(s, (1.0 - gap) / s), consts)
+        duration(SGridProtocol(s, (1.0 - gap) / s), consts)
 
 
 def test_evolve_variance_exponential_relaxation(consts):

@@ -146,6 +146,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
               + ["--units", "custom", "--hbar", "1", "--m", "0.5",
                  "--gamma", "1", "--D", "7"])               # inconsistent D
     assert rc == 2
+    rc = main(_optimize_args(tmp_path)
+              + ["--units", "custom", "--hbar", "1", "--m", "0", "--gamma", "1"])
+    assert rc == 2                                          # D = hbar/(2m) undefined
     capsys.readouterr()
 
 
@@ -155,6 +158,12 @@ def test_custom_units_accepted(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["units"] == "custom"
+    # the run uses D = hbar/(2m) = 1, derived by PhysConsts
+    c = swifttrap.PhysConsts(2.0, 1.0, 2.0)
+    prob = swifttrap.OptimizationProblem(cost="work", lam=1.0, mu=0.01,
+                                         s_i=1.0, s_f=2.0, n_grid=501)
+    expected = swifttrap.j_total(swifttrap.solve_bvp(prob, c).protocol, prob, c)
+    assert (report["duration"], report["j_total"]) == (expected.duration, expected.j_total)
 
 
 @pytest.mark.parametrize("content,fragment", [
@@ -163,6 +172,9 @@ def test_custom_units_accepted(tmp_path):
     ("t,s,kbar,kappa\n0,1,1,0.5\n2,2,0.5,0.125\n", "at least 3"),
     ("t,s,kbar,kappa\n0,1,1,.5\n2,2,.5,.2\n1,1.5,.8,.3\n", "not strictly increasing"),
     ("t,s,kbar,kappa\n0,1,1,.5\n1,-2,.5,.2\n2,1.5,.8,.3\n", "must be positive"),
+    # blank lines are skipped, but the message names the row's own line
+    ("t,s,kbar,kappa\n0,1,1,.5\n\n\n1,1.5,.8,.3\n0.5,1.2,.9,.4\n2,2,.5,.2\n",
+     "line 6: time column not strictly increasing"),
 ])
 def test_protocol_parse_errors_exit_five(tmp_path, capsys, content, fragment):
     path = tmp_path / "bad.csv"

@@ -94,9 +94,9 @@ def test_time_and_s_domain_work_agree(consts):
 
 def test_penalty_closed_form_and_direction_invariance(consts):
     s = np.linspace(1.0, 2.0, 1001)
-    p = SGridProtocol.from_samples(s, s.copy())          # kbar' = 1
+    p = SGridProtocol(s, s.copy())          # kbar' = 1
     assert g_penalty(p, consts) == pytest.approx(1.0, rel=1e-10)
-    q = SGridProtocol.from_samples(s[::-1], s[::-1].copy())
+    q = SGridProtocol(s[::-1], s[::-1].copy())
     assert g_penalty(q, consts) == pytest.approx(g_penalty(p, consts), rel=1e-12)
 
 
@@ -132,7 +132,7 @@ def _assert_local_minimum(p0, prob, c):
     increases = []
     for k in (1, 2, 3):
         for eps in (-0.05, -0.02, 0.02, 0.05):
-            p = SGridProtocol.from_samples(p0.s_nodes,
+            p = SGridProtocol(p0.s_nodes,
                                            p0.kbar + eps * np.sin(k * np.pi * x))
             increases.append(j_el(p) - base)
     rng = np.random.Generator(np.random.Philox(key=42))
@@ -140,7 +140,7 @@ def _assert_local_minimum(p0, prob, c):
         coeffs = rng.normal(0.0, 0.02, 3)
         bump = sum(ck * np.sin((i + 1) * np.pi * x)
                    for i, ck in enumerate(coeffs))
-        p = SGridProtocol.from_samples(p0.s_nodes, p0.kbar + bump)
+        p = SGridProtocol(p0.s_nodes, p0.kbar + bump)
         increases.append(j_el(p) - base)
     assert min(increases) > 0.0, f"found a descent direction: {min(increases):.3e}"
     # first order: the central difference along each mode vanishes to the
@@ -148,8 +148,8 @@ def _assert_local_minimum(p0, prob, c):
     # solve that leaves out the phase term of energy + phase reads 1.4e-2)
     for k in (1, 2, 3):
         mode = 1e-3 * np.sin(k * np.pi * x)
-        slope = (j_el(SGridProtocol.from_samples(p0.s_nodes, p0.kbar + mode))
-                 - j_el(SGridProtocol.from_samples(p0.s_nodes, p0.kbar - mode))) / 2e-3
+        slope = (j_el(SGridProtocol(p0.s_nodes, p0.kbar + mode))
+                 - j_el(SGridProtocol(p0.s_nodes, p0.kbar - mode))) / 2e-3
         assert abs(slope) <= 5e-3, (k, slope)
 
 
@@ -216,7 +216,7 @@ def test_j_total_shares_one_cell_pass_to_the_bit(consts, pinned):
     gap = {"both": 0.5 * ((s - 1.0) * (2.0 - s)) ** (2.0 / 3.0),
            "start": 0.5 * (s - 1.0) ** (2.0 / 3.0),
            "neither": 1.0 - 0.3 * s}[pinned]
-    p = SGridProtocol.from_samples(s, (1.0 - gap) / s)
+    p = SGridProtocol(s, (1.0 - gap) / s)
     assert _pinned_ends(flow_gap(p, consts)) == {
         "both": (True, True), "start": (True, False), "neither": (False, False)}[pinned]
     for cost in ("energy", "phase", "work"):

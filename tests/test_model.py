@@ -21,10 +21,10 @@ from swifttrap.model import _prefix_step_maps
 def test_default_constants_are_matched():
     c = PhysConsts()
     assert (c.hbar, c.m, c.gamma, c.D) == (1.0, 0.5, 1.0, 1.0)
-    assert c.is_quantum_consistent()
+    assert PhysConsts(hbar=2.0, m=0.25, gamma=3.0).D == 2.0 / (2.0 * 0.25)
 
 
-@pytest.mark.parametrize("field", ["hbar", "m", "gamma", "D"])
+@pytest.mark.parametrize("field", ["hbar", "m", "gamma"])
 def test_constants_reject_nonpositive(field):
     with pytest.raises(ValueError):
         PhysConsts(**{field: 0.0})
@@ -33,10 +33,11 @@ def test_constants_reject_nonpositive(field):
 
 
 def test_mismatched_diffusion_is_flagged():
-    c = PhysConsts(hbar=1.0, m=0.5, D=1.5)
-    assert not c.is_quantum_consistent()
+    # D is derived from hbar/(2m), so a mismatched one cannot be passed
+    with pytest.raises(TypeError):
+        PhysConsts(hbar=1.0, m=0.5, D=1.5)
     with pytest.raises(ValueError, match="D = hbar"):
-        c.require_quantum()
+        PhysConsts(hbar=1e300, m=1e-300)  # hbar/(2m) overflows
 
 
 def test_equilibrium_branches(consts):
@@ -55,25 +56,25 @@ def test_alpha_of_matches_width_velocity(consts):
 
 def test_s_grid_protocol_orientation():
     s = np.linspace(1.0, 2.0, 11)
-    p = SGridProtocol.from_samples(s, np.ones(11))
+    p = SGridProtocol(s, np.ones(11))
     assert p.orientation == "expansion" and p.direction == 1.0
     assert (p.s_start, p.s_end) == (1.0, 2.0)
-    q = SGridProtocol.from_samples(s[::-1], np.ones(11))
+    q = SGridProtocol(s[::-1], np.ones(11))
     assert q.orientation == "compression" and q.direction == -1.0
 
 
 def test_s_grid_protocol_validation():
     s = np.linspace(1.0, 2.0, 11)
     with pytest.raises(ValueError):
-        SGridProtocol(s, np.ones(10), "expansion")
+        SGridProtocol(s, np.ones(10))
     with pytest.raises(ValueError):
-        SGridProtocol(s[:2], np.ones(2), "expansion")
+        SGridProtocol(s[:2], np.ones(2))
     with pytest.raises(ValueError):
-        SGridProtocol(s - 1.0, np.ones(11), "expansion")  # hits zero
+        SGridProtocol(s - 1.0, np.ones(11))  # hits zero
     with pytest.raises(ValueError):
-        SGridProtocol(s[::-1], np.ones(11), "expansion")  # wrong order
+        SGridProtocol(s[[0, 2, 1, *range(3, 11)]], np.ones(11))  # wrong order
     with pytest.raises(ValueError):
-        SGridProtocol(s, np.ones(11), "sideways")
+        SGridProtocol(np.r_[s, 1.0], np.ones(12))  # turns back to its start
 
 
 def test_time_protocol_interpolation_and_span():

@@ -75,13 +75,14 @@ def test_moments_match_two_pass_reference(sample):
 
 
 def test_zero_noise_reduces_to_discrete_drift(consts):
-    # with the injected noise made negligible every walker contracts by the
-    # exact Euler factor (1 - kbar h / gamma) per step, so the variance
-    # ratio between checkpoints is that factor to the step count
+    # with the injected noise made negligible (hbar = 1e-30 gives
+    # D = hbar/(2m) = 1e-30) every walker contracts by the exact Euler
+    # factor (1 - kbar h / gamma) per step, so the variance ratio between
+    # checkpoints is that factor to the step count
     h = 1e-3
     cfg = McConfig(n_particles=2000, seed=11,
                    checkpoints=np.array([1.0, 2.0]), dt=h)
-    st = simulate_classical(_hold_protocol(), 1.0, cfg, replace(consts, D=1e-30))
+    st = simulate_classical(_hold_protocol(), 1.0, cfg, replace(consts, hbar=1e-30))
     factor = (1.0 - h) ** 2000
     assert st.variance[1] / st.variance[0] == pytest.approx(factor, rel=1e-10)
     assert st.variance[0] == pytest.approx(np.exp(-2.0), rel=0.05)

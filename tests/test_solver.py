@@ -53,7 +53,7 @@ def _prob(cost, lam=1.0, mu=0.1):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-_CUSTOM_CONSTS = PhysConsts(hbar=2.0, m=0.25, gamma=3.0, D=4.0)
+_CUSTOM_CONSTS = PhysConsts(hbar=2.0, m=0.25, gamma=3.0)
 
 
 def _printed_rhs_terms(cost, s, kbar, prob, c):
@@ -313,7 +313,7 @@ def test_start_converges_quickly_across_multipliers(consts, cost):
                 assert res.iterations <= 7, (lam, mu, s_f)
 
 
-_SMALL_HBAR_CONSTS = PhysConsts(hbar=1e-3, m=7.0, gamma=0.2, D=1e-3 / 14.0)
+_SMALL_HBAR_CONSTS = PhysConsts(hbar=1e-3, m=7.0, gamma=0.2)
 
 
 @pytest.mark.parametrize("c", [_CUSTOM_CONSTS, _SMALL_HBAR_CONSTS],
