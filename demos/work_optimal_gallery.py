@@ -27,12 +27,12 @@ def main():
 
     invariant_target = 0.5 * c.gamma * (ROOT2 - 1.0) ** 2
     for lam in (0.3, 1.0, 3.0, 10.0, 30.0):
-        b = analytic_work_optimal(lam, s_i, s_f, c)
+        _, emitted = analytic_work_optimal(lam, s_i, s_f, c)
         dur_cf = np.sqrt(c.gamma * lam) * (np.sqrt(s_f) - np.sqrt(s_i))
-        w = work_from_schedule(b.classical_time_protocol(), b.s_t)
+        w = work_from_schedule(emitted.classical, emitted.s)
         w_cf = w_qs + 0.5 * (ROOT2 - 1.0) * np.sqrt(c.gamma / lam)
-        inv = (w - w_qs) * b.duration
-        print(f"{lam:7.1f}  {b.duration:9.5f}  {dur_cf:9.5f}  "
+        inv = (w - w_qs) * emitted.duration
+        print(f"{lam:7.1f}  {emitted.duration:9.5f}  {dur_cf:9.5f}  "
               f"{w:10.6f}  {w_cf:10.6f}  {inv:10.6f}")
 
     print(f"\nfamily invariant (W - W_qs) * T, closed form: "
@@ -41,9 +41,9 @@ def main():
     # along the optimum sigma = sqrt(2 s) is linear in time, so the width
     # equation sigma'' = -kappa sigma / m + 4 D^2 / sigma^3 degenerates to
     # an algebraic balance between its two forces
-    b = analytic_work_optimal(1.0, s_i, s_f, c)
-    sigma = np.sqrt(2.0 * b.s_t)
-    resid = np.max(np.abs(b.kappa_t * sigma / c.m - 4.0 * c.D**2 / sigma**3))
+    _, emitted = analytic_work_optimal(1.0, s_i, s_f, c)
+    sigma = np.sqrt(2.0 * emitted.s)
+    resid = np.max(np.abs(emitted.quantum.values * sigma / c.m - 4.0 * c.D**2 / sigma**3))
     lin_dev = np.max(np.abs(np.diff(sigma, 2)))
     print(f"force balance residual:        {resid:.2e}")
     print(f"second difference of sigma(t): {lin_dev:.2e}  "

@@ -39,7 +39,6 @@ from .analog import (
 )
 from .solver import (
     BvpResult,
-    WorkOptimalBundle,
     analytic_work_optimal,
     el_rhs,
     solve_bvp,
@@ -94,7 +93,6 @@ __all__ = [
     "TimeProtocol",
     "TrajectoryRecord",
     "VarianceTrajectory",
-    "WorkOptimalBundle",
     "adiabatic_reference",
     "alpha_of",
     "analytic_work_optimal",

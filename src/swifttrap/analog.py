@@ -414,10 +414,11 @@ def _hermite(t_nodes, y, dy, t):
 class TimeDomainProtocols:
     """Time-domain emission of an s-parametrized schedule.
 
-    classical and quantum share one time grid, graded toward both ends;
-    s is the variance on that grid.  t_nodes and kappa_nodes give the
-    transfer time and quantum stiffness back on the original s-grid (the
-    node-level table).
+    classical and quantum share one time grid; s is the variance on that
+    grid.  t_nodes and kappa_nodes give the transfer time and quantum
+    stiffness back on the original s-grid (the node-level table).
+    to_time_domain grades the time grid toward both ends;
+    solver.analytic_work_optimal samples both grids uniformly.
     """
 
     classical: TimeProtocol

@@ -229,14 +229,10 @@ def _cmd_optimize(args) -> int:
                                s_i=args.si, s_f=args.sf, n_grid=args.grid)
 
     if args.cost == "work" and args.mu == 0.0:
-        bundle = analytic_work_optimal(args.lam, args.si, args.sf, c, n=args.grid)
-        p = bundle.s_protocol()
-        s_table = (bundle.s, bundle.kbar_s, bundle.kappa_s, bundle.t_at_s)
-        t, s_t = bundle.t, bundle.s_t
-        kbar_t, kappa_t = bundle.kbar_t, bundle.kappa_t
+        p, emitted = analytic_work_optimal(args.lam, args.si, args.sf, c, n=args.grid)
         meta = {"method": "analytic", "iterations": 0, "final_update": 0.0,
                 "residual": 0.0, "rejections": 0, "history": [],
-                "duration_closed_form": bundle.duration}
+                "duration_closed_form": emitted.duration}
     else:
         try:
             result = solve_bvp(prob, c)
@@ -251,20 +247,19 @@ def _cmd_optimize(args) -> int:
             return 3
         p = result.protocol
         emitted = to_time_domain(p, c, n_t=args.grid)
-        s_table = (p.s_nodes, p.kbar, emitted.kappa_nodes, emitted.t_nodes)
-        t, s_t = emitted.classical.t_nodes, emitted.s
-        kbar_t, kappa_t = emitted.classical.values, emitted.quantum.values
         meta = {"method": "bvp", "iterations": result.iterations,
                 "final_update": result.final_update,
                 "residual": result.residual, "rejections": result.rejections,
                 "history": _history_records(result.history)}
 
+    t, s_t = emitted.classical.t_nodes, emitted.s
+    kbar_t, kappa_t = emitted.classical.values, emitted.quantum.values
     sdot_t = variance_rate(s_t, kbar_t, c)
     alpha_t = alpha_of(s_t, sdot_t, c)
     energy_t = energy_of(s_t, sdot_t, kappa_t, c)
 
-    _write_csv(os.path.join(outdir, "protocol_s.csv"),
-               ["s", "kbar", "kappa", "t"], _numeric_rows(s_table))
+    _write_csv(os.path.join(outdir, "protocol_s.csv"), ["s", "kbar", "kappa", "t"],
+               _numeric_rows((p.s_nodes, p.kbar, emitted.kappa_nodes, emitted.t_nodes)))
     _write_csv(os.path.join(outdir, "protocol_t.csv"),
                ["t", "s", "kbar", "kappa", "alpha", "energy"],
                _numeric_rows((t, s_t, kbar_t, kappa_t, alpha_t, energy_t)))

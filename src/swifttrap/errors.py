@@ -23,17 +23,20 @@ class SingularManifoldError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iterative solver failed to reach tolerance.
 
-    Carries the iteration count and the solve's full trace so callers can
-    report how the solve stalled.  history holds one (residual, step,
-    damping) triple per iteration, as BvpResult.history does; an iteration
-    whose step was not finite is recorded with damping 0.  update_history,
-    the steps of its last 50 records, is read from it.
+    Carries the solve's full trace so callers can report how the solve
+    stalled.  history holds one (residual, step, damping) triple per
+    iteration, as BvpResult.history does; an iteration whose step was not
+    finite is recorded with damping 0.  iterations (the number of records)
+    and update_history (the steps of the last 50) are read from it.
     """
 
-    def __init__(self, message, iterations=None, history=None):
+    def __init__(self, message, history=None):
         super().__init__(message)
-        self.iterations = iterations
         self.history = list(history) if history is not None else []
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
     @property
     def update_history(self) -> list[float]:

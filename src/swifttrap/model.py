@@ -55,8 +55,7 @@ class SGridProtocol:
 
     kbar[j] is the stiffness applied when the ensemble variance passes
     through s_nodes[j].  Nodes run from the initial variance to the target,
-    so they decrease for a compression; the node order is the schedule's
-    orientation.
+    so they decrease for a compression; direction reads the node order.
     """
 
     s_nodes: np.ndarray
@@ -86,11 +85,6 @@ class SGridProtocol:
     @property
     def s_end(self) -> float:
         return float(self.s_nodes[-1])
-
-    @property
-    def orientation(self) -> str:
-        """"expansion" when the nodes increase, "compression" when they decrease."""
-        return "expansion" if self.direction > 0.0 else "compression"
 
     @property
     def direction(self) -> float:
@@ -257,12 +251,11 @@ def _prefix_step_maps(e: np.ndarray) -> np.ndarray:
     is the tree of the recursive form (compose neighbouring pairs, scan
     the half-length sequence, finish each even-indexed product with one
     more composition) with the same operand order, so every product is
-    the same float; only where the partial products live has changed.
-    The scratch is two (2, 2, n // 2) arrays per call.  numpy copies a
-    multi-dimensional strided operand into its ufunc buffer whenever the
-    whole operand fits there (every level with n // 2d <= 2048 at the
-    default 8192 elements), so the scan runs with the smallest buffer
-    numpy allows and then restores the caller's size.  Each
+    the same float.  The scratch is two (2, 2, n // 2) arrays per call.
+    numpy copies a multi-dimensional strided operand into its ufunc buffer
+    whenever the whole operand fits there (every level with n // 2d <= 2048
+    at the default 8192 elements), so the scan runs with the smallest
+    buffer numpy allows and then restores the caller's size.  Each
     composition combines a later product A with an earlier one B as
     (I + A)(I + B) = I + A + B + AB, so no entry is ever rounded next to
     1, and maps with a zero second row (affine ones) keep it exactly zero.

@@ -35,7 +35,9 @@ second order.
 
 The discrete equations are solved by damped Newton, one path with no
 per-call options: steps that would cross the singular manifold
-D*gamma = s*kbar, or that do not lower the largest residual, are halved.
+D*gamma = s*kbar, or that do not lower the largest residual, are halved;
+once the residual sits at its rounding floor (_FLOOR_ULPS times
+eps max|kbar| / h^2) a feasible full step is taken as it is.
 Each iterate's interior gap D*gamma - s*kbar is formed once, and its
 feasibility, its residual and the Jacobian diagonal of the next step
 read that one array.  A full step below the module constant _TOL
@@ -74,26 +76,27 @@ one endpoint pair builds them once.  The memoized arrays are read-only,
 and each BvpResult owns a copy of its nodes.
 
 The work cost with mu = 0 has a closed-form optimum (no smoothing, free
-endpoint jumps); `analytic_work_optimal` returns that bundle and doubles
-as an oracle for the numerical machinery.
+endpoint jumps).  `analytic_work_optimal` returns it as the pair every
+solved optimum comes as, an SGridProtocol and its TimeDomainProtocols,
+and doubles as an oracle for the numerical machinery.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .analog import _kappa
+from .analog import TimeDomainProtocols, _kappa
 from .costs import LAGRANGIANS
 from .errors import ConvergenceError, SingularityTrapError, SingularManifoldError
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 
 __all__ = [
     "BvpResult",
-    "WorkOptimalBundle",
     "analytic_work_optimal",
     "el_rhs",
     "solve_bvp",
@@ -146,15 +149,23 @@ class BvpResult:
     history holds one (residual, step, damping) triple per Newton
     iteration: the weighted residual, in the units of residual, of the
     iterate the step was taken from, the largest |change of kbar| the
-    step made, and the factor the line search scaled the full step by.
-    final_update is the last of those steps.
+    step made, and the factor 2^-k the line search scaled the full step
+    by.  iterations, rejections (the halvings k, summed) and final_update
+    (the last step) are read from it.
     """
 
     protocol: SGridProtocol
-    iterations: int
     residual: float
-    rejections: int
     history: list[tuple[float, float, float]]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def rejections(self) -> int:
+        return int(sum(-math.log2(damping) for _, _, damping in self.history
+                       if damping > 0.0))
 
     @property
     def final_update(self) -> float:
@@ -175,6 +186,11 @@ _STALL_WINDOW = 4
 # iteration cap, and the full Newton step below which a solve has converged
 _MAX_ITER = 50000
 _TOL = 1e-10
+
+# weighted residual, in units of its rounding floor eps max|kbar| / h^2 (h
+# the mean node spacing), at or below which a feasible full step is taken
+# without demanding a decrease
+_FLOOR_ULPS = 4.0
 
 # width of the end regions in which the node map grades like tau ~ xi^3
 _LAYER_WIDTH = 0.05
@@ -388,7 +404,9 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     Iteration is damped Newton on the discrete equations: a step is halved
     until it stays feasible and lowers the largest weighted residual (the
     one BvpResult.residual reports; no decrease is demanded once the step
-    is below _TOL).  Convergence is declared on a full step smaller than
+    is below _TOL, or of a full step once that residual is at most
+    _FLOOR_ULPS eps max|kbar| / h^2, h the mean node spacing, where
+    rounding sets it).  Convergence is declared on a full step smaller than
     _TOL.  Each iterate's interior gap D gamma - s kbar is formed once;
     its feasibility, its residual and the next step's Jacobian diagonal
     all read that array.
@@ -435,31 +453,26 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
 
     g = gap(kbar)
     if not feasible(g):
-        raise SingularityTrapError("initial iterate is infeasible", iterations=0)
+        raise SingularityTrapError("initial iterate is infeasible")
 
-    rejections = 0
+    h = (prob.s_f - prob.s_i) / (n - 1)
+    floor_per_kbar = _FLOOR_ULPS * np.finfo(float).eps / h**2
     history: list[tuple[float, float, float]] = []
-
-    def failure(err, message):
-        return err(message, iterations=it, history=history)
-
     resid = residual(kbar, g)
     norms = [merit(resid)]
-    trapped_at = -1           # last iteration that backed off the manifold
-    it = 0
+    trapped_at = -1           # history index of the last step backed off the manifold
     while True:
-        if it >= _MAX_ITER:
-            raise failure(ConvergenceError,
-                          f"no convergence within {_MAX_ITER} iterations "
-                          f"(last update {history[-1][1]:.3e}, tol {_TOL:.1e})")
-        it += 1
+        if len(history) >= _MAX_ITER:
+            raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations "
+                                   f"(last update {history[-1][1]:.3e}, tol {_TOL:.1e})",
+                                   history=history)
         diag = grid.stencil_diag - _el_rhs_slope(s_int, kbar[1:-1], g, prob, c)
         delta = _solve_tridiagonal(grid.layout, diag, -resid)
         step = float(np.max(np.abs(delta)))
         if not np.isfinite(step):
             # recorded with damping 0: the step was not taken
             history.append((2.0 * prob.mu * norms[-1], step, 0.0))
-            raise failure(ConvergenceError, "Newton step blew up")
+            raise ConvergenceError("Newton step blew up", history=history)
         cand = kbar.copy()
         cand[1:-1] += delta
         cand_g = gap(cand)
@@ -469,16 +482,18 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
             kbar, g = cand, cand_g
             history.append((2.0 * prob.mu * norms[-1], step, 1.0))
             break
+        # at the rounding floor no step can be relied on to lower the
+        # residual, so a feasible full step is taken as it is
+        at_floor = norms[-1] <= floor_per_kbar * np.max(np.abs(kbar))
         r = 1.0
         while True:
             if feasible(cand_g):
                 cand_resid = residual(cand, cand_g)
                 cand_norm = merit(cand_resid)
-                if cand_norm < (1.0 - 1.0e-4 * r) * norms[-1]:
+                if cand_norm < (1.0 - 1.0e-4 * r) * norms[-1] or (r == 1.0 and at_floor):
                     break
             else:
-                trapped_at = it
-            rejections += 1
+                trapped_at = len(history)
             r *= 0.5
             if r < 1e-12:
                 break
@@ -486,70 +501,46 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
             cand[1:-1] += r * delta
             cand_g = gap(cand)
         history.append((2.0 * prob.mu * norms[-1], r * step, r))
+        it = len(history)
         if r < 1e-12 or (it > _STALL_WINDOW
                          and cand_norm > 0.5 * norms[-_STALL_WINDOW]):
             # from inside its basin Newton cuts the residual by about half
             # per step or better; anything slower is not converging
-            err = (SingularityTrapError if trapped_at > it - _STALL_WINDOW
+            err = (SingularityTrapError if trapped_at >= it - _STALL_WINDOW
                    else ConvergenceError)
             what = ("against the singular manifold" if err is SingularityTrapError
                     else "without lowering the residual")
-            raise failure(err, f"damped Newton stalled {what} "
-                               f"(residual {norms[-1]:.3e} after {it} iterations)")
+            raise err(f"damped Newton stalled {what} "
+                      f"(residual {norms[-1]:.3e} after {it} iterations)", history=history)
         kbar, g = cand, cand_g
         resid = cand_resid
         norms.append(cand_norm)
 
     residual_max = 2.0 * prob.mu * merit(residual(kbar, g))
-    return BvpResult(protocol=SGridProtocol(s.copy(), kbar), iterations=it,
-                     residual=residual_max, rejections=rejections, history=history)
+    return BvpResult(protocol=SGridProtocol(s.copy(), kbar), residual=residual_max,
+                     history=history)
 
 
 # ---------------------------------------------------------------------------
 # closed-form work optimum (mu = 0)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WorkOptimalBundle:
-    """Closed-form minimum-work schedule: s-grid and time-domain views.
-
-    The optimality condition pins s*kbar(s) = D*gamma - sign * sqrt(gamma*s/lam)
-    (sign = sign(s_f - s_i), so the flow always moves toward the target);
-    endpoints jump away from equilibrium.  The quantum image collapses to
-    kappa(s) = m D^2 / s^2, the variance path is
-    s(t) = (sqrt(s_i) + sign * t/sqrt(gamma*lam))^2, and the duration is
-    sqrt(gamma*lam) * |sqrt(s_f) - sqrt(s_i)|.  As a schedule of rescaled
-    time t/duration, kappa is independent of lam.
-    """
-
-    lam: float
-    duration: float
-    s: np.ndarray
-    kbar_s: np.ndarray
-    kappa_s: np.ndarray
-    t_at_s: np.ndarray
-    t: np.ndarray
-    s_t: np.ndarray
-    kbar_t: np.ndarray
-    kappa_t: np.ndarray
-
-    def s_protocol(self) -> SGridProtocol:
-        return SGridProtocol(self.s, self.kbar_s)
-
-    def classical_time_protocol(self) -> TimeProtocol:
-        return TimeProtocol(self.t, self.kbar_t, "classical")
-
-    def quantum_time_protocol(self) -> TimeProtocol:
-        return TimeProtocol(self.t, self.kappa_t, "quantum")
-
-
 def analytic_work_optimal(lam: float, s_i: float, s_f: float, c: PhysConsts,
-                          n: int = 2001) -> WorkOptimalBundle:
+                          n: int = 2001) -> tuple[SGridProtocol, TimeDomainProtocols]:
     """Closed-form minimum-work schedule between variances s_i and s_f.
 
-    The quantum stiffness is evaluated by substituting the closed-form
-    kbar(s) and its analytic derivative into the s-domain map, so the
-    m D^2/s^2 collapse is exercised rather than assumed.
+    Returns the s-grid schedule and its time-domain emission, the pair
+    solve_bvp and to_time_domain give, both on n uniform samples.  The
+    optimality condition (Schmiedl & Seifert, PRL 98, 108301 (2007)) pins
+    s kbar(s) = D gamma - sign sqrt(gamma s / lam), sign = sign(s_f - s_i),
+    so the flow always moves toward the target; the endpoints jump away
+    from equilibrium.  The variance path is
+    s(t) = (sqrt(s_i) + sign t / sqrt(gamma lam))^2 and the duration is
+    sqrt(gamma lam) |sqrt(s_f) - sqrt(s_i)|.  The quantum image collapses
+    to kappa(s) = m D^2 / s^2, so as a schedule of rescaled time
+    t / duration, kappa is independent of lam.  kappa is evaluated by
+    substituting the closed-form kbar(s) and its analytic derivative into
+    the s-domain map, so that collapse is exercised rather than assumed.
     """
     if lam <= 0.0 or not np.isfinite(lam):
         raise ValueError("lam must be positive")
@@ -568,12 +559,14 @@ def analytic_work_optimal(lam: float, s_i: float, s_f: float, c: PhysConsts,
         gap = sign * np.sqrt(c.gamma * s / lam)
         return _kappa(s, kbar_of(s), (2.0 * c.m / c.gamma**2) * gap * kbp, c)
 
-    dur = float(root_gl * abs(np.sqrt(s_f) - np.sqrt(s_i)))
     s = np.linspace(s_i, s_f, n)
-    t_at_s = root_gl * np.abs(np.sqrt(s) - np.sqrt(s_i))
-    t = np.linspace(0.0, dur, n)
+    # linspace stores its stop as the last sample, so the emission's
+    # duration is the closed form exactly
+    t = np.linspace(0.0, float(root_gl * abs(np.sqrt(s_f) - np.sqrt(s_i))), n)
     s_t = (np.sqrt(s_i) + sign * t / root_gl) ** 2
-    return WorkOptimalBundle(
-        lam=lam, duration=dur,
-        s=s, kbar_s=kbar_of(s), kappa_s=kappa_of(s), t_at_s=t_at_s,
-        t=t, s_t=s_t, kbar_t=kbar_of(s_t), kappa_t=kappa_of(s_t))
+    emitted = TimeDomainProtocols(
+        classical=TimeProtocol(t, kbar_of(s_t), "classical"),
+        quantum=TimeProtocol(t, kappa_of(s_t), "quantum"),
+        s=s_t, t_nodes=root_gl * np.abs(np.sqrt(s) - np.sqrt(s_i)),
+        kappa_nodes=kappa_of(s))
+    return SGridProtocol(s, kbar_of(s)), emitted

@@ -118,18 +118,18 @@ def test_equilibrium_identities(consts):
 
 def test_work_optimal_closed_form(consts):
     c = consts
-    b = analytic_work_optimal(1.0, 1.0, 2.0, c)
-    assert abs(b.duration - (ROOT2 - 1.0)) <= 1e-6
+    p, emitted = analytic_work_optimal(1.0, 1.0, 2.0, c)
+    assert abs(emitted.duration - (ROOT2 - 1.0)) <= 1e-6
     # quantum image collapses to the instantaneous ground-state stiffness
-    assert np.max(np.abs(b.kappa_s - c.m * c.D**2 / b.s**2)) <= 1e-10
+    assert np.max(np.abs(emitted.kappa_nodes - c.m * c.D**2 / p.s_nodes**2)) <= 1e-10
     # in rescaled time the quantum schedule does not depend on lam
     lams = (0.3, 1.0, 7.7)
-    kappas = [analytic_work_optimal(L, 1.0, 2.0, c).kappa_t for L in lams]
+    kappas = [analytic_work_optimal(L, 1.0, 2.0, c)[1].quantum.values for L in lams]
     for other in kappas[1:]:
         assert np.max(np.abs(other - kappas[0])) <= 1e-8
     for L in lams:
-        bL = analytic_work_optimal(L, 1.0, 2.0, c)
-        assert abs(bL.duration - np.sqrt(c.gamma * L) * (ROOT2 - 1.0)) <= 1e-12
+        emitted_L = analytic_work_optimal(L, 1.0, 2.0, c)[1]
+        assert abs(emitted_L.duration - np.sqrt(c.gamma * L) * (ROOT2 - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +324,9 @@ def test_invariant_domain_change_identities(cache, invariant_clock):
             fa_s, fa_t = f_alpha(p, c), f_alpha_from_run(run)
             assert abs(fa_t / fa_s - 1.0) <= 5e-4, f"{cost}: phase integrals disagree"
 
-        b = analytic_work_optimal(1.0, 1.0, 2.0, c)
-        w_s = work_classical(b.s_protocol(), c)
-        w_t = work_from_schedule(b.classical_time_protocol(), b.s_t)
+        p_w, emitted = analytic_work_optimal(1.0, 1.0, 2.0, c)
+        w_s = work_classical(p_w, c)
+        w_t = work_from_schedule(emitted.classical, emitted.s)
         assert abs(w_t - w_s) <= 1e-6
 
         prob = OptimizationProblem(cost="phase", lam=1.0, mu=0.5, s_i=1.0, s_f=2.0)
@@ -346,7 +346,7 @@ def test_invariant_quadrature_refinement(consts, invariant_clock):
         }
         errs = {k: [] for k in exact}
         for n in (501, 1001, 2001):
-            p = analytic_work_optimal(1.0, 1.0, 2.0, c, n=n).s_protocol()
+            p = analytic_work_optimal(1.0, 1.0, 2.0, c, n=n)[0]
             errs["duration"].append(duration(p, c) - exact["duration"])
             errs["f_alpha"].append(f_alpha(p, c) - exact["f_alpha"])
             errs["work"].append(work_classical(p, c) - exact["work"])

@@ -57,6 +57,22 @@ def test_optimize_work_mu_zero_uses_closed_form(tmp_path):
     assert report["method"] == "analytic"
     assert report["duration_closed_form"] == pytest.approx(ROOT2 - 1.0, abs=1e-12)
     assert report["duration"] == pytest.approx(ROOT2 - 1.0, abs=1e-6)
+    # both tables are the returned pair's arrays, as formatted
+    p, emitted = swifttrap.analytic_work_optimal(1.0, 1.0, 2.0, swifttrap.PhysConsts(), n=501)
+    assert report["duration_closed_form"] == emitted.duration
+
+    def columns(name):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        return [list(col) for col in zip(*(row.split(",") for row in rows))]
+
+    def formatted(*arrays):
+        return [["%.12e" % x for x in a] for a in arrays]
+
+    assert columns("protocol_s.csv") == formatted(
+        p.s_nodes, p.kbar, emitted.kappa_nodes, emitted.t_nodes)
+    assert columns("protocol_t.csv")[:4] == formatted(
+        emitted.classical.t_nodes, emitted.s, emitted.classical.values,
+        emitted.quantum.values)
 
 
 def test_output_env_var(tmp_path, monkeypatch):

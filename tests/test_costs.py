@@ -29,8 +29,8 @@ from swifttrap.analog import _pinned_ends
 ROOT2 = np.sqrt(2.0)
 
 
-def _bundle_protocol(consts, lam=1.0, n=2001):
-    return analytic_work_optimal(lam, 1.0, 2.0, consts, n=n).s_protocol()
+def _work_optimal_protocol(consts, lam=1.0, n=2001):
+    return analytic_work_optimal(lam, 1.0, 2.0, consts, n=n)[0]
 
 
 def _closed_forms(c, lam=1.0):
@@ -52,14 +52,14 @@ def _closed_forms(c, lam=1.0):
 
 
 def test_work_closed_form_value(consts):
-    p = _bundle_protocol(consts)
+    p = _work_optimal_protocol(consts)
     _, _, w_exact = _closed_forms(consts)
     assert work_classical(p, consts) == pytest.approx(w_exact, abs=2e-8)
     assert w_exact == pytest.approx(-0.1394668091, abs=1e-9)
 
 
 def test_energy_and_phase_closed_forms(consts):
-    p = _bundle_protocol(consts)
+    p = _work_optimal_protocol(consts)
     f_e, f_a, _ = _closed_forms(consts)
     assert f_energy(p, consts) == pytest.approx(f_e, abs=5e-8)
     assert f_alpha(p, consts) == pytest.approx(f_a, abs=1e-8)
@@ -71,25 +71,25 @@ def test_work_excess_duration_tradeoff_invariant(consts):
     w_qs = -0.5 * consts.D * consts.gamma * np.log(2.0)
     products = []
     for lam in (0.25, 1.0, 4.0, 16.0):
-        b = analytic_work_optimal(lam, 1.0, 2.0, consts)
-        w = work_classical(b.s_protocol(), consts)
-        products.append((w - w_qs) * b.duration)
+        p, emitted = analytic_work_optimal(lam, 1.0, 2.0, consts)
+        w = work_classical(p, consts)
+        products.append((w - w_qs) * emitted.duration)
         assert abs(products[-1] - target) <= 1e-7
     # and the excess work itself decreases monotonically with lam
-    excesses = [p / analytic_work_optimal(lam, 1.0, 2.0, consts).duration
+    excesses = [p / analytic_work_optimal(lam, 1.0, 2.0, consts)[1].duration
                 for p, lam in zip(products, (0.25, 1.0, 4.0, 16.0))]
     assert excesses[0] > excesses[1] > excesses[2] > excesses[3] > 0.0
 
 
 def test_time_and_s_domain_work_agree(consts):
-    b = analytic_work_optimal(1.0, 1.0, 2.0, consts)
-    w_s = work_classical(b.s_protocol(), consts)
-    w_t = work_from_schedule(b.classical_time_protocol(), b.s_t)
+    p, emitted = analytic_work_optimal(1.0, 1.0, 2.0, consts)
+    w_s = work_classical(p, consts)
+    w_t = work_from_schedule(emitted.classical, emitted.s)
     assert abs(w_t - w_s) <= 1e-6
     with pytest.raises(ValueError):
-        work_from_schedule(b.quantum_time_protocol(), b.s_t)
+        work_from_schedule(emitted.quantum, emitted.s)
     with pytest.raises(ValueError):
-        work_from_schedule(b.classical_time_protocol(), b.s_t[:-1])
+        work_from_schedule(emitted.classical, emitted.s[:-1])
 
 
 def test_penalty_closed_form_and_direction_invariance(consts):

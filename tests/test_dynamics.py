@@ -377,19 +377,20 @@ def test_integrator_guards(consts):
 def test_work_bundle_satisfies_width_equation(consts):
     # along the minimum-work path sigma = sqrt(2 s) is linear in time, so
     # the width equation reduces to kappa sigma / m = 4 D^2 / sigma^3
-    b = analytic_work_optimal(1.0, 1.0, 2.0, consts)
-    sigma = np.sqrt(2.0 * b.s_t)
+    _, emitted = analytic_work_optimal(1.0, 1.0, 2.0, consts)
+    sigma = np.sqrt(2.0 * emitted.s)
     assert np.max(np.abs(np.diff(sigma, 2))) <= 1e-10
-    resid = b.kappa_t * sigma / consts.m - 4.0 * consts.D**2 / sigma**3
+    resid = emitted.quantum.values * sigma / consts.m - 4.0 * consts.D**2 / sigma**3
     assert np.max(np.abs(resid)) <= 1e-12
 
 
 def test_work_bundle_needs_matched_launch_velocity(consts):
     # the closed-form path starts with sdot = 2 sqrt(s_i / (gamma lam)) != 0;
     # integrating its stiffness from rest therefore misses the target
-    b = analytic_work_optimal(1.0, 1.0, 2.0, consts)
-    run = integrate_ermakov(b.quantum_time_protocol(), 1.0, consts)
-    assert np.max(np.abs(np.interp(b.t, run.t, run.s) - b.s_t)) > 0.1
+    _, emitted = analytic_work_optimal(1.0, 1.0, 2.0, consts)
+    run = integrate_ermakov(emitted.quantum, 1.0, consts)
+    t = emitted.classical.t_nodes
+    assert np.max(np.abs(np.interp(t, run.t, run.s) - emitted.s)) > 0.1
     assert abs(run.s[-1] - 2.0) > 1e-2
 
 

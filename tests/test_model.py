@@ -57,10 +57,10 @@ def test_alpha_of_matches_width_velocity(consts):
 def test_s_grid_protocol_orientation():
     s = np.linspace(1.0, 2.0, 11)
     p = SGridProtocol(s, np.ones(11))
-    assert p.orientation == "expansion" and p.direction == 1.0
+    assert p.direction == 1.0
     assert (p.s_start, p.s_end) == (1.0, 2.0)
     q = SGridProtocol(s[::-1], np.ones(11))
-    assert q.orientation == "compression" and q.direction == -1.0
+    assert q.direction == -1.0
 
 
 def test_s_grid_protocol_validation():

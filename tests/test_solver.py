@@ -10,8 +10,9 @@ from swifttrap import (
     ConvergenceError,
     OptimizationProblem,
     PhysConsts,
+    SGridProtocol,
     SingularManifoldError,
-    WorkOptimalBundle,
+    TimeDomainProtocols,
     analytic_work_optimal,
     LAGRANGIANS,
     duration,
@@ -21,6 +22,7 @@ from swifttrap import (
 
 from swifttrap import solver
 from swifttrap.solver import (
+    BvpResult,
     _DIRECT_SIZE,
     _STALL_WINDOW,
     _reduction_layout,
@@ -215,8 +217,7 @@ def test_solution_independent_of_relaxation(cache, consts, monkeypatch):
 
 
 def test_work_solution_approaches_closed_form(consts):
-    closed = analytic_work_optimal(1.0, 1.0, 2.0, consts)
-    target = closed.duration
+    target = analytic_work_optimal(1.0, 1.0, 2.0, consts)[1].duration
 
     def gap_to_closed(mu):
         res = solve_bvp(_prob("work", mu=mu), consts)
@@ -347,10 +348,40 @@ def test_outer_gap_is_root_of_rhs(cost, c):
 
 def test_outer_gap_of_work_is_closed_form(consts):
     for lam, s_f in ((0.5, 2.0), (10.0, 5.0), (1000.0, 20.0)):
-        closed = analytic_work_optimal(lam, 1.0, s_f, consts, n=101)
-        g = LAGRANGIANS["work"].outer_gap_inv4(closed.s, lam, consts) ** -0.25
-        kbar = (consts.D * consts.gamma - g) / closed.s
-        assert np.max(np.abs(kbar - closed.kbar_s)) <= 1e-14 * np.max(np.abs(closed.kbar_s))
+        closed, _ = analytic_work_optimal(lam, 1.0, s_f, consts, n=101)
+        g = LAGRANGIANS["work"].outer_gap_inv4(closed.s_nodes, lam, consts) ** -0.25
+        kbar = (consts.D * consts.gamma - g) / closed.s_nodes
+        assert np.max(np.abs(kbar - closed.kbar)) <= 1e-14 * np.max(np.abs(closed.kbar))
+
+
+def test_counts_are_read_from_the_trace():
+    # iterations is the number of records; each damping is 2^-k, k the
+    # halvings of that step, and rejections sums the k exactly
+    history = [(1.0, 0.5, 1.0), (0.5, 0.1, 0.25), (0.4, 1e-13, 2.0**-40)]
+    res = BvpResult(protocol=SGridProtocol(np.array([1.0, 1.5, 2.0]), np.ones(3)),
+                    residual=0.0, history=history)
+    assert (res.iterations, res.rejections, res.final_update) == (3, 42, 1e-13)
+    err = ConvergenceError("stalled", history=history + [(0.4, np.inf, 0.0)])
+    assert err.iterations == 4
+    assert ConvergenceError("no trace").iterations == 0
+
+
+def test_full_step_at_rounding_floor_is_taken(consts):
+    # at n = 8001 the weighted residual reaches its rounding floor while the
+    # full step (1.1e-10) still sits above _TOL; no step can then pass the
+    # decrease test, and halving it toward underflow would make this
+    # solvable problem raise.  The full step is taken, and the next one
+    # converges
+    prob = OptimizationProblem(cost="energy", lam=1.0, mu=0.1, s_i=1.0, s_f=2.0,
+                               n_grid=8001)
+    res = solve_bvp(prob, consts)
+    assert res.final_update < 1e-10
+    assert res.rejections == 0
+    # the residual did not fall over the step taken at the floor
+    assert res.history[-1][0] >= res.history[-2][0]
+    coarse = solve_bvp(dataclasses.replace(prob, n_grid=4001), consts)
+    assert duration(res.protocol, consts) == pytest.approx(
+        duration(coarse.protocol, consts), abs=1e-6)
 
 
 def test_history_traces_every_iteration(cache):
@@ -439,26 +470,27 @@ def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# closed-form minimum-work bundle
+# closed-form minimum-work schedule
 # ---------------------------------------------------------------------------
 
 def test_work_bundle_views_consistent(consts):
-    b = analytic_work_optimal(1.0, 1.0, 2.0, consts)
-    assert isinstance(b, WorkOptimalBundle)
-    p = b.s_protocol()
-    assert p.orientation == "expansion"
-    assert b.classical_time_protocol().kind == "classical"
-    assert b.quantum_time_protocol().kind == "quantum"
+    p, emitted = analytic_work_optimal(1.0, 1.0, 2.0, consts)
+    assert isinstance(p, SGridProtocol)
+    assert isinstance(emitted, TimeDomainProtocols)
+    assert p.direction == 1.0
+    assert emitted.classical.kind == "classical"
+    assert emitted.quantum.kind == "quantum"
     # t(s) and s(t) are inverse parametrizations of the same path
-    assert np.max(np.abs(np.interp(b.t, b.t_at_s, b.s) - b.s_t)) <= 1e-6
-    assert b.t_at_s[-1] == pytest.approx(b.duration, rel=1e-12)
+    t = emitted.classical.t_nodes
+    assert np.max(np.abs(np.interp(t, emitted.t_nodes, p.s_nodes) - emitted.s)) <= 1e-6
+    assert emitted.t_nodes[-1] == pytest.approx(emitted.duration, rel=1e-12)
 
 
 def test_work_bundle_compression_direction(consts):
-    b = analytic_work_optimal(1.0, 2.0, 1.0, consts)
-    assert b.s_protocol().orientation == "compression"
-    assert np.all(np.diff(b.s_t) < 0.0)
-    assert b.duration == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
+    p, emitted = analytic_work_optimal(1.0, 2.0, 1.0, consts)
+    assert p.direction == -1.0
+    assert np.all(np.diff(emitted.s) < 0.0)
+    assert emitted.duration == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
 
 
 def test_work_bundle_validation(consts):
