@@ -13,7 +13,6 @@ from .errors import (
     InfeasibleProtocolError,
     IntegrationError,
     SingularManifoldError,
-    SingularityTrapError,
 )
 from .model import (
     EnsembleStats,
@@ -88,7 +87,6 @@ __all__ = [
     "PhysConsts",
     "SGridProtocol",
     "SingularManifoldError",
-    "SingularityTrapError",
     "TimeDomainProtocols",
     "TimeProtocol",
     "TrajectoryRecord",

@@ -141,6 +141,8 @@ class Lagrangian:
 
     The closed forms the solver reads take lam and the constants c last:
 
+    * ell(s, kbar, gap, lam, c): lam ell, the running term the solver's
+      discrete objective sums over its control volumes;
     * dl(s, kbar, gap, lam, c): lam d(ell)/d(kbar);
     * d2l(s, kbar, gap, lam, c): lam d^2(ell)/d(kbar)^2;
     * outer_gap_inv4(s, lam, c): g_out^-4, g_out the gap at which
@@ -155,6 +157,7 @@ class Lagrangian:
       TrajectoryRecord, or None when there is none.
     """
 
+    ell: Callable
     dl: Callable
     d2l: Callable
     outer_gap_inv4: Callable
@@ -165,6 +168,9 @@ class Lagrangian:
 
 LAGRANGIANS = {
     "energy": Lagrangian(
+        ell=lambda s, kbar, g, lam, c: lam * (
+            g / s + (3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2) / (s * g)
+            - 2.0 * kbar) / c.gamma,
         dl=lambda s, kbar, g, lam, c: lam * (
             (3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2) / g**2
             - 2.0 * s * kbar / g - 3.0) / c.gamma,
@@ -177,6 +183,7 @@ LAGRANGIANS = {
         absorbed=lambda p, c, fe, fa: 4.0 * fe / c.m,
         from_run=f_energy_from_run),
     "phase": Lagrangian(
+        ell=lambda s, kbar, g, lam, c: c.m**2 * lam * g / (8.0 * c.gamma * c.hbar**2 * s**2),
         dl=lambda s, kbar, g, lam, c: -c.m**2 * lam / (8.0 * c.gamma * c.hbar**2 * s),
         d2l=lambda s, kbar, g, lam, c: 0.0,
         outer_gap_inv4=lambda s, lam, c: (
@@ -185,6 +192,7 @@ LAGRANGIANS = {
         absorbed=lambda p, c, fe, fa: fa,
         from_run=f_alpha_from_run),
     "work": Lagrangian(
+        ell=lambda s, kbar, g, lam, c: -lam * kbar,
         dl=lambda s, kbar, g, lam, c: -lam,
         d2l=lambda s, kbar, g, lam, c: 0.0,
         outer_gap_inv4=lambda s, lam, c: lam**2 / (c.gamma**2 * s**2),

@@ -21,13 +21,14 @@ class SingularManifoldError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver failed to reach tolerance.
+    """The boundary-value solve found no minimizer of its objective.
 
-    Carries the solve's full trace so callers can report how the solve
-    stalled.  history holds one (residual, step, damping) triple per
-    iteration, as BvpResult.history does; an iteration whose step was not
-    finite is recorded with damping 0.  iterations (the number of records)
-    and update_history (the steps of the last 50) are read from it.
+    solve_bvp raises it for an infeasible start, a non-finite Newton step,
+    a line search that halves below 1e-12, or the iteration cap.  history
+    holds one (residual, step, damping) triple per iteration, as
+    BvpResult.history does; a non-finite step is recorded with damping 0.
+    iterations (the number of records) and update_history (the steps of
+    the last 50) are read from it.
     """
 
     def __init__(self, message, history=None):
@@ -41,10 +42,6 @@ class ConvergenceError(RuntimeError):
     @property
     def update_history(self) -> list[float]:
         return [step for _, step, _ in self.history[-50:]]
-
-
-class SingularityTrapError(ConvergenceError):
-    """Damping underflowed while avoiding the singular manifold."""
 
 
 class IntegrationError(RuntimeError):

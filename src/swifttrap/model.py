@@ -159,6 +159,11 @@ class OptimizationProblem:
         if self.n_grid < 101:
             raise ValueError("n_grid must be at least 101")
 
+    @property
+    def direction(self) -> float:
+        """+1 for expansion (s_f > s_i), -1 for compression."""
+        return 1.0 if self.s_f > self.s_i else -1.0
+
 
 @dataclass
 class EnsembleStats:

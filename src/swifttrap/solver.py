@@ -3,24 +3,25 @@
 The duration/cost trade-off is posed on the variance axis: find kbar(s)
 between the equilibrium endpoint values kbar(s_i) = D*gamma/s_i and
 kbar(s_f) = D*gamma/s_f minimizing the integral of
-gamma/gap + lam ell(s, kbar) + mu (dkbar/ds)^2 over s, gap = D*gamma -
-s*kbar.  The first term integrates to twice the duration; ell is the
-cost's Lagrangian from swifttrap.costs.LAGRANGIANS, whose integral is the
-absorbed F that j_total reports (j_total counts the duration once).
-Stationarity (Gelfand & Fomin, Calculus of Variations, 1963) gives one
-second-order two-point boundary problem for every cost,
+gamma/gap + lam ell(s, kbar) from s_i to s_f plus mu (dkbar/ds)^2 over
+|ds|, gap = D*gamma - s*kbar.  The first term integrates to twice the
+duration; ell is the cost's Lagrangian from swifttrap.costs.LAGRANGIANS,
+whose integral is the absorbed F that j_total reports (j_total counts
+the duration once).  Stationarity (Gelfand & Fomin, Calculus of
+Variations, 1963) gives one second-order two-point boundary problem for
+every cost,
 
-    2 mu kbar'' = gamma s / gap^2 + lam d(ell)/d(kbar),
+    2 mu kbar'' = sgn (gamma s / gap^2 + lam d(ell)/d(kbar)),
 
-with
+sgn = sign(s_f - s_i), with
 
 * energy:  ell = (1/gamma) [gap/s + (3 D^2 gamma^2 - s^2 kbar^2)/(s gap)
                             - 2 kbar]
 * phase:   ell = m^2 gap / (8 gamma hbar^2 s^2)
 * work:    ell = -kbar
 
-el_rhs evaluates the right-hand side over 2 mu; the reported residuals
-are 2 mu (kbar'' - el_rhs), in the units of the equation above.
+el_rhs evaluates the right-hand side over 2 mu, sign included; reported
+residuals are 2 mu (kbar'' - el_rhs), in the units of the equation above.
 
 At an equilibrium-pinned end the equation has a regular singular point:
 the gap grows like C tau^(2/3), tau = |s - s_end|, followed by
@@ -33,18 +34,18 @@ flux and source are exact for kbar = a + b tau^(2/3); away from the ends
 this is the ordinary three-point scheme.  Durations then refine at
 second order.
 
-The discrete equations are solved by damped Newton, one path with no
-per-call options: steps that would cross the singular manifold
-D*gamma = s*kbar, or that do not lower the largest residual, are halved;
-once the residual sits at its rounding floor (_FLOOR_ULPS times
-eps max|kbar| / h^2) a feasible full step is taken as it is.
-Each iterate's interior gap D*gamma - s*kbar is formed once, and its
-feasibility, its residual and the Jacobian diagonal of the next step
-read that one array.  A full step below the module constant _TOL
-(1e-10) converges; the constant _MAX_ITER (50000) caps the iterations,
-but a solve whose residual stops falling raises within a few iterations
-instead of running to it; compressions (s_f < s_i) all end this way for
-now.  The initial iterate is built from the two leading balances of the
+The discrete equations are the stationarity conditions of one discrete
+objective, J_h = sum_j W_j (gamma/gap_j + lam ell_j) + mu sum_f |flux_f|
+(dK_f)^2, W_j the fitted control volumes (signed like ds) and flux_f the
+face coefficients: grad J_h = -2 mu |W| residual, and the |W|-scaled
+Newton matrix is J_h's Hessian.  solve_bvp is Newton's method on J_h
+with backtracking, stopped by the Newton decrement (Boyd & Vandenberghe,
+Convex Optimization, 2004, section 9.5), one path with no per-call
+options; the module constant _MAX_ITER (50000), read at call time, caps
+the iterations.  For phase and work J_h is strictly convex on the
+feasible set and rises to +inf at the manifold D*gamma = s*kbar, so each
+problem with mu > 0 has one discrete minimizer in either orientation.
+The initial iterate is built from the two leading balances of the
 right-hand side.  With kbar'' dropped, setting it to zero leaves the
 outer (mu -> 0) root g_out, which each Lagrangian gives in closed form:
 
@@ -64,7 +65,7 @@ steps.
 Each Newton step solves one tridiagonal system, by odd-even cyclic
 reduction in numpy (`_solve_tridiagonal`), so the runtime needs no scipy.
 The reduction does not pivot; that is safe on the Jacobians of feasible
-expansions, which are strictly diagonally dominant (see
+schedules, which are strictly diagonally dominant (see
 `_solve_tridiagonal`).
 
 What depends on the grid (s_i, s_f, n) alone is built once per grid and
@@ -92,7 +93,7 @@ import numpy as np
 
 from .analog import TimeDomainProtocols, _kappa
 from .costs import LAGRANGIANS
-from .errors import ConvergenceError, SingularityTrapError, SingularManifoldError
+from .errors import ConvergenceError, SingularManifoldError
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 
 __all__ = [
@@ -104,16 +105,19 @@ __all__ = [
 
 
 def _el_rhs(s, kbar, g, prob, c):
-    """(gamma s / g^2 + lam dell/dkbar) / (2 mu) for the gap g = D gamma - s kbar."""
+    """sgn (gamma s / g^2 + lam dell/dkbar) / (2 mu) for the gap g = D gamma - s kbar,
+    sgn = prob.direction."""
     dl = LAGRANGIANS[prob.cost].dl(s, kbar, g, prob.lam, c)
-    return (c.gamma * s / g**2 + dl) / (2.0 * prob.mu)
+    return prob.direction * (c.gamma * s / g**2 + dl) / (2.0 * prob.mu)
 
 
 def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
-    """kbar'' demanded by stationarity: (gamma s / gap^2 + lam dell/dkbar) / (2 mu).
+    """kbar'' demanded by stationarity: sgn (gamma s / gap^2 + lam dell/dkbar) / (2 mu).
 
-    ell is prob.cost's Lagrangian (swifttrap.costs.LAGRANGIANS).  Only
-    valid for mu > 0; the mu = 0 work optimum is analytic_work_optimal.
+    sgn = sign(s_f - s_i): the running terms integrate along the schedule,
+    the penalty over |ds|.  ell is prob.cost's Lagrangian
+    (swifttrap.costs.LAGRANGIANS).  Only valid for mu > 0; the mu = 0 work
+    optimum is analytic_work_optimal.
     """
     if prob.mu == 0.0:
         raise ValueError("mu = 0 has no smoothing term; the EL equation degenerates")
@@ -128,10 +132,12 @@ def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
 
 
 def _el_rhs_slope(s, kbar, g, prob, c):
-    """d(el_rhs)/d(kbar) pointwise at the gap g, the Newton Jacobian's
-    diagonal term: (2 gamma s^2 / g^3 + lam d^2(ell)/d(kbar)^2) / (2 mu)."""
+    """d(el_rhs)/d(kbar) at the gap g, the Newton Jacobian's diagonal term:
+    sgn (2 gamma s^2 / g^3 + lam d^2(ell)/d(kbar)^2) / (2 mu), with g^3 / sgn
+    formed as (sgn g)^3, since pow is about 30x slower on a negative base."""
+    sgn = prob.direction
     d2l = LAGRANGIANS[prob.cost].d2l(s, kbar, g, prob.lam, c)
-    return c.gamma * s**2 / (prob.mu * g**3) + d2l / (2.0 * prob.mu)
+    return c.gamma * s**2 / (prob.mu * (sgn * g)**3) + sgn * d2l / (2.0 * prob.mu)
 
 
 @dataclass
@@ -180,17 +186,8 @@ class BvpResult:
         return self.protocol.s_nodes
 
 
-# iterations over which damped Newton must at least halve the residual
-_STALL_WINDOW = 4
-
-# iteration cap, and the full Newton step below which a solve has converged
+# iteration cap
 _MAX_ITER = 50000
-_TOL = 1e-10
-
-# weighted residual, in units of its rounding floor eps max|kbar| / h^2 (h
-# the mean node spacing), at or below which a feasible full step is taken
-# without demanding a decrease
-_FLOOR_ULPS = 4.0
 
 # width of the end regions in which the node map grades like tau ~ xi^3
 _LAYER_WIDTH = 0.05
@@ -232,9 +229,10 @@ def _fitted_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the control-volume integral of the right-hand side is
     f[j] (phi'(s[j+1/2]) - phi'(s[j-1/2])) / phi''(s[j]); both are exact
     for a + b phi, and for cells small against tau they reduce to the
-    ordinary three-point scheme.  Dividing by the control-volume weight
-    gives the pointwise form kbar''[j] ~ upper[j] (K[j+1] - K[j])
-    - lower[j] (K[j] - K[j-1]) at the interior nodes; returns (lower, upper).
+    ordinary three-point scheme.  Returns the control volumes at the
+    interior nodes, signed like ds, and the faces' |flux| coefficients;
+    lower, upper = flux[:-1], flux[1:] over |weight| give the pointwise
+    form kbar''[j] ~ upper[j] (K[j+1] - K[j]) - lower[j] (K[j] - K[j-1]).
     """
     s_i, s_f = s[0], s[-1]
     faces = 0.5 * (s[:-1] + s[1:])
@@ -254,7 +252,7 @@ def _fitted_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tau = np.abs(s[1:-1] - end_n)
     weight = (dphi(faces[1:], end_n) - dphi(faces[:-1], end_n)) / (
         -(2.0 / 9.0) * tau ** (-4.0 / 3.0))
-    return flux[:-1] / weight, flux[1:] / weight
+    return weight, np.abs(flux)
 
 
 # largest system that cyclic reduction hands over to a Thomas sweep
@@ -299,10 +297,11 @@ def _solve_tridiagonal(layout, diag, rhs):
     Neither stage pivots.  Both are stable on strictly row diagonally
     dominant systems, and a reduced system inherits the dominance of the
     one it came from.  The Newton Jacobians of solve_bvp are dominant on
-    feasible expansions: their off-diagonals lower, upper > 0 and their
-    diagonal is -(lower + upper) - df/dkbar, f the EL right-hand side, and
-    df/dkbar = (2 gamma s^2 / gap^3 + lam ell'') / (2 mu).  The phase and
-    work Lagrangians are linear in kbar, so df/dkbar > 0 whenever gap > 0.
+    feasible schedules: their off-diagonals lower, upper > 0 and their
+    diagonal is -(lower + upper) - df/dkbar, f = sgn (gamma s / gap^2
+    + lam ell') / (2 mu) the EL right-hand side, and df/dkbar =
+    sgn (2 gamma s^2 / gap^3 + lam ell'') / (2 mu).  The phase and work
+    Lagrangians are linear in kbar, so df/dkbar > 0 whenever sgn gap > 0.
     For the energy cost df/dkbar has no fixed sign; its dominance is
     measured, and the test suite asserts it on every Jacobian of the
     reference solves.
@@ -349,6 +348,8 @@ class _SolverGrid(NamedTuple):
     """Everything solve_bvp needs that depends on (s_i, s_f, n) alone."""
 
     s: np.ndarray             # graded nodes
+    weight: np.ndarray        # signed control volumes at the interior nodes
+    flux: np.ndarray          # |flux coefficient| at each face
     lower: np.ndarray         # fitted stencil at the interior nodes
     upper: np.ndarray
     stencil_diag: np.ndarray  # -lower - upper
@@ -369,7 +370,9 @@ def _solver_grid(s_i: float, s_f: float, n: int) -> _SolverGrid:
     them once.  Every array is read-only, since each caller shares them.
     """
     s = _graded_nodes(s_i, s_f, n)
-    lower, upper = _fitted_stencil(s)
+    weight, flux = _fitted_stencil(s)
+    volume = np.abs(weight)
+    lower, upper = flux[:-1] / volume, flux[1:] / volume
     s_int = s[1:-1]
     # row j weighted by ds[j-1] ds[j] / h^2, h the mean spacing: the
     # equation in the uniform grid coordinate, whose rounding floor is
@@ -377,7 +380,8 @@ def _solver_grid(s_i: float, s_f: float, n: int) -> _SolverGrid:
     h = (s_f - s_i) / (n - 1)
     ds = np.diff(s)
     grid = _SolverGrid(
-        s=s, lower=lower, upper=upper, stencil_diag=-lower - upper,
+        s=s, weight=weight, flux=flux, lower=lower, upper=upper,
+        stencil_diag=-lower - upper,
         row_weight=ds[:-1] * ds[1:] / h**2,
         tau=np.minimum(np.abs(s_int - s_i), np.abs(s_int - s_f)),
         layout=_reduction_layout(lower, upper))
@@ -401,20 +405,15 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     so lam = 0 gives gap = L.  Each Newton step is one _solve_tridiagonal
     call.
 
-    Iteration is damped Newton on the discrete equations: a step is halved
-    until it stays feasible and lowers the largest weighted residual (the
-    one BvpResult.residual reports; no decrease is demanded once the step
-    is below _TOL, or of a full step once that residual is at most
-    _FLOOR_ULPS eps max|kbar| / h^2, h the mean node spacing, where
-    rounding sets it).  Convergence is declared on a full step smaller than
-    _TOL.  Each iterate's interior gap D gamma - s kbar is formed once;
-    its feasibility, its residual and the next step's Jacobian diagonal
-    all read that array.
-
-    Raises ConvergenceError when _MAX_ITER iterations are reached or the
-    residual fails to halve over _STALL_WINDOW iterations, and
-    SingularityTrapError when that stall (or a damping underflow) came
-    with steps backed off the singular manifold.
+    Iteration is Newton's method on J_h (module docstring).  A step is
+    halved until it stays feasible and J_h(new) <= J_h + 1e-4 r
+    grad J_h . delta + 8 eps |J_h|, r the damping; once the decrement
+    |grad J_h . delta| is at most 8 eps |J_h|, the feasible full step is
+    taken and the solve stops.  Each iterate's gap is formed once; its
+    feasibility, J_h, residual and next Jacobian diagonal read that array.
+    Raises ConvergenceError, with the trace, when the start is infeasible,
+    a step is not finite, the line search halves below 1e-12, or
+    _MAX_ITER iterations are reached.
     """
     if prob.mu == 0.0:
         raise ValueError("mu = 0 is only solvable for the work cost, in closed form; "
@@ -423,7 +422,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     n = prob.n_grid
     grid = _solver_grid(prob.s_i, prob.s_f, n)
     s, lower, upper, tau = grid.s, grid.lower, grid.upper, grid.tau
-    sgn = 1.0 if prob.s_f > prob.s_i else -1.0
+    sgn = prob.direction
     Dg = c.D * c.gamma
 
     s_int = s[1:-1]
@@ -448,76 +447,67 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
         dk = np.diff(k)
         return upper * dk[1:] - lower * dk[:-1] - _el_rhs(s_int, k[1:-1], g, prob, c)
 
-    def merit(r):
-        return float(np.max(np.abs(grid.row_weight * r)))
+    def objective(k, g):
+        # J_h; pairwise sums keep its rounding near eps |J_h|
+        running = c.gamma / g + lagrangian.ell(s_int, k[1:-1], g, prob.lam, c)
+        return float(np.sum(grid.weight * running)
+                     + prob.mu * np.sum(grid.flux * np.diff(k) ** 2))
+
+    def weighted_max(r):
+        return 2.0 * prob.mu * float(np.max(np.abs(grid.row_weight * r)))
 
     g = gap(kbar)
     if not feasible(g):
-        raise SingularityTrapError("initial iterate is infeasible")
+        raise ConvergenceError("initial iterate is infeasible")
 
-    h = (prob.s_f - prob.s_i) / (n - 1)
-    floor_per_kbar = _FLOOR_ULPS * np.finfo(float).eps / h**2
+    volume = sgn * grid.weight  # |weight|: grad J_h = -2 mu volume residual
     history: list[tuple[float, float, float]] = []
     resid = residual(kbar, g)
-    norms = [merit(resid)]
-    trapped_at = -1           # history index of the last step backed off the manifold
+    j = objective(kbar, g)
     while True:
         if len(history) >= _MAX_ITER:
             raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations "
-                                   f"(last update {history[-1][1]:.3e}, tol {_TOL:.1e})",
-                                   history=history)
+                                   f"(last update {history[-1][1]:.3e})", history=history)
+        norm = weighted_max(resid)
         diag = grid.stencil_diag - _el_rhs_slope(s_int, kbar[1:-1], g, prob, c)
         delta = _solve_tridiagonal(grid.layout, diag, -resid)
         step = float(np.max(np.abs(delta)))
         if not np.isfinite(step):
             # recorded with damping 0: the step was not taken
-            history.append((2.0 * prob.mu * norms[-1], step, 0.0))
+            history.append((norm, step, 0.0))
             raise ConvergenceError("Newton step blew up", history=history)
-        cand = kbar.copy()
-        cand[1:-1] += delta
-        cand_g = gap(cand)
-        if step < _TOL and feasible(cand_g):
-            # converged: the residual sits at its rounding floor, so no
-            # decrease is demanded of this last step
-            kbar, g = cand, cand_g
-            history.append((2.0 * prob.mu * norms[-1], step, 1.0))
-            break
-        # at the rounding floor no step can be relied on to lower the
-        # residual, so a feasible full step is taken as it is
-        at_floor = norms[-1] <= floor_per_kbar * np.max(np.abs(kbar))
+        # Newton decrement -grad J_h . delta
+        decrement = 2.0 * prob.mu * float(np.sum(volume * resid * delta))
+        slack = 8.0 * np.finfo(float).eps * abs(j)
+        # a full step that cannot lower J_h by more than its rounding is
+        # the last one, taken as it is when feasible
+        last = abs(decrement) <= slack
         r = 1.0
         while True:
-            if feasible(cand_g):
-                cand_resid = residual(cand, cand_g)
-                cand_norm = merit(cand_resid)
-                if cand_norm < (1.0 - 1.0e-4 * r) * norms[-1] or (r == 1.0 and at_floor):
-                    break
-            else:
-                trapped_at = len(history)
-            r *= 0.5
-            if r < 1e-12:
-                break
             cand = kbar.copy()
             cand[1:-1] += r * delta
             cand_g = gap(cand)
-        history.append((2.0 * prob.mu * norms[-1], r * step, r))
-        it = len(history)
-        if r < 1e-12 or (it > _STALL_WINDOW
-                         and cand_norm > 0.5 * norms[-_STALL_WINDOW]):
-            # from inside its basin Newton cuts the residual by about half
-            # per step or better; anything slower is not converging
-            err = (SingularityTrapError if trapped_at >= it - _STALL_WINDOW
-                   else ConvergenceError)
-            what = ("against the singular manifold" if err is SingularityTrapError
-                    else "without lowering the residual")
-            raise err(f"damped Newton stalled {what} "
-                      f"(residual {norms[-1]:.3e} after {it} iterations)", history=history)
+            if feasible(cand_g):
+                if last:
+                    break
+                cand_j = objective(cand, cand_g)
+                if cand_j <= j - 1.0e-4 * r * decrement + slack:
+                    break
+            last = False
+            r *= 0.5
+            if r < 1e-12:
+                history.append((norm, r * step, r))
+                raise ConvergenceError(f"line search cannot lower J_h (decrement "
+                                       f"{decrement:.3e} after {len(history)} iterations)",
+                                       history=history)
+        history.append((norm, r * step, r))
         kbar, g = cand, cand_g
-        resid = cand_resid
-        norms.append(cand_norm)
+        resid = residual(kbar, g)
+        if last:
+            break
+        j = cand_j
 
-    residual_max = 2.0 * prob.mu * merit(residual(kbar, g))
-    return BvpResult(protocol=SGridProtocol(s.copy(), kbar), residual=residual_max,
+    return BvpResult(protocol=SGridProtocol(s.copy(), kbar), residual=weighted_max(resid),
                      history=history)
 
 

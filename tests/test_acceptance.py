@@ -169,6 +169,15 @@ def test_wavepacket_round_trip_lands(cache):
         assert err_sdot <= 1e-3, f"{cost} mu={mu}: |sdot(T)| = {err_sdot:.2e}"
 
 
+@pytest.mark.parametrize("cost", ["energy", "phase", "work"])
+def test_compression_round_trip_lands(cache, cost):
+    # 2 -> 1 lands as the expansions do: |s(T) - 1| and |sdot(T)| measured
+    # at 2.4e-6 to 3.9e-6, the level of the 1 -> 2 twins
+    run = cache.ermakov(cost, 0.5, s_i=2.0, s_f=1.0)
+    assert abs(float(run.s[-1]) - 1.0) <= 1e-5
+    assert abs(float(run.sdot[-1])) <= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # 5. second verifier: stochastic ensemble obeys the Born statistics
 # ---------------------------------------------------------------------------

@@ -128,9 +128,10 @@ def test_verify_flags_lagging_protocol(tmp_path, consts):
     assert verdict["passed"] is False
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    # compressions cannot be synthesized yet: the solver stalls against the
-    # singular manifold (move this to a truly unsolvable input once they can)
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # the real solver fails: this compression needs 5 iterations, and the
+    # cap, read at call time, allows 2
+    monkeypatch.setattr(solver, "_MAX_ITER", 2)
     rc = main(["optimize", "--cost", "energy", "--lambda", "10", "--mu", "0.001",
                "--si", "2", "--sf", "1", "--grid", "501",
                "--out", str(tmp_path)])
@@ -142,6 +143,21 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert len(report["history"]) == report["iterations"]
     assert [rec["step"] for rec in report["history"]][-len(report["update_history"]):] \
         == report["update_history"]
+
+
+def test_compression_is_synthesized_and_verified(tmp_path):
+    # a compression solves, emits and lands: verify passes on both routes
+    assert main(["optimize", "--cost", "energy", "--lambda", "1", "--mu", "0.1",
+                 "--si", "2", "--sf", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["iterations"] <= 6 and report["rejections"] == 0
+    out2 = tmp_path / "verify"
+    rc = main(["verify", "--protocol", str(tmp_path / "protocol_t.csv"),
+               "--method", "both", "--particles", "20000", "--seed", "3",
+               "--out", str(out2)])
+    verdict = json.loads((out2 / "verify.json").read_text())
+    assert rc == 0 and verdict["passed"] is True
+    assert verdict["ermakov"]["passed"] is True
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -273,8 +289,9 @@ def test_artifacts_identical_cold_warm_and_cleared(tmp_path, capsys):
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_sweep_all_failures_exit_three(tmp_path, capsys):
-    # every solve of a compression fails today (see test_solver_failure_exit_code)
+def test_sweep_all_failures_exit_three(tmp_path, capsys, monkeypatch):
+    # every solve fails at an iteration cap of 2 (see test_solver_failure_exit_code)
+    monkeypatch.setattr(solver, "_MAX_ITER", 2)
     rc = main(["sweep", "--cost", "energy", "--lambda", "10",
                "--mu-range", "0.0008:0.001:2", "--si", "2", "--sf", "1",
                "--grid", "501", "--out", str(tmp_path)])

@@ -9,6 +9,7 @@ from swifttrap import (
     CostReport,
     Lagrangian,
     OptimizationProblem,
+    PhysConsts,
     SGridProtocol,
     analytic_work_optimal,
     duration,
@@ -159,6 +160,35 @@ def test_solutions_are_local_minima(cache, cost):
     _assert_local_minimum(cache.bvp(cost, 0.5).protocol, prob, cache.c)
 
 
+@pytest.mark.parametrize("cost", ["energy", "phase", "work"])
+def test_compressions_are_local_minima(cache, cost):
+    # the running terms integrate along the schedule, the penalty over |ds|:
+    # a solved 2 -> 1 compression is a minimum of the same combination
+    prob = OptimizationProblem(cost=cost, lam=1.0, mu=0.5, s_i=2.0, s_f=1.0)
+    _assert_local_minimum(cache.bvp(cost, 0.5, s_i=2.0, s_f=1.0).protocol, prob, cache.c)
+
+
+@pytest.mark.parametrize("c", [PhysConsts(), PhysConsts(hbar=2.0, m=0.25, gamma=3.0)],
+                         ids=["paper", "custom"])
+@pytest.mark.parametrize("cost", ["energy", "phase", "work"])
+def test_ell_is_an_antiderivative_of_dl(cost, c):
+    # the solver's objective sums ell and its equations read dl: a central
+    # difference of ell in kbar, at fixed s and on both sides of the
+    # singular manifold, reproduces dl
+    entry = LAGRANGIANS[cost]
+    s = np.linspace(1.0, 5.0, 9)[:, None]
+    gap = c.D * c.gamma * np.array([-0.5, -0.1, -0.01, 0.01, 0.1, 0.5, 0.9])
+    s, kbar = np.broadcast_arrays(s, (c.D * c.gamma - gap) / s)
+    h = 1e-6 * np.abs(gap) / s
+
+    def ell(k):
+        return entry.ell(s, k, c.D * c.gamma - s * k, 1.7, c)
+
+    central = (ell(kbar + h) - ell(kbar - h)) / (2.0 * h)
+    want = entry.dl(s, kbar, gap, 1.7, c)
+    assert np.all(np.abs(central - want) <= 1e-7 * np.abs(want))
+
+
 def test_a_cost_lives_only_in_its_table_entry(consts, monkeypatch):
     # a cost added to LAGRANGIANS alone is validated, solved and reported:
     # energy + phase, every entry the sum of the two
@@ -168,7 +198,7 @@ def test_a_cost_lives_only_in_its_table_entry(consts, monkeypatch):
         return lambda *args: getattr(energy, field)(*args) + getattr(phase, field)(*args)
 
     summed = Lagrangian(**{field: both(field) for field in
-                           ("dl", "d2l", "outer_gap_inv4", "pole", "absorbed")},
+                           ("ell", "dl", "d2l", "outer_gap_inv4", "pole", "absorbed")},
                         from_run=None)
     monkeypatch.setitem(LAGRANGIANS, "energy+phase", summed)
     prob = OptimizationProblem(cost="energy+phase", lam=1.0, mu=0.5, s_i=1.0, s_f=2.0)
