@@ -342,26 +342,25 @@ def _duration_cells(p: SGridProtocol, c: PhysConsts, *weights) -> np.ndarray:
     return _fitted_cells(p.s_nodes, w, g, *_pinned_ends(g))
 
 
-def _energy_weight(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
-    """Weight w of f_energy's middle term w / gap: (3 D^2 gamma^2 - s^2 kbar^2) / s."""
-    s = p.s_nodes
-    return (3.0 * c.D**2 * c.gamma**2 - s**2 * p.kbar**2) / s
+def _energy_a(s, c: PhysConsts):
+    """2 D^2 gamma / s: the excess energy's coefficient a(s) of 1 / gap."""
+    return 2.0 * c.D**2 * c.gamma / s
 
 
 def _schedule_cells(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
-    """The duration cells and f_energy's middle-term cells of p, kept on p.
+    """The duration cells and the excess energy's a-cells of p, kept on p.
 
-    Rows: the fitted cells of gamma / gap and of _energy_weight / gap.
-    The time table of an emission and j_total read the same schedule, so
-    the cells of its last pass are kept on the schedule, keyed on its
-    nodes, its stiffness and the constants (a schedule changed in place
-    gets a new pass), and the pair makes one _duration_cells pass.  Each
-    row is bitwise the cells of its weight alone.  The array is read-only.
+    Rows: the fitted cells of gamma / gap and of _energy_a / gap.  The
+    time table of an emission and j_total read the same schedule, so the
+    cells of its last pass are kept on the schedule, keyed on its nodes,
+    its stiffness and the constants (a schedule changed in place gets a
+    new pass), and the pair makes one _duration_cells pass.  Each row is
+    bitwise the cells of its weight alone.  The array is read-only.
     """
     key = (p.s_nodes.tobytes(), p.kbar.tobytes(), c)
     if p._cells is not None and p._cells[0] == key:
         return p._cells[1]
-    cells = _duration_cells(p, c, _energy_weight(p, c))
+    cells = _duration_cells(p, c, _energy_a(p.s_nodes, c))
     cells.flags.writeable = False
     p._cells = (key, cells)
     return cells

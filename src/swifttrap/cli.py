@@ -178,6 +178,9 @@ def _read_protocol(path: str) -> dict[str, np.ndarray]:
     if not lines:
         raise ProtocolParseError(f"{path}: line 1: empty file")
     header = [h.strip() for h in lines[0].split(",")]
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ProtocolParseError(f"{path}: line 1: duplicate column {name!r}")
     for name in _REQUIRED_COLUMNS:
         if name not in header:
             raise ProtocolParseError(f"{path}: line 1: missing column {name!r}")
@@ -277,6 +280,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     c = _consts_from_args(args)
     outdir = _resolve_outdir(args)
     cols = _read_protocol(args.protocol)
@@ -488,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     cmp_ = sub.add_parser("compare", help="optimal family vs duration-matched baselines")
-    _add_problem(cmp_, tuple(k for k, ell in LAGRANGIANS.items() if ell.from_run))
+    _add_problem(cmp_, tuple(k for k, lag in LAGRANGIANS.items() if lag.from_run))
     cmp_.add_argument("--mu-list", dest="mu_list", required=True,
                       help="comma-separated mu values")
     _add_common(cmp_)

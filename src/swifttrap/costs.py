@@ -1,33 +1,36 @@
 """Cost functionals of s-parametrized schedules and their time-domain twins.
 
 All integrals run from s_i to s_f along the protocol's own node order, so
-expansions and compressions come out with the same signs.  The excess-
-energy integrand inherits the duration integrand's endpoint divergence on
-equilibrium-pinned schedules and reuses the same fitted cells.
+expansions and compressions come out with the same signs.
 
-Raw functionals (with their physical prefactors):
+Every cost shares one Lagrangian form: LAGRANGIANS maps each cost to the
+coefficients of its running term
 
-* f_energy: (m/(4 gamma)) * integral of [gap/s
-      + (3 D^2 gamma^2 - s^2 kbar^2)/(s*gap) + 2 s kbar'] ds
-* f_alpha:  (m^2/(8 gamma hbar^2)) * integral of gap/s^2 ds
-* g_penalty: integral of (dkbar/ds)^2 over |ds| (orientation-free)
-* work_classical: -(1/2) integral kbar ds + (1/2)(s_f kbar_f - s_i kbar_i)
+    lam ell = lam (a(s) / gap + b(s) + k(s) kbar),   gap = D gamma - s kbar,
 
-LAGRANGIANS holds one Lagrangian per cost: the running term lam * ell(s,
-kbar) of the objective, whose integral is the *absorbed* F, with the
-closed forms the solver needs.  In the Euler-Lagrange equation (see
-swifttrap.solver)
+which the solver's equations and start, and j_total's F, are built from
+(see swifttrap.solver for the Euler-Lagrange equation):
 
-    2 mu kbar'' = gamma s / gap^2 + lam d(ell)/d(kbar),
+    cost     a(s)              b(s)                    k(s)
+    energy   2 D^2 gamma / s   2 D / s                 -2 / gamma
+    phase    0                 m^2 D / (8 hbar^2 s^2)  -m^2 / (8 gamma hbar^2 s)
+    work     0                 0                       -1
 
-* energy: ell = (1/gamma) [gap/s + (3 D^2 gamma^2 - s^2 kbar^2)/(s gap)
-                           - 2 kbar],
-          F = (4/m) f_energy (its 2 s kbar' integrated by parts);
-* phase:  ell = m^2 gap / (8 gamma hbar^2 s^2), F = f_alpha as is;
-* work:   ell = -kbar, F = -integral kbar ds.
+F = integral of ell ds: the a / gap term takes the fitted cells the
+duration shares (it has the duration integrand's endpoint divergence on
+equilibrium-pinned schedules), the rest a trapezoid.  The raw functionals
+are F times a prefactor plus a boundary term:
 
-j_total combines duration + lam * F + mu * G; CostReport carries both raw
-and absorbed values.  A cost is added by adding its entry to LAGRANGIANS:
+* f_energy = (m/4) (F_energy + (2/gamma) [s kbar]), the excess energy
+  (m/(4 gamma)) integral of [gap/s + (3 D^2 gamma^2 - s^2 kbar^2)/(s gap)
+  + 2 s kbar'] ds, its 2 s kbar' integrated by parts;
+* f_alpha = F_phase, the accumulated phase curvature;
+* work_classical = (1/2) (F_work + [s kbar]), the mean work;
+* g_penalty = integral of (dkbar/ds)^2 over |ds| (orientation-free).
+
+[s kbar] = s_f kbar_f - s_i kbar_i, zero on pinned schedules.  j_total
+combines duration + lam * F + mu * G; CostReport carries the raw
+functionals and F.  A cost is added by adding its entry to LAGRANGIANS:
 problem validation, the solver, j_total and the CLI read the table.
 """
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import _schedule_cells, flow_gap
+from .analog import _duration_cells, _energy_a, _schedule_cells
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 from .dynamics import TrajectoryRecord
 
@@ -61,38 +64,48 @@ def _trapz(y, x):
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
 
 
-def _f_energy(p: SGridProtocol, c: PhysConsts, cells: np.ndarray) -> float:
-    """f_energy from the fitted cells of its middle term."""
+def _integral(lag, p: SGridProtocol, c: PhysConsts) -> float:
+    """F = integral of ell = a/gap + b + k kbar over s, for the Lagrangian lag.
+
+    The b + k kbar part is a trapezoid.  The excess energy's a / gap cells
+    are the schedule's shared row (_schedule_cells); any other nonzero a
+    makes a pass of its own.
+    """
     s = p.s_nodes
-    kbar = p.kbar
-    g = flow_gap(p, c)
-    i1 = _trapz(g / s, s)
-    i2 = float(np.sum(cells))
-    boundary = 2.0 * (s[-1] * kbar[-1] - s[0] * kbar[0]) - 2.0 * _trapz(kbar, s)
-    return (c.m / (4.0 * c.gamma)) * (i1 + i2 + boundary)
+    f = _trapz(lag.b(s, c) + lag.k(s, c) * p.kbar, s)
+    if lag.a is _energy_a:
+        return f + float(np.sum(_schedule_cells(p, c)[1]))
+    a = lag.a(s, c)
+    if np.any(a):
+        f += float(np.sum(_duration_cells(p, c, np.broadcast_to(a, s.shape))[1]))
+    return f
+
+
+def _boundary(p: SGridProtocol) -> float:
+    """[s kbar] = s_f kbar_f - s_i kbar_i, zero on pinned schedules."""
+    return float(p.s_nodes[-1] * p.kbar[-1] - p.s_nodes[0] * p.kbar[0])
 
 
 def f_energy(p: SGridProtocol, c: PhysConsts) -> float:
-    """Excess-energy cost of a schedule (raw, prefactor m/(4 gamma)).
+    """Excess-energy cost of a schedule: (m/4) (F_energy + (2/gamma) [s kbar]).
 
-    The derivative term 2 s kbar' is integrated by parts to
-    2 (s_f kbar_f - s_i kbar_i) - 2 integral kbar ds, so no numerical
-    differentiation of kbar enters; the middle term shares the duration
-    integrand's endpoint handling and its cell pass (_schedule_cells), so a
-    schedule that stalls inside raises InfeasibleProtocolError, as
-    duration does.
+    The derivative term 2 s kbar' of the raw integrand is integrated by
+    parts, so no numerical differentiation of kbar enters; the a / gap
+    term shares the duration integrand's endpoint handling and its cell
+    pass (_schedule_cells), so a schedule that stalls inside raises
+    InfeasibleProtocolError, as duration does.
     """
-    return _f_energy(p, c, _schedule_cells(p, c)[1])
+    f = _integral(LAGRANGIANS["energy"], p, c)
+    return (c.m / 4.0) * (f + (2.0 / c.gamma) * _boundary(p))
 
 
 def f_alpha(p: SGridProtocol, c: PhysConsts) -> float:
-    """Accumulated-phase-curvature cost (raw, prefactor m^2/(8 gamma hbar^2)).
+    """Accumulated-phase-curvature cost, (m^2/(8 gamma hbar^2)) integral gap/s^2 ds.
 
-    The integrand gap/s^2 vanishes at equilibrium-pinned endpoints, so a
+    The integrand vanishes at equilibrium-pinned endpoints, so F_phase's
     plain trapezoid is enough.
     """
-    g = flow_gap(p, c)
-    return (c.m**2 / (8.0 * c.gamma * c.hbar**2)) * _trapz(g / p.s_nodes**2, p.s_nodes)
+    return _integral(LAGRANGIANS["phase"], p, c)
 
 
 def g_penalty(p: SGridProtocol, c: PhysConsts) -> float:
@@ -104,14 +117,13 @@ def g_penalty(p: SGridProtocol, c: PhysConsts) -> float:
 def work_classical(p: SGridProtocol, c: PhysConsts) -> float:
     """Mean work done on the overdamped bead along the schedule.
 
-    -(1/2) integral kbar ds + (1/2)(s_f kbar_f - s_i kbar_i); the boundary
-    term uses the protocol's own endpoint values.  (For schedules whose
-    endpoints jump away from equilibrium, adding the up-front and final
-    equilibration jump works cancels the boundary term, leaving
-    -(1/2) integral kbar ds.)
+    (1/2) (F_work + [s kbar]) = -(1/2) integral kbar ds
+    + (1/2)(s_f kbar_f - s_i kbar_i); the boundary term uses the
+    protocol's own endpoint values.  (For schedules whose endpoints jump
+    away from equilibrium, adding the up-front and final equilibration
+    jump works cancels the boundary term, leaving -(1/2) integral kbar ds.)
     """
-    s, kbar = p.s_nodes, p.kbar
-    return -0.5 * _trapz(kbar, s) + 0.5 * (s[-1] * kbar[-1] - s[0] * kbar[0])
+    return 0.5 * (_integral(LAGRANGIANS["work"], p, c) + _boundary(p))
 
 
 def work_from_schedule(kbar_t: TimeProtocol, s_t: np.ndarray) -> float:
@@ -137,74 +149,47 @@ def f_alpha_from_run(run: TrajectoryRecord) -> float:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """One cost's running term lam * ell(s, kbar), in closed form.
+    """One cost's running term lam (a(s)/gap + b(s) + k(s) kbar).
 
-    The closed forms the solver reads take lam and the constants c last:
-
-    * ell(s, kbar, gap, lam, c): lam ell, the running term the solver's
-      discrete objective sums over its control volumes;
-    * dl(s, kbar, gap, lam, c): lam d(ell)/d(kbar);
-    * d2l(s, kbar, gap, lam, c): lam d^2(ell)/d(kbar)^2;
-    * outer_gap_inv4(s, lam, c): g_out^-4, g_out the gap at which
-      gamma s / gap^2 + dl vanishes, written with lam in the numerator so
-      that lam = 0 (no outer root) gives 0 rather than 1/0;
-    * pole(lam, c): the coefficient of 1/gap^2 in dl on the equilibrium
-      branch s kbar = D gamma, which adds to the duration term's gamma s
-      in the end layers;
-    * absorbed(p, c, f_energy, f_alpha): F, the integral of ell, given the
-      raw functionals j_total has already evaluated on p;
-    * from_run(run): the time-domain twin of F's raw functional on a
-      TrajectoryRecord, or None when there is none.
+    a, b and k take (s, c) and may return scalars; a(s) >= 0 keeps the
+    solver's objective strictly convex.  from_run(run) is the time-domain
+    twin of the cost's raw functional on a TrajectoryRecord, or None when
+    there is none.
     """
 
-    ell: Callable
-    dl: Callable
-    d2l: Callable
-    outer_gap_inv4: Callable
-    pole: Callable
-    absorbed: Callable
+    a: Callable
+    b: Callable
+    k: Callable
     from_run: Callable | None
 
 
 LAGRANGIANS = {
     "energy": Lagrangian(
-        ell=lambda s, kbar, g, lam, c: lam * (
-            g / s + (3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2) / (s * g)
-            - 2.0 * kbar) / c.gamma,
-        dl=lambda s, kbar, g, lam, c: lam * (
-            (3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2) / g**2
-            - 2.0 * s * kbar / g - 3.0) / c.gamma,
-        d2l=lambda s, kbar, g, lam, c: 2.0 * lam * s * (
-            (3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2) / g
-            - s * kbar - c.D * c.gamma) / (c.gamma * g**2),
-        outer_gap_inv4=lambda s, lam, c: (
-            (2.0 * lam) ** 2 / (c.gamma**4 * (s + 2.0 * c.D**2 * lam) ** 2)),
-        pole=lambda lam, c: 2.0 * c.D**2 * c.gamma * lam,
-        absorbed=lambda p, c, fe, fa: 4.0 * fe / c.m,
+        a=_energy_a,
+        b=lambda s, c: 2.0 * c.D / s,
+        k=lambda s, c: -2.0 / c.gamma,
         from_run=f_energy_from_run),
     "phase": Lagrangian(
-        ell=lambda s, kbar, g, lam, c: c.m**2 * lam * g / (8.0 * c.gamma * c.hbar**2 * s**2),
-        dl=lambda s, kbar, g, lam, c: -c.m**2 * lam / (8.0 * c.gamma * c.hbar**2 * s),
-        d2l=lambda s, kbar, g, lam, c: 0.0,
-        outer_gap_inv4=lambda s, lam, c: (
-            c.m**4 * lam**2 / (64.0 * c.gamma**4 * c.hbar**4 * s**4)),
-        pole=lambda lam, c: 0.0,
-        absorbed=lambda p, c, fe, fa: fa,
+        a=lambda s, c: 0.0,
+        b=lambda s, c: c.m**2 * c.D / (8.0 * c.hbar**2 * s**2),
+        k=lambda s, c: -c.m**2 / (8.0 * c.gamma * c.hbar**2 * s),
         from_run=f_alpha_from_run),
     "work": Lagrangian(
-        ell=lambda s, kbar, g, lam, c: -lam * kbar,
-        dl=lambda s, kbar, g, lam, c: -lam,
-        d2l=lambda s, kbar, g, lam, c: 0.0,
-        outer_gap_inv4=lambda s, lam, c: lam**2 / (c.gamma**2 * s**2),
-        pole=lambda lam, c: 0.0,
-        absorbed=lambda p, c, fe, fa: -_trapz(p.kbar, p.s_nodes),
+        a=lambda s, c: 0.0,
+        b=lambda s, c: 0.0,
+        k=lambda s, c: -1.0,
         from_run=None),
 }
 
 
 @dataclass
 class CostReport:
-    """Every functional of one schedule, plus the combined objective."""
+    """Every functional of one schedule, plus the combined objective.
+
+    f_absorbed is F = integral of ell ds for the report's cost, the F of
+    j_total; f_energy keeps the boundary term of its integration by parts,
+    so for the energy cost f_absorbed = 4 f_energy / m on pinned schedules.
+    """
 
     cost: str
     lam: float
@@ -221,20 +206,16 @@ class CostReport:
 def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostReport:
     """Evaluate duration, all raw functionals, and J = duration + lam*F + mu*G.
 
-    F is the absorbed form of prob.cost's Lagrangian (see module
-    docstring); with lam = mu = 0 the objective is the bare duration.  The
-    duration and f_energy read the cells of one pass, the one the
+    F is the integral of prob.cost's Lagrangian (see module docstring);
+    with lam = mu = 0 the objective is the bare duration.  The duration
+    and the excess energy's a-cells come from one pass, the one the
     schedule's time table made if it was just emitted (_schedule_cells),
-    each bitwise equal to its own function's.
+    so each field is bitwise its own function's.
     """
-    dur_cells, energy_cells = _schedule_cells(p, c)
-    dur = float(0.5 * np.sum(dur_cells))
-    fe = _f_energy(p, c, energy_cells)
-    fa = f_alpha(p, c)
+    dur = float(0.5 * np.sum(_schedule_cells(p, c)[0]))
     g = g_penalty(p, c)
-    w = work_classical(p, c)
-    f_abs = LAGRANGIANS[prob.cost].absorbed(p, c, fe, fa)
-    j = dur + prob.lam * f_abs + prob.mu * g
+    f_abs = _integral(LAGRANGIANS[prob.cost], p, c)
     return CostReport(cost=prob.cost, lam=prob.lam, mu=prob.mu, duration=dur,
-                      f_energy=fe, f_alpha=fa, g_penalty=g, work=w,
-                      f_absorbed=f_abs, j_total=j)
+                      f_energy=f_energy(p, c), f_alpha=f_alpha(p, c), g_penalty=g,
+                      work=work_classical(p, c), f_absorbed=f_abs,
+                      j_total=dur + prob.lam * f_abs + prob.mu * g)

@@ -5,23 +5,22 @@ between the equilibrium endpoint values kbar(s_i) = D*gamma/s_i and
 kbar(s_f) = D*gamma/s_f minimizing the integral of
 gamma/gap + lam ell(s, kbar) from s_i to s_f plus mu (dkbar/ds)^2 over
 |ds|, gap = D*gamma - s*kbar.  The first term integrates to twice the
-duration; ell is the cost's Lagrangian from swifttrap.costs.LAGRANGIANS,
-whose integral is the absorbed F that j_total reports (j_total counts
-the duration once).  Stationarity (Gelfand & Fomin, Calculus of
-Variations, 1963) gives one second-order two-point boundary problem for
-every cost,
+duration; ell = a(s)/gap + b(s) + k(s) kbar is the cost's Lagrangian,
+its coefficients given by swifttrap.costs.LAGRANGIANS, and its integral
+is the F that j_total reports (j_total counts the duration once).  The
+running term is then P/(s gap) + R + Q kbar with
 
-    2 mu kbar'' = sgn (gamma s / gap^2 + lam d(ell)/d(kbar)),
+    P = (gamma + lam a) s,   Q = lam k,   R = lam b,
 
-sgn = sign(s_f - s_i), with
+all three functions of s alone, and stationarity (Gelfand & Fomin,
+Calculus of Variations, 1963) gives one second-order two-point boundary
+problem for every cost,
 
-* energy:  ell = (1/gamma) [gap/s + (3 D^2 gamma^2 - s^2 kbar^2)/(s gap)
-                            - 2 kbar]
-* phase:   ell = m^2 gap / (8 gamma hbar^2 s^2)
-* work:    ell = -kbar
+    2 mu kbar'' = sgn (P / gap^2 + Q),
 
-el_rhs evaluates the right-hand side over 2 mu, sign included; reported
-residuals are 2 mu (kbar'' - el_rhs), in the units of the equation above.
+sgn = sign(s_f - s_i).  el_rhs evaluates the right-hand side over 2 mu,
+sign included; reported residuals are 2 mu (kbar'' - el_rhs), in the
+units of the equation above.
 
 At an equilibrium-pinned end the equation has a regular singular point:
 the gap grows like C tau^(2/3), tau = |s - s_end|, followed by
@@ -35,32 +34,26 @@ this is the ordinary three-point scheme.  Durations then refine at
 second order.
 
 The discrete equations are the stationarity conditions of one discrete
-objective, J_h = sum_j W_j (gamma/gap_j + lam ell_j) + mu sum_f |flux_f|
-(dK_f)^2, W_j the fitted control volumes (signed like ds) and flux_f the
-face coefficients: grad J_h = -2 mu |W| residual, and the |W|-scaled
+objective, J_h = sum_j W_j (P_j/(s_j gap_j) + R_j + Q_j K_j) + mu sum_f
+|flux_f| (dK_f)^2, W_j the fitted control volumes (signed like ds) and
+flux_f the face coefficients: grad J_h = -2 mu |W| residual, and the |W|-scaled
 Newton matrix is J_h's Hessian.  solve_bvp is Newton's method on J_h
 with backtracking, stopped by the Newton decrement (Boyd & Vandenberghe,
 Convex Optimization, 2004, section 9.5), one path with no per-call
 options; the module constant _MAX_ITER (50000), read at call time, caps
-the iterations.  For phase and work J_h is strictly convex on the
-feasible set and rises to +inf at the manifold D*gamma = s*kbar, so each
-problem with mu > 0 has one discrete minimizer in either orientation.
-The initial iterate is built from the two leading balances of the
-right-hand side.  With kbar'' dropped, setting it to zero leaves the
-outer (mu -> 0) root g_out, which each Lagrangian gives in closed form:
-
-* energy:  g_out = gamma sqrt(s / (2 lam) + D^2)
-* phase:   g_out = 2 sqrt(2) gamma hbar s / (m sqrt(lam))
-* work:    g_out = sqrt(gamma s / lam), the Schmiedl-Seifert optimum
-           that analytic_work_optimal returns.
-
-At a pinned end the gap vanishes and the A / gap^2 terms of the
-right-hand side, A = (gamma s + P) / (2 mu) with P the Lagrangian's pole
-coefficient (2 D^2 gamma lam for energy, 0 for phase and work), balance
-kbar'' alone, so gap ~ C tau^(2/3) with C^3 = (9/2) s A.  The start
-blends the two, and Newton runs in its quadratic basin from the first
-steps instead of repairing the layers or the interior level with damped
-steps.
+the iterations.  Every cost has a(s) >= 0, so P > 0 and the running term's
+second kbar-derivative 2 P s / gap^3 has the sign of the orientation on
+the feasible set: J_h is strictly convex there and rises to +inf at the
+manifold D*gamma = s*kbar, so each problem with mu > 0 has one discrete
+minimizer in either orientation.  The initial iterate (_start) is built
+from the two leading balances of the right-hand side.  With kbar''
+dropped, setting it to zero leaves the outer (mu -> 0) root g_out, with
+g_out^-4 = (Q / P)^2; for work that is g_out = sqrt(gamma s / lam), the
+Schmiedl-Seifert optimum that analytic_work_optimal returns.  At a pinned
+end the gap vanishes and P / (2 mu gap^2) balances kbar'' alone, so
+gap ~ C tau^(2/3) with C^3 = (9/2) s P / (2 mu).  The start blends the
+two, and Newton runs in its quadratic basin from the first steps instead
+of repairing the layers or the interior level with damped steps.
 
 Each Newton step solves one tridiagonal system, by odd-even cyclic
 reduction in numpy (`_solve_tridiagonal`), so the runtime needs no scipy.
@@ -104,20 +97,25 @@ __all__ = [
 ]
 
 
-def _el_rhs(s, kbar, g, prob, c):
-    """sgn (gamma s / g^2 + lam dell/dkbar) / (2 mu) for the gap g = D gamma - s kbar,
-    sgn = prob.direction."""
-    dl = LAGRANGIANS[prob.cost].dl(s, kbar, g, prob.lam, c)
-    return prob.direction * (c.gamma * s / g**2 + dl) / (2.0 * prob.mu)
+def _coefficients(s, prob: OptimizationProblem, c: PhysConsts):
+    """P = (gamma + lam a) s, Q = lam k and R = lam b of prob.cost at s."""
+    lag = LAGRANGIANS[prob.cost]
+    return ((c.gamma + prob.lam * lag.a(s, c)) * s, prob.lam * lag.k(s, c),
+            prob.lam * lag.b(s, c))
+
+
+def _el_rhs(P, Q, g, prob):
+    """sgn (P / g^2 + Q) / (2 mu) at the gap g, sgn = prob.direction."""
+    return prob.direction * (P / g**2 + Q) / (2.0 * prob.mu)
 
 
 def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
-    """kbar'' demanded by stationarity: sgn (gamma s / gap^2 + lam dell/dkbar) / (2 mu).
+    """kbar'' demanded by stationarity: sgn (P / gap^2 + Q) / (2 mu).
 
     sgn = sign(s_f - s_i): the running terms integrate along the schedule,
-    the penalty over |ds|.  ell is prob.cost's Lagrangian
-    (swifttrap.costs.LAGRANGIANS).  Only valid for mu > 0; the mu = 0 work
-    optimum is analytic_work_optimal.
+    the penalty over |ds|.  P = (gamma + lam a) s and Q = lam k come from
+    prob.cost's Lagrangian (swifttrap.costs.LAGRANGIANS).  Only valid for
+    mu > 0; the mu = 0 work optimum is analytic_work_optimal.
     """
     if prob.mu == 0.0:
         raise ValueError("mu = 0 has no smoothing term; the EL equation degenerates")
@@ -127,17 +125,39 @@ def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
     if np.any(g == 0.0):
         raise SingularManifoldError(
             "evaluation on the singular manifold D*gamma = s*kbar")
-    out = _el_rhs(s, kbar, g, prob, c)
+    P, Q, _ = _coefficients(s, prob, c)
+    out = _el_rhs(P, Q, g, prob)
     return float(out) if out.ndim == 0 else out
 
 
-def _el_rhs_slope(s, kbar, g, prob, c):
+def _el_rhs_slope(P, s, g, prob):
     """d(el_rhs)/d(kbar) at the gap g, the Newton Jacobian's diagonal term:
-    sgn (2 gamma s^2 / g^3 + lam d^2(ell)/d(kbar)^2) / (2 mu), with g^3 / sgn
+    P s / (mu (sgn g)^3), positive on feasible schedules; g^3 / sgn is
     formed as (sgn g)^3, since pow is about 30x slower on a negative base."""
-    sgn = prob.direction
-    d2l = LAGRANGIANS[prob.cost].d2l(s, kbar, g, prob.lam, c)
-    return c.gamma * s**2 / (prob.mu * (sgn * g)**3) + sgn * d2l / (2.0 * prob.mu)
+    return P * s / (prob.mu * (prob.direction * g) ** 3)
+
+
+def _running(P, Q, R, s, kbar, g):
+    """The running term gamma/gap + lam ell = P / (s gap) + R + Q kbar."""
+    return P / (s * g) + R + Q * kbar
+
+
+def _start(grid, P, Q, prob, c):
+    """The initial iterate: gap (L^-4 + B^-4)^(-1/4) at the interior nodes.
+
+    L = C tau^(2/3) is the end layer, where kbar'' balances P / (2 mu gap^2)
+    alone, so C^3 = (9/2) s P / (2 mu); B is the outer root of
+    P / gap^2 + Q, B^-4 = (Q / P)^2, formed directly so that lam = 0
+    (Q = 0) gives gap = L.
+    """
+    s_int = grid.s[1:-1]
+    layer = np.cbrt(4.5 * s_int * P / (2.0 * prob.mu) * grid.tau**2)
+    gap0 = (layer**-4 + (Q / P) ** 2) ** -0.25
+    Dg = c.D * c.gamma
+    kbar = np.empty(grid.s.size)
+    kbar[0], kbar[-1] = Dg / prob.s_i, Dg / prob.s_f
+    kbar[1:-1] = (Dg - prob.direction * gap0) / s_int
+    return kbar
 
 
 @dataclass
@@ -298,13 +318,9 @@ def _solve_tridiagonal(layout, diag, rhs):
     dominant systems, and a reduced system inherits the dominance of the
     one it came from.  The Newton Jacobians of solve_bvp are dominant on
     feasible schedules: their off-diagonals lower, upper > 0 and their
-    diagonal is -(lower + upper) - df/dkbar, f = sgn (gamma s / gap^2
-    + lam ell') / (2 mu) the EL right-hand side, and df/dkbar =
-    sgn (2 gamma s^2 / gap^3 + lam ell'') / (2 mu).  The phase and work
-    Lagrangians are linear in kbar, so df/dkbar > 0 whenever sgn gap > 0.
-    For the energy cost df/dkbar has no fixed sign; its dominance is
-    measured, and the test suite asserts it on every Jacobian of the
-    reference solves.
+    diagonal is -(lower + upper) - df/dkbar, f = sgn (P / gap^2 + Q) / (2 mu)
+    the EL right-hand side, and df/dkbar = P s / (mu (sgn gap)^3) > 0
+    whenever sgn gap > 0, since every cost has P > 0.
     """
     A, C, levels = layout
     n = np.size(rhs)
@@ -396,13 +412,9 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     prob.n_grid nodes from s_i to s_f, graded toward both ends by
     _graded_nodes; boundary values are pinned to the equilibrium stiffness
     at both ends, and the equation is discretized by _fitted_stencil.  The
-    initial iterate sits on the correct side of the singular manifold with
-    gap = (L^-4 + B^-4)^(-1/4) at the interior nodes, both from leading
-    balances of the right-hand side (see the module docstring):
-    L = C tau^(2/3) is the end layer, tau the distance to the nearer end,
-    with C^3 = 9 s (gamma s + P) / (4 mu), P the Lagrangian's pole
-    coefficient; B = g_out is its outer root.  B^-4 is formed directly,
-    so lam = 0 gives gap = L.  Each Newton step is one _solve_tridiagonal
+    Lagrangian's coefficients P, Q and R depend on s alone and are formed
+    once; _start builds the initial iterate from them, on the correct side
+    of the singular manifold.  Each Newton step is one _solve_tridiagonal
     call.
 
     Iteration is Newton's method on J_h (module docstring).  A step is
@@ -418,23 +430,14 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     if prob.mu == 0.0:
         raise ValueError("mu = 0 is only solvable for the work cost, in closed form; "
                          "use analytic_work_optimal")
-    lagrangian = LAGRANGIANS[prob.cost]
-    n = prob.n_grid
-    grid = _solver_grid(prob.s_i, prob.s_f, n)
-    s, lower, upper, tau = grid.s, grid.lower, grid.upper, grid.tau
+    grid = _solver_grid(prob.s_i, prob.s_f, prob.n_grid)
+    s, lower, upper = grid.s, grid.lower, grid.upper
     sgn = prob.direction
     Dg = c.D * c.gamma
-
     s_int = s[1:-1]
-    # layer: kbar'' balances the A / gap^2 term of the right-hand side
-    # alone; bulk: the right-hand side vanishes (kbar'' = 0)
-    a = (c.gamma * s_int + lagrangian.pole(prob.lam, c)) / (2.0 * prob.mu)
-    layer = np.cbrt(4.5 * s_int * a * tau**2)
-    bulk_inv4 = lagrangian.outer_gap_inv4(s_int, prob.lam, c)
-    gap0 = (layer**-4 + bulk_inv4) ** -0.25
-    kbar = np.empty(n)
-    kbar[0], kbar[-1] = Dg / prob.s_i, Dg / prob.s_f
-    kbar[1:-1] = (Dg - sgn * gap0) / s_int
+    # the Lagrangian's coefficients depend on s alone
+    P, Q, R = _coefficients(s_int, prob, c)
+    kbar = _start(grid, P, Q, prob, c)
 
     def gap(k):
         return Dg - s_int * k[1:-1]
@@ -445,12 +448,11 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     def residual(k, g):
         # difference-of-differences form: no O(|K|) cancellation
         dk = np.diff(k)
-        return upper * dk[1:] - lower * dk[:-1] - _el_rhs(s_int, k[1:-1], g, prob, c)
+        return upper * dk[1:] - lower * dk[:-1] - _el_rhs(P, Q, g, prob)
 
     def objective(k, g):
         # J_h; pairwise sums keep its rounding near eps |J_h|
-        running = c.gamma / g + lagrangian.ell(s_int, k[1:-1], g, prob.lam, c)
-        return float(np.sum(grid.weight * running)
+        return float(np.sum(grid.weight * _running(P, Q, R, s_int, k[1:-1], g))
                      + prob.mu * np.sum(grid.flux * np.diff(k) ** 2))
 
     def weighted_max(r):
@@ -469,7 +471,7 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
             raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations "
                                    f"(last update {history[-1][1]:.3e})", history=history)
         norm = weighted_max(resid)
-        diag = grid.stencil_diag - _el_rhs_slope(s_int, kbar[1:-1], g, prob, c)
+        diag = grid.stencil_diag - _el_rhs_slope(P, s_int, g, prob)
         delta = _solve_tridiagonal(grid.layout, diag, -resid)
         step = float(np.max(np.abs(delta)))
         if not np.isfinite(step):

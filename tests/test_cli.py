@@ -204,6 +204,9 @@ def test_custom_units_accepted(tmp_path):
     ("t,s,kbar,kappa\n0,1,1,0.5\n2,2,0.5,0.125\n", "at least 3"),
     ("t,s,kbar,kappa\n0,1,1,.5\n2,2,.5,.2\n1,1.5,.8,.3\n", "not strictly increasing"),
     ("t,s,kbar,kappa\n0,1,1,.5\n1,-2,.5,.2\n2,1.5,.8,.3\n", "must be positive"),
+    # a repeated name would interleave two columns into one
+    ("t,s,kbar,kappa,t\n0,1,1,.5,0\n1,1.5,.8,.3,1\n2,2,.5,.2,2\n",
+     "line 1: duplicate column 't'"),
     # blank lines are skipped, but the message names the row's own line
     ("t,s,kbar,kappa\n0,1,1,.5\n\n\n1,1.5,.8,.3\n0.5,1.2,.9,.4\n2,2,.5,.2\n",
      "line 6: time column not strictly increasing"),
@@ -215,6 +218,15 @@ def test_protocol_parse_errors_exit_five(tmp_path, capsys, content, fragment):
                "--out", str(tmp_path)])
     assert rc == 5
     assert fragment in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "ramp.csv"
+    path.write_text("t,s,kbar,kappa\n0,1,1,.5\n1,1.5,.8,.3\n2,2,.5,.2\n")
+    rc = main(["verify", "--protocol", str(path), "--method", "nelson",
+               "--seed", "-1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_missing_protocol_file_exit_five(tmp_path, capsys):

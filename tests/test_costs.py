@@ -168,45 +168,84 @@ def test_compressions_are_local_minima(cache, cost):
     _assert_local_minimum(cache.bvp(cost, 0.5, s_i=2.0, s_f=1.0).protocol, prob, cache.c)
 
 
-@pytest.mark.parametrize("c", [PhysConsts(), PhysConsts(hbar=2.0, m=0.25, gamma=3.0)],
-                         ids=["paper", "custom"])
-@pytest.mark.parametrize("cost", ["energy", "phase", "work"])
-def test_ell_is_an_antiderivative_of_dl(cost, c):
-    # the solver's objective sums ell and its equations read dl: a central
-    # difference of ell in kbar, at fixed s and on both sides of the
-    # singular manifold, reproduces dl
-    entry = LAGRANGIANS[cost]
+_CONSTS = [PhysConsts(), PhysConsts(hbar=2.0, m=0.25, gamma=3.0)]
+
+
+def _derived(entry, s, kbar, c):
+    """ell, d(ell)/d(kbar) and d^2(ell)/d(kbar)^2 from an entry's a, b, k."""
+    a, b, k = entry.a(s, c), entry.b(s, c), entry.k(s, c)
+    gap = c.D * c.gamma - s * kbar
+    return a / gap + b + k * kbar, a * s / gap**2 + k, 2.0 * a * s**2 / gap**3
+
+
+def _points(c):
+    """Nodes on both sides of the singular manifold, as (s, kbar, gap)."""
     s = np.linspace(1.0, 5.0, 9)[:, None]
     gap = c.D * c.gamma * np.array([-0.5, -0.1, -0.01, 0.01, 0.1, 0.5, 0.9])
     s, kbar = np.broadcast_arrays(s, (c.D * c.gamma - gap) / s)
+    return s, kbar, c.D * c.gamma - s * kbar
+
+
+@pytest.mark.parametrize("c", _CONSTS, ids=["paper", "custom"])
+def test_energy_coefficients_reproduce_the_printed_lagrangian(c):
+    # a = 2 D^2 gamma / s, b = 2 D / s, k = -2 / gamma: the printed ell and
+    # its second derivative to 1e-14; the printed first derivative cancels
+    # to about 1e-11, so dl is held to its reduced form
+    # (2 D^2 gamma^2 / gap^2 - 2) / gamma
+    s, kbar, gap = _points(c)
+    ell, dl, d2l = _derived(LAGRANGIANS["energy"], s, kbar, c)
+    w = 3.0 * c.D**2 * c.gamma**2 - s**2 * kbar**2
+    printed_ell = (gap / s + w / (s * gap) - 2.0 * kbar) / c.gamma
+    printed_d2l = 2.0 * s * (w / gap - s * kbar - c.D * c.gamma) / (c.gamma * gap**2)
+    reduced_dl = (2.0 * c.D**2 * c.gamma**2 / gap**2 - 2.0) / c.gamma
+    for got, want in ((ell, printed_ell), (d2l, printed_d2l), (dl, reduced_dl)):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("c", _CONSTS, ids=["paper", "custom"])
+@pytest.mark.parametrize("cost", ["energy", "phase", "work"])
+def test_ell_is_an_antiderivative_of_dl(cost, c):
+    # central differences in kbar, at fixed s and on both sides of the
+    # singular manifold: of ell reproduce dl, and of dl reproduce d2l
+    entry = LAGRANGIANS[cost]
+    s, kbar, gap = _points(c)
     h = 1e-6 * np.abs(gap) / s
-
-    def ell(k):
-        return entry.ell(s, k, c.D * c.gamma - s * k, 1.7, c)
-
-    central = (ell(kbar + h) - ell(kbar - h)) / (2.0 * h)
-    want = entry.dl(s, kbar, gap, 1.7, c)
-    assert np.all(np.abs(central - want) <= 1e-7 * np.abs(want))
+    up, down = _derived(entry, s, kbar + h, c), _derived(entry, s, kbar - h, c)
+    _, dl, d2l = _derived(entry, s, kbar, c)
+    for j, want in ((0, dl), (1, d2l)):
+        central = (up[j] - down[j]) / (2.0 * h)
+        assert np.all(np.abs(central - want) <= 1e-7 * np.abs(want))
 
 
 def test_a_cost_lives_only_in_its_table_entry(consts, monkeypatch):
     # a cost added to LAGRANGIANS alone is validated, solved and reported:
-    # energy + phase, every entry the sum of the two
+    # energy + phase, each coefficient the sum of the two
     energy, phase = LAGRANGIANS["energy"], LAGRANGIANS["phase"]
 
     def both(field):
-        return lambda *args: getattr(energy, field)(*args) + getattr(phase, field)(*args)
+        return lambda s, c: getattr(energy, field)(s, c) + getattr(phase, field)(s, c)
 
-    summed = Lagrangian(**{field: both(field) for field in
-                           ("ell", "dl", "d2l", "outer_gap_inv4", "pole", "absorbed")},
+    summed = Lagrangian(**{field: both(field) for field in ("a", "b", "k")},
                         from_run=None)
     monkeypatch.setitem(LAGRANGIANS, "energy+phase", summed)
     prob = OptimizationProblem(cost="energy+phase", lam=1.0, mu=0.5, s_i=1.0, s_f=2.0)
     res = solve_bvp(prob, consts)
     assert res.iterations <= 10
     rep = j_total(res.protocol, prob, consts)
-    assert rep.f_absorbed == 4.0 * rep.f_energy / consts.m + rep.f_alpha
+    assert rep.f_absorbed == pytest.approx(4.0 * rep.f_energy / consts.m + rep.f_alpha,
+                                           rel=1e-14)
     _assert_local_minimum(res.protocol, prob, consts)
+
+
+def test_f_energy_refines_at_second_order(consts):
+    # the a / gap term on the fitted cells and the rest on a trapezoid:
+    # each doubling of the grid shrinks the change of f_energy by 3x or
+    # more (energy lam=1 mu=0.01 1 -> 5)
+    values = [f_energy(solve_bvp(OptimizationProblem("energy", 1.0, 0.01, 1.0, 5.0, n),
+                                 consts).protocol, consts)
+              for n in (2001, 4001, 8001, 16001)]
+    steps = np.abs(np.diff(values))
+    assert np.all(steps[1:] * 3.0 <= steps[:-1]), steps
 
 
 def test_emission_and_j_total_make_one_cell_pass(consts, monkeypatch):
@@ -249,6 +288,7 @@ def test_j_total_shares_one_cell_pass_to_the_bit(consts, pinned):
     p = SGridProtocol(s, (1.0 - gap) / s)
     assert _pinned_ends(flow_gap(p, consts)) == {
         "both": (True, True), "start": (True, False), "neither": (False, False)}[pinned]
+    boundary = float(s[-1] * p.kbar[-1] - s[0] * p.kbar[0])
     for cost in ("energy", "phase", "work"):
         prob = OptimizationProblem(cost=cost, lam=2.0, mu=0.1, s_i=1.0, s_f=2.0)
         report = j_total(p, prob, consts)
@@ -257,7 +297,13 @@ def test_j_total_shares_one_cell_pass_to_the_bit(consts, pinned):
         assert report.f_alpha == f_alpha(p, consts)
         assert report.g_penalty == g_penalty(p, consts)
         assert report.work == work_classical(p, consts)
-        f_abs = {"energy": 4.0 * report.f_energy / consts.m, "phase": report.f_alpha,
-                 "work": -np.sum(0.5 * (p.kbar[1:] + p.kbar[:-1]) * np.diff(s))}[cost]
-        assert report.f_absorbed == f_abs
+        # each raw functional is its cost's F times a prefactor plus a
+        # boundary term, formed in the same order
+        f_abs = report.f_absorbed
+        raw = {"energy": (consts.m / 4.0) * (f_abs + (2.0 / consts.gamma) * boundary),
+               "phase": f_abs, "work": 0.5 * (f_abs + boundary)}[cost]
+        assert raw == {"energy": report.f_energy, "phase": report.f_alpha,
+                       "work": report.work}[cost]
+        if cost == "work":
+            assert f_abs == -np.sum(0.5 * (p.kbar[1:] + p.kbar[:-1]) * np.diff(s))
         assert report.j_total == report.duration + 2.0 * f_abs + 0.1 * report.g_penalty

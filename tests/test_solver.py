@@ -99,7 +99,7 @@ def _printed_rhs_slope(cost, s, kbar, prob, c):
 @pytest.mark.parametrize("c", [PhysConsts(), _CUSTOM_CONSTS], ids=["paper", "custom"])
 @pytest.mark.parametrize("cost", ["energy", "phase", "work"])
 def test_table_reproduces_printed_equations(cost, c):
-    # el_rhs and the Newton slope, formed from the Lagrangian table, agree
+    # el_rhs and the Newton slope, formed from the table's coefficients, agree
     # with the hand-written per-cost equations to 4 ulp of their terms
     s = np.linspace(1.0, 5.0, 9)[:, None]
     gap = c.D * c.gamma * np.array([1e-3, 0.01, 0.1, 0.5, 0.9, 1.5])
@@ -111,7 +111,8 @@ def test_table_reproduces_printed_equations(cost, c):
             want, scale = _printed_rhs_terms(cost, s, kbar, prob, c)
             assert np.all(np.abs(el_rhs(s, kbar, prob, c) - want) <= 4.0 * eps * scale)
             want, scale = _printed_rhs_slope(cost, s, kbar, prob, c)
-            got = solver._el_rhs_slope(s, kbar, c.D * c.gamma - s * kbar, prob, c)
+            P, _, _ = solver._coefficients(s, prob, c)
+            got = solver._el_rhs_slope(P, s, c.D * c.gamma - s * kbar, prob)
             assert np.all(np.abs(got - want) <= 4.0 * eps * scale), (lam, mu)
 
 
@@ -206,10 +207,11 @@ def test_solution_independent_of_relaxation(cache, consts, monkeypatch):
     # the converged schedule does not depend on the iteration path: a
     # different starting iterate, with the outer root scaled by 0.15,
     # takes different steps and reaches the same kbar
+    # (B^-4 = (Q / P)^2, so Q scaled by 0.15^-2)
     baseline = cache.bvp("phase", 0.5)
-    phase = LAGRANGIANS["phase"]
-    monkeypatch.setitem(LAGRANGIANS, "phase", dataclasses.replace(
-        phase, outer_gap_inv4=lambda s, lam, c: phase.outer_gap_inv4(s, lam, c) / 0.15**4))
+    start = solver._start
+    monkeypatch.setattr(solver, "_start", lambda grid, P, Q, prob, c: start(
+        grid, P, Q / 0.15**2, prob, c))
     redone = solve_bvp(_prob("phase", mu=0.5), consts)
     assert redone.history != baseline.history
     assert np.max(np.abs(redone.kbar - baseline.kbar)) <= 1e-8
@@ -253,12 +255,13 @@ def test_divergent_problem_raises(consts, monkeypatch):
 
 
 def test_line_search_failure_raises_with_its_trace(consts, monkeypatch):
-    # an objective that disagrees with the equations Newton solves: its ell
-    # is negated against its dl, so the Newton step does not lower it and
-    # the line search halves below 1e-12 and gives up
-    work = LAGRANGIANS["work"]
-    monkeypatch.setitem(LAGRANGIANS, "work", dataclasses.replace(
-        work, ell=lambda s, kbar, g, lam, c: -work.ell(s, kbar, g, lam, c)))
+    # an objective that disagrees with the equations Newton solves: its
+    # running term carries -Q kbar where the equations carry Q, so the
+    # Newton step does not lower it and the line search halves below 1e-12
+    # and gives up (a table entry alone cannot disagree with itself)
+    running = solver._running
+    monkeypatch.setattr(solver, "_running", lambda P, Q, R, s, kbar, g: running(
+        P, -Q, R, s, kbar, g))
     prob = OptimizationProblem(cost="work", lam=10.0, mu=0.1, s_i=1.0, s_f=2.0, n_grid=501)
     with pytest.raises(ConvergenceError, match="line search") as exc:
         solve_bvp(prob, consts)
@@ -309,7 +312,7 @@ def test_reported_residual_is_that_of_public_el_rhs():
 
 
 def test_residual_is_the_gradient_of_the_discrete_objective(consts):
-    # J_h = sum W (gamma/gap + lam ell) + mu sum |flux| dK^2 over the grid's
+    # J_h = sum W (P/(s gap) + R + Q kbar) + mu sum |flux| dK^2 over the grid's
     # signed volumes W and face coefficients |flux| has the analytic
     # gradient -2 mu |W| residual, in both orientations: a central
     # difference of J_h at nodes near the ends and inside agrees, on a
@@ -317,13 +320,14 @@ def test_residual_is_the_gradient_of_the_discrete_objective(consts):
     for s_i, s_f in ((1.0, 2.0), (2.0, 1.0)):
         grid = _solver_grid(s_i, s_f, 501)
         s = grid.s
-        for cost, entry in LAGRANGIANS.items():
+        for cost in LAGRANGIANS:
             prob = OptimizationProblem(cost=cost, lam=1.0, mu=0.1, s_i=s_i, s_f=s_f,
                                        n_grid=501)
+            P, Q, R = solver._coefficients(s[1:-1], prob, consts)
 
             def objective(k):
                 g = consts.D * consts.gamma - s[1:-1] * k[1:-1]
-                running = consts.gamma / g + entry.ell(s[1:-1], k[1:-1], g, prob.lam, consts)
+                running = solver._running(P, Q, R, s[1:-1], k[1:-1], g)
                 return (np.sum(grid.weight * running)
                         + prob.mu * np.sum(grid.flux * np.diff(k) ** 2))
 
@@ -389,22 +393,29 @@ def test_start_converges_in_other_units(cost, c):
                          ids=["paper", "custom"])
 @pytest.mark.parametrize("cost", ["energy", "phase", "work"])
 def test_outer_gap_is_root_of_rhs(cost, c):
+    # the start's outer root, g_out^-4 = (Q / P)^2, zeroes P / gap^2 + Q
     s = np.linspace(1.0, 5.0, 9)
     for lam in (0.1, 1.0, 10.0, 1000.0):
         prob = OptimizationProblem(cost=cost, lam=lam, mu=0.1, s_i=1.0, s_f=5.0)
-        g = LAGRANGIANS[cost].outer_gap_inv4(s, lam, c) ** -0.25
+        P, Q, _ = solver._coefficients(s, prob, c)
+        g = ((Q / P) ** 2) ** -0.25
         kbar = (c.D * c.gamma - g) / s
         # the Newton correction to kbar that would zero the right-hand
         # side is a few ulps of the terms kbar is formed from
-        correction = el_rhs(s, kbar, prob, c) / solver._el_rhs_slope(s, kbar, g, prob, c)
+        correction = el_rhs(s, kbar, prob, c) / solver._el_rhs_slope(P, s, g, prob)
         ulp = np.finfo(float).eps * (c.D * c.gamma / s + np.abs(kbar))
         assert np.all(np.abs(correction) <= 4.0 * ulp), lam
 
 
 def test_outer_gap_of_work_is_closed_form(consts):
+    # the work cost's outer root is Schmiedl-Seifert's sqrt(gamma s / lam)
     for lam, s_f in ((0.5, 2.0), (10.0, 5.0), (1000.0, 20.0)):
         closed, _ = analytic_work_optimal(lam, 1.0, s_f, consts, n=101)
-        g = LAGRANGIANS["work"].outer_gap_inv4(closed.s_nodes, lam, consts) ** -0.25
+        prob = OptimizationProblem(cost="work", lam=lam, mu=0.1, s_i=1.0, s_f=s_f)
+        P, Q, _ = solver._coefficients(closed.s_nodes, prob, consts)
+        g = ((Q / P) ** 2) ** -0.25
+        assert np.max(np.abs(g - np.sqrt(consts.gamma * closed.s_nodes / lam))
+                      / g) <= 4.0 * np.finfo(float).eps
         kbar = (consts.D * consts.gamma - g) / closed.s_nodes
         assert np.max(np.abs(kbar - closed.kbar)) <= 1e-14 * np.max(np.abs(closed.kbar))
 
@@ -498,8 +509,9 @@ def test_solve_tridiagonal_matches_dense():
 
 def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
     # cyclic reduction does not pivot; it is stable because every Jacobian
-    # Newton hands it is strictly diagonally dominant.  Phase and work
-    # have that by sign; for energy it is measured here
+    # Newton hands it is strictly diagonally dominant.  Every cost has that
+    # by sign (test_lagrangians_keep_the_objective_convex); this checks it
+    # on the Jacobians the solves actually form
     margins = []
 
     def checked(layout, diag, rhs):
@@ -521,6 +533,30 @@ def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
         res = solve_bvp(prob, consts)
         assert len(margins) == res.iterations
         assert min(margins) > 0.0, (prob.cost, prob.lam, prob.mu, prob.s_f)
+
+
+@pytest.mark.parametrize("c", [PhysConsts(), _CUSTOM_CONSTS], ids=["paper", "custom"])
+@pytest.mark.parametrize("cost", ["energy", "phase", "work"])
+def test_lagrangians_keep_the_objective_convex(cost, c):
+    # a(s) >= 0 and Q = lam k < 0 for every entry: lam d^2(ell)/d(kbar)^2 =
+    # 2 lam a s^2 / gap^3 then has the sign of the orientation at every
+    # feasible point, and the Newton slope P s / (mu (sgn gap)^3) is
+    # positive in both orientations, so J_h is strictly convex and the
+    # Jacobians are dominant
+    rng = np.random.default_rng(5)
+    entry = LAGRANGIANS[cost]
+    for s_i, s_f in ((1.0, 5.0), (5.0, 1.0)):
+        s = rng.uniform(1.0, 5.0, 200)
+        a = np.broadcast_to(entry.a(s, c), s.shape)
+        assert np.all(a >= 0.0)
+        for lam in (1e-3, 1.0, 1e3):
+            prob = OptimizationProblem(cost=cost, lam=lam, mu=0.1, s_i=s_i, s_f=s_f)
+            P, Q, _ = solver._coefficients(s, prob, c)
+            assert np.all(np.broadcast_to(Q, s.shape) < 0.0)
+            gap = prob.direction * c.D * c.gamma * rng.uniform(1e-4, 3.0, s.size)
+            d2l = 2.0 * lam * a * s**2 / gap**3
+            assert np.all(prob.direction * d2l >= 0.0)
+            assert np.all(solver._el_rhs_slope(P, s, gap, prob) > 0.0), (lam, s_i)
 
 
 # ---------------------------------------------------------------------------
