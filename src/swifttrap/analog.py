@@ -19,12 +19,13 @@ pinned to equilibrium at both ends make that integrand blow up like
 linear in |s - s_end|^(2/3) of the nearer pinned end, which integrates
 that blow-up exactly instead of evaluating at the endpoints; the cell at
 each pinned end takes the power fitted there, so other powers below one
-are integrated exactly in that cell too.  The Gauss geometry of those cells
-depends on the nodes and on which ends are pinned, not on the schedule, so
-`_cell_geometry` memoizes it (functools.lru_cache, at most 16 node arrays,
-about 145 kB each at 2001 nodes, keyed on the nodes' bytes): the duration,
-the time table and the energy cost of a schedule, and every schedule
-solved on the same grid, share one entry.
+are integrated exactly in that cell too.  One pass over 1/gap gives a
+(cells, slope) pair that integrates any nodal weight (_fitted_cells): the
+duration, the time table and every cost's a(s)/gap term read the pair
+kept on the schedule.  Its Gauss geometry depends on the nodes and on which
+ends are pinned, so `_cell_geometry` memoizes it (functools.lru_cache, at
+most 16 node arrays, about 145 kB each at 2001 nodes, keyed on the nodes'
+bytes) for every schedule solved on the same grid.
 """
 
 from __future__ import annotations
@@ -81,40 +82,24 @@ class VarianceTrajectory:
 
 def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
                     dt: float | None = None) -> VarianceTrajectory:
-    """Integrate the variance flow under a time-domain classical schedule.
+    """Integrate the variance flow under kbar_t, from variance s_start.
 
     Classic fixed-step RK4, with substeps chosen so no step straddles a
     protocol node (kbar is linear inside each cell, so fourth order is
     preserved): a cell of length L takes ceil(L/dt) equal substeps, laid
-    out by model._node_substeps, which integrate_ermakov shares.  The
-    flow is affine in s, so each substep is the map s <- (1 + e) s + b,
-    i.e. the 2x2 map [[1 + e, b], [0, 1]] on (s, 1), written in closed form
-    from the substep's three kbar samples; the maps are composed by a
-    vectorized prefix scan.  Samples are returned at the protocol nodes.
-
-    Parameters
-    ----------
-    kbar_t : TimeProtocol
-        Classical stiffness schedule (kind "classical").
-    s_start : float
-        Variance at the first node.
-    dt : float, optional
-        Target substep; defaults to one ten-thousandth of the span.
-
-    Raises IntegrationError (with the failure time) at the end of the first
-    substep where s leaves (0, inf).
+    out by model._node_substeps, which integrate_ermakov shares along with
+    its default dt.  The flow is affine in s, so each substep is the map
+    s <- (1 + e) s + b, i.e. the 2x2 map [[1 + e, b], [0, 1]] on (s, 1),
+    written in closed form from the substep's three kbar samples; the maps
+    are composed by a vectorized prefix scan.  Samples are returned at the
+    protocol nodes.  Raises IntegrationError (with the failure time) at the
+    end of the first substep where s leaves (0, inf).
     """
     if kbar_t.kind != "classical":
         raise ValueError("evolve_variance drives the classical trap; got a quantum schedule")
     if s_start <= 0.0:
         raise ValueError("starting variance must be positive")
     t_nodes = kbar_t.t_nodes
-    span = t_nodes[-1] - t_nodes[0]
-    if dt is None:
-        dt = span / 1.0e4
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-
     two_over_gamma = 2.0 / c.gamma
     source = two_over_gamma * (c.D * c.gamma)
 
@@ -231,13 +216,14 @@ def _layer_exponent(x, g, end):
     return max(p, 0.0)
 
 
-def _end_cell(dx, g1, w0, w1, p):
-    """Integral of w/g over the cell [end, end + dx] at a pinned end.
+def _end_cell(dx, g1, p):
+    """The (cells, slope) pair of the cell [end, end + dx] at a pinned end.
 
     Models g = g1 (tau/|dx|)^p and w linear in tau^(2/3), as the other
-    cells do, and integrates exactly.
+    cells do, and integrates exactly: the cell of w / g is
+    w_end * cells + (w_next - w_end) * slope.
     """
-    return dx / g1 * (w0 / (1.0 - p) + (w1 - w0) / (5.0 / 3.0 - p))
+    return dx / g1 * (1.0 / (1.0 - p)), dx / g1 * (1.0 / (5.0 / 3.0 - p))
 
 
 # node arrays whose cell geometry _cell_geometry keeps
@@ -253,8 +239,7 @@ def _cell_geometry(x_bytes, pinned_left, pinned_right):
     the signed half-width sign * (ub - ua) / 2, with u = tau^(1/3)
     measured from the nearer pinned end.  They depend on the nodes and
     the pinned flags alone, so the memo, keyed on the nodes' bytes, lets
-    the duration, the time table and the energy cost of one schedule, and
-    every schedule on the same grid, share them.  The arrays are
+    every schedule on the same grid share them.  The arrays are
     read-only.
     """
     x = np.frombuffer(x_bytes)
@@ -276,59 +261,64 @@ def _cell_geometry(x_bytes, pinned_left, pinned_right):
     return frac, three_u2, half
 
 
-def _fitted_cells(x, w, g, pinned_left, pinned_right):
-    """Per-cell integrals of w/g dx for a gap g that vanishes at pinned ends.
+def _fitted_cells(x, g, pinned_left, pinned_right):
+    """The (cells, slope) pair that integrates w/g dx for any nodal weight w.
 
-    With no pinned end the cells use the trapezoid rule on w/g.  Otherwise
-    every cell measures tau from the nearer pinned end and models both g
-    and w as linear in phi = tau^(2/3) between its two nodes, which is
-    exact for the leading behaviour g ~ tau^(2/3) of an equilibrium-pinned
-    schedule; the model is integrated by 4-point Gauss-Legendre in
-    u = tau^(1/3), where dx = 3 u^2 du makes the integrand smooth.  The
-    cell at a pinned end instead models g as the power tau^p fitted there
-    (_end_cell), so a gap leaving the end like any power p < 1 keeps its
-    first cell exact and the sum converges as the grid refines (at second
-    order for p = 2/3 on graded nodes).  A gap leaving a pinned end like
-    tau^p with p >= 1 raises InfeasibleProtocolError, since its time
-    integral diverges.  The Gauss geometry comes from _cell_geometry.
-    w may stack several weights along a leading axis; each row of the
-    result is then the cells of that weight alone, to the bit, and the
-    work on the gap is done once.  The rows are integrated one at a time,
-    which keeps every temporary at (nodes - 1, 4).
+    Every cell's integral is linear in the weight at its two nodes, so one
+    pass over the gap serves every weight: the cells of w / g are
+    w[:-1] * cells + (w[1:] - w[:-1]) * slope.  With no pinned end the
+    cells use the trapezoid rule on w/g.  Otherwise every cell measures
+    tau from the nearer pinned end and models both g and w as linear in
+    phi = tau^(2/3) between its two nodes, which is exact for the leading
+    behaviour g ~ tau^(2/3) of an equilibrium-pinned schedule; the model
+    is integrated by 4-point Gauss-Legendre in u = tau^(1/3), where
+    dx = 3 u^2 du makes the integrand smooth.  The cell at a pinned end
+    instead models g as the power tau^p fitted there (_end_cell), so a gap
+    leaving the end like any power p < 1 keeps its first cell exact and
+    the sum converges as the grid refines (at second order for p = 2/3 on
+    graded nodes).  A gap leaving a pinned end like tau^p with p >= 1
+    raises InfeasibleProtocolError, since its time integral diverges.  The
+    Gauss geometry comes from _cell_geometry.  Both arrays are read-only.
     """
     if not (pinned_left or pinned_right):
-        v = w / g
-        return 0.5 * (v[..., :-1] + v[..., 1:]) * np.diff(x)
-    g = g.copy()
-    if pinned_left:
-        p_left = _layer_exponent(x, g, 0)
-        g[0] = 0.0
-    if pinned_right:
-        p_right = _layer_exponent(x, g, -1)
-        g[-1] = 0.0
-    frac, three_u2, half = _cell_geometry(
-        np.ascontiguousarray(x, dtype=float).tobytes(), pinned_left, pinned_right)
-    g_u = g[:-1, None] + (g[1:] - g[:-1])[:, None] * frac
-    cells = np.empty(w.shape[:-1] + (x.size - 1,))
-    for w_row, out in zip(w.reshape(-1, x.size), cells.reshape(-1, x.size - 1)):
-        w_u = w_row[:-1, None] + (w_row[1:] - w_row[:-1])[:, None] * frac
-        np.multiply(half, (three_u2 * w_u / g_u) @ _GAUSS_W, out=out)
-    if pinned_left:
-        cells[..., 0] = _end_cell(x[1] - x[0], g[1], w[..., 0], w[..., 1], p_left)
-    if pinned_right:
-        cells[..., -1] = _end_cell(x[-1] - x[-2], g[-2], w[..., -1], w[..., -2], p_right)
-    return cells
+        v, half_dx = 1.0 / g, 0.5 * np.diff(x)
+        cells, slope = (v[:-1] + v[1:]) * half_dx, v[1:] * half_dx
+    else:
+        g = g.copy()
+        if pinned_left:
+            p_left = _layer_exponent(x, g, 0)
+            g[0] = 0.0
+        if pinned_right:
+            p_right = _layer_exponent(x, g, -1)
+            g[-1] = 0.0
+        frac, three_u2, half = _cell_geometry(
+            np.ascontiguousarray(x, dtype=float).tobytes(), pinned_left, pinned_right)
+        base = three_u2 / (g[:-1, None] + (g[1:] - g[:-1])[:, None] * frac)
+        cells = half * (base @ _GAUSS_W)
+        slope = half * ((base * frac) @ _GAUSS_W)
+        if pinned_left:
+            cells[0], slope[0] = _end_cell(x[1] - x[0], g[1], p_left)
+        if pinned_right:
+            # the pinned node is w[-1], so the end cell's pair is mirrored
+            end, far = _end_cell(x[-1] - x[-2], g[-2], p_right)
+            cells[-1], slope[-1] = end, end - far
+    for a in (cells, slope):
+        a.flags.writeable = False
+    return cells, slope
 
 
-def _duration_cells(p: SGridProtocol, c: PhysConsts, *weights) -> np.ndarray:
-    """Fitted cells of gamma / gap, once the flow is known not to stall inside.
+def _schedule_cells(p: SGridProtocol, c: PhysConsts) -> tuple[np.ndarray, np.ndarray]:
+    """The fitted-cell pair of 1 / gap over p, kept on p.
 
-    Each further weight w (one value per node) adds a row of the cells of
-    w / gap, from the same pass over the gap and the Gauss geometry.
+    Raises InfeasibleProtocolError where the flow stalls inside.  The pair
+    is keyed on the nodes, the stiffness and the constants, so a schedule
+    changed in place gets a new pass.
     """
+    key = (p.s_nodes.tobytes(), p.kbar.tobytes(), c)
+    if p._cells is not None and p._cells[0] == key:
+        return p._cells[1]
     g = flow_gap(p, c)
-    sgn = p.direction
-    bad = np.nonzero(g[1:-1] * sgn <= 0.0)[0]
+    bad = np.nonzero(g[1:-1] * p.direction <= 0.0)[0]
     if bad.size:
         j = int(bad[0]) + 1
         raise InfeasibleProtocolError(
@@ -336,34 +326,9 @@ def _duration_cells(p: SGridProtocol, c: PhysConsts, *weights) -> np.ndarray:
             f"{j} (s={p.s_nodes[j]:.6g}); sign(D*gamma - s*kbar) must match "
             "sign(s_f - s_i) strictly between the endpoints",
             node=j, s=float(p.s_nodes[j]))
-    w = np.full(g.size, c.gamma)
-    if weights:
-        w = np.stack((w, *weights))
-    return _fitted_cells(p.s_nodes, w, g, *_pinned_ends(g))
-
-
-def _energy_a(s, c: PhysConsts):
-    """2 D^2 gamma / s: the excess energy's coefficient a(s) of 1 / gap."""
-    return 2.0 * c.D**2 * c.gamma / s
-
-
-def _schedule_cells(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
-    """The duration cells and the excess energy's a-cells of p, kept on p.
-
-    Rows: the fitted cells of gamma / gap and of _energy_a / gap.  The
-    time table of an emission and j_total read the same schedule, so the
-    cells of its last pass are kept on the schedule, keyed on its nodes,
-    its stiffness and the constants (a schedule changed in place gets a
-    new pass), and the pair makes one _duration_cells pass.  Each row is
-    bitwise the cells of its weight alone.  The array is read-only.
-    """
-    key = (p.s_nodes.tobytes(), p.kbar.tobytes(), c)
-    if p._cells is not None and p._cells[0] == key:
-        return p._cells[1]
-    cells = _duration_cells(p, c, _energy_a(p.s_nodes, c))
-    cells.flags.writeable = False
-    p._cells = (key, cells)
-    return cells
+    pair = _fitted_cells(p.s_nodes, g, *_pinned_ends(g))
+    p._cells = (key, pair)
+    return pair
 
 
 def duration(p: SGridProtocol, c: PhysConsts) -> float:
@@ -376,16 +341,12 @@ def duration(p: SGridProtocol, c: PhysConsts) -> float:
     when no end is pinned); an interior stall (or an endpoint approached
     with exponent >= 1) raises InfeasibleProtocolError.
     """
-    return float(0.5 * np.sum(_schedule_cells(p, c)[0]))
+    return float(0.5 * np.sum(c.gamma * _schedule_cells(p, c)[0]))
 
 
 def time_of_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
     """Cumulative transfer time at each node, t(s_i) = 0, t(s_f) = duration."""
-    cells = _schedule_cells(p, c)[0]
-    t = np.empty(p.s_nodes.size)
-    t[0] = 0.0
-    np.cumsum(0.5 * cells, out=t[1:])
-    return t
+    return np.concatenate(([0.0], np.cumsum(0.5 * (c.gamma * _schedule_cells(p, c)[0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,8 @@ def _parse_mu_list(text: str) -> list[float]:
         mus = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"bad --mu-list {text!r}") from None
-    if not mus or any(mu <= 0.0 for mu in mus):
-        raise UsageError("--mu-list needs one or more positive values")
+    if not mus or not all(np.isfinite(mu) and mu > 0.0 for mu in mus):
+        raise UsageError(f"--mu-list needs one or more positive finite values, got {text!r}")
     return sorted(mus)
 
 
@@ -405,8 +405,8 @@ def _parse_mu_range(text: str) -> np.ndarray:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"bad --mu-range {text!r}") from None
-    if steps < 1 or lo <= 0.0 or hi <= 0.0:
-        raise UsageError("--mu-range is empty or nonpositive")
+    if steps < 1 or not (np.isfinite(lo) and np.isfinite(hi) and lo > 0.0 and hi > 0.0):
+        raise UsageError(f"--mu-range needs positive finite bounds and steps >= 1, got {text!r}")
     return np.sort(np.geomspace(lo, hi, steps))
 
 

@@ -130,10 +130,8 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     theta being the Gouy angle, whose rate is D/s, and n the number of
     branch crossings so far (_gouy_angle).  Starts at variance s_start
     with zero width velocity and returns the record on the step grid,
-    which holds every node.  The default dt is a thousandth of the span,
-    so a schedule emitted on 2001 samples (largest cell 1.8 span / 2000)
-    takes one step per cell, and a coarse one still takes about a
-    thousand steps.
+    which holds every node.  dt defaults to model._node_substeps's, a
+    thousandth of the span.
 
     Raises IntegrationError (with the failure time) at the first step
     whose largest stage sample gives h_k sqrt(|kappa|/m) > 2 sqrt(2),
@@ -144,15 +142,10 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
         raise ValueError("integrate_ermakov expects a quantum schedule")
     if s_start <= 0.0:
         raise ValueError("starting variance must be positive")
-    t0, t1 = kappa_t.span
-    if dt is None:
-        dt = (t1 - t0) / 1.0e3
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     # arrays are dropped once read for the last time, which keeps the
     # transient peak near two and a half records
     ta, h, ends, ka, km, kb = _node_substeps(kappa_t, dt)
-    t = np.append(ta, t1)
+    t = np.append(ta, kappa_t.t_nodes[-1])
     del ta, ends
 
     stiff = h * np.sqrt(np.maximum(np.maximum(np.abs(ka), np.abs(km)), np.abs(kb)) / c.m)

@@ -60,8 +60,9 @@ class SGridProtocol:
 
     s_nodes: np.ndarray
     kbar: np.ndarray
-    # (key, cells) of the last duration-cell pass over this schedule, kept
+    # (key, (cells, slope)) of the last fitted-cell pass over 1 / gap, kept
     # by analog._schedule_cells; the key holds the nodes' and kbar's bytes
+    # and the constants
     _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -192,20 +193,27 @@ class EnsembleStats:
                 raise ValueError(f"{name} must match times in shape")
 
 
-def _node_substeps(proto: TimeProtocol, dt: float):
+def _node_substeps(proto: TimeProtocol, dt: float | None = None):
     """Equal substeps of at most dt that never straddle a node of proto.
 
-    A cell of length L takes ceil(L/dt) equal substeps, so the schedule,
-    linear inside each cell, is smooth over every substep and RK4 keeps its
-    fourth order.  Returns (ta, h, ends, va, vm, vb), each flattened over
-    all substeps in time order: the substep's start time ta and length h,
-    the cumulative substep count at the end of each cell (node j + 1 ends
-    substep ends[j] - 1), and the schedule's value at the start, midpoint
-    and end of the substep, from its cell's own line (no search).  A
-    substep starting at a node has ta and va equal to the node's own time
-    and value.
+    dt defaults to a thousandth of the span, so a schedule emitted on 2001
+    samples (largest cell 1.8 span / 2000) takes one substep per cell, and
+    a coarse one still takes about a thousand.  A cell of length L takes
+    ceil(L/dt) equal substeps, so the schedule, linear inside each cell,
+    is smooth over every substep and RK4 keeps its fourth order.  Returns
+    (ta, h, ends, va, vm, vb), each flattened over all substeps in time
+    order: the substep's start time ta and length h, the cumulative
+    substep count at the end of each cell (node j + 1 ends substep
+    ends[j] - 1), and the schedule's value at the start, midpoint and end
+    of the substep, from its cell's own line (no search).  A substep
+    starting at a node has ta and va equal to the node's own time and
+    value.
     """
     t_nodes, values = proto.t_nodes, proto.values
+    if dt is None:
+        dt = (t_nodes[-1] - t_nodes[0]) / 1.0e3
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     cells = np.diff(t_nodes)
     m_sub = np.maximum(1, np.ceil(cells / dt).astype(int))
     ends = np.cumsum(m_sub)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from swifttrap import (
@@ -31,7 +32,9 @@ from swifttrap.analog import (
     _fitted_cells,
     _hermite,
     _layer_exponent,
+    _schedule_cells,
 )
+from swifttrap.costs import _over_gap
 from test_model import _recursive_scan, same_bits
 
 
@@ -70,6 +73,34 @@ def test_duration_closed_form_pinned_ends(consts, amplitude):
     beta_13 = gamma_fn(1.0 / 3.0) ** 2 / gamma_fn(2.0 / 3.0)
     exact = beta_13 / (2.0 * amplitude)
     assert duration(p, consts) == pytest.approx(exact, rel=2e-4)
+
+
+@pytest.mark.parametrize("case", ["both pinned", "both pinned, compression",
+                                  "start pinned", "unpinned"])
+@pytest.mark.parametrize("nodes,rel", [("uniform", 2e-4), ("graded", 1e-6)])
+def test_fitted_pair_integrates_a_varying_weight(consts, case, nodes, rel):
+    # the one pass over 1 / gap integrates any nodal weight w through
+    # w[:-1] cells + dw slope; quad weights the pinned ends' power laws
+    # exactly (weight="alg"), so the reference is independent of the cells.
+    # On graded nodes a zero slope would miss by 1e-5 or more
+    def weight(s):
+        return 2.0 / s + 0.5 * s * s
+
+    eta = np.linspace(0.0, 1.0, 2001)
+    s = 1.0 + (eta if nodes == "uniform" else 0.5 * (1.0 - np.cos(np.pi * eta)))
+    if case == "unpinned":
+        gap = 1.0 - 0.3 * s
+        want = quad(lambda x: weight(x) / (1.0 - 0.3 * x), 1.0, 2.0, epsabs=0.0)[0]
+    else:
+        left, right = -2.0 / 3.0, (0.0 if case == "start pinned" else -2.0 / 3.0)
+        gap = 0.5 * (s - 1.0) ** (2.0 / 3.0) * (2.0 - s) ** (-right)
+        want = quad(lambda x: 2.0 * weight(x), 1.0, 2.0, weight="alg",
+                    wvar=(left, right), epsabs=0.0)[0]
+    if case.endswith("compression"):
+        # run 2 -> 1 with the flow reversed: the signed integral is the same
+        s, gap = s[::-1], -gap[::-1]
+    p = SGridProtocol(s, (1.0 - gap) / s)
+    assert _over_gap(weight(s), _schedule_cells(p, consts)) == pytest.approx(want, rel=rel)
 
 
 def test_time_of_s_cumulative(consts):
@@ -136,7 +167,7 @@ def test_evolve_variance_matches_stepping_reference(consts, dt):
     t = np.linspace(0.0, 3.0, 37) ** 1.3
     proto = TimeProtocol(t, 0.9 + 1.8 * np.sin(2.0 * t), "classical")
     traj = evolve_variance(proto, 1.0, consts, dt)
-    ref = _variance_stepping_reference(proto, 1.0, consts, dt or (t[-1] - t[0]) / 1.0e4)
+    ref = _variance_stepping_reference(proto, 1.0, consts, dt or (t[-1] - t[0]) / 1.0e3)
     assert np.max(np.abs(traj.s - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -238,11 +269,11 @@ def test_emission_rejects_tiny_grid(consts):
         to_time_domain(p, consts, n_t=5)
 
 
-def _fitted_cells_from_scratch(x, w, g, pinned_left, pinned_right):
+def _fitted_cells_from_scratch(x, g, pinned_left, pinned_right):
     """_fitted_cells with its Gauss geometry built on every call, no memo."""
     if not (pinned_left or pinned_right):
-        v = w / g
-        return 0.5 * (v[:-1] + v[1:]) * np.diff(x)
+        v = 1.0 / g
+        return 0.5 * (v[:-1] + v[1:]) * np.diff(x), 0.5 * v[1:] * np.diff(x)
     g = g.copy()
     if pinned_left:
         p_left = _layer_exponent(x, g, 0)
@@ -261,13 +292,15 @@ def _fitted_cells_from_scratch(x, w, g, pinned_left, pinned_right):
     u = 0.5 * (ua + ub)[:, None] + 0.5 * (ub - ua)[:, None] * _GAUSS_X
     frac = (u**2 - (ua**2)[:, None]) / (ub**2 - ua**2)[:, None]
     g_u = g[:-1, None] + (g[1:] - g[:-1])[:, None] * frac
-    w_u = w[:-1, None] + (w[1:] - w[:-1])[:, None] * frac
-    cells = sign * 0.5 * (ub - ua) * ((3.0 * u**2 * w_u / g_u) @ _GAUSS_W)
+    base = 3.0 * u**2 / g_u
+    cells = sign * 0.5 * (ub - ua) * (base @ _GAUSS_W)
+    slope = sign * 0.5 * (ub - ua) * ((base * frac) @ _GAUSS_W)
     if pinned_left:
-        cells[0] = _end_cell(x[1] - x[0], g[1], w[0], w[1], p_left)
+        cells[0], slope[0] = _end_cell(x[1] - x[0], g[1], p_left)
     if pinned_right:
-        cells[-1] = _end_cell(x[-1] - x[-2], g[-2], w[-1], w[-2], p_right)
-    return cells
+        end, far = _end_cell(x[-1] - x[-2], g[-2], p_right)
+        cells[-1], slope[-1] = end, end - far
+    return cells, slope
 
 
 def test_fitted_cells_memo_matches_from_scratch(consts):
@@ -285,20 +318,22 @@ def test_fitted_cells_memo_matches_from_scratch(consts):
         "hand-built nodes, both ends pinned":
             (hand, ((hand - 1.0) * (3.0 - hand)) ** (2.0 / 3.0), True, True),
     }
+
+    def same_pair(got, want):
+        return all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
     _cell_geometry.cache_clear()
     hits = 0
     for label, (nodes, g, left, right) in cases.items():
-        w = 1.0 + 0.5 * np.cos(nodes)
-        want = _fitted_cells_from_scratch(nodes, w, g, left, right).tobytes()
+        want = _fitted_cells_from_scratch(nodes, g, left, right)
         for _ in range(2):  # cold, then from the memo
-            assert _fitted_cells(nodes, w, g, left, right).tobytes() == want, label
+            assert same_pair(_fitted_cells(nodes, g, left, right), want), label
         hits += left or right
         assert _cell_geometry.cache_info().hits == hits, label
     _cell_geometry.cache_clear()
     for label, (nodes, g, left, right) in cases.items():
-        w = 1.0 + 0.5 * np.cos(nodes)
-        want = _fitted_cells_from_scratch(nodes, w, g, left, right).tobytes()
-        assert _fitted_cells(nodes, w, g, left, right).tobytes() == want, label
+        want = _fitted_cells_from_scratch(nodes, g, left, right)
+        assert same_pair(_fitted_cells(nodes, g, left, right), want), label
 
 
 def test_fitted_cells_geometry_is_shared_and_read_only(consts):

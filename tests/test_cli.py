@@ -259,6 +259,26 @@ def test_compare_rejects_bad_mu_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mus", ["0.1,inf", "nan", "0.1,-inf"])
+def test_compare_rejects_non_finite_mu_list(tmp_path, capsys, mus):
+    rc = main(["compare", "--cost", "energy", "--lambda", "1",
+               "--mu-list", mus, "--si", "1", "--sf", "2",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--mu-list" in capsys.readouterr().err
+    assert not (tmp_path / "tradeoff.csv").exists()
+
+
+@pytest.mark.parametrize("mus", ["1:inf:3", "nan:1:3", "0.1:nan:2"])
+def test_sweep_rejects_non_finite_mu_range(tmp_path, capsys, mus):
+    rc = main(["sweep", "--cost", "work", "--lambda", "1",
+               "--mu-range", mus, "--si", "1", "--sf", "2",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--mu-range" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_over_mu_range(tmp_path):
     rc = main(["sweep", "--cost", "work", "--lambda", "1",
                "--mu-range", "0.01:0.1:3", "--si", "1", "--sf", "2",

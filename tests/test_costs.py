@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from swifttrap import (
     LAGRANGIANS,
@@ -14,9 +14,11 @@ from swifttrap import (
     analytic_work_optimal,
     duration,
     f_alpha,
+    f_alpha_from_run,
     f_energy,
     flow_gap,
     g_penalty,
+    integrate_ermakov,
     j_total,
     solve_bvp,
     time_of_s,
@@ -26,6 +28,7 @@ from swifttrap import (
 )
 from swifttrap import analog
 from swifttrap.analog import _pinned_ends
+from swifttrap.costs import _simpson
 
 ROOT2 = np.sqrt(2.0)
 
@@ -237,6 +240,53 @@ def test_a_cost_lives_only_in_its_table_entry(consts, monkeypatch):
     _assert_local_minimum(res.protocol, prob, consts)
 
 
+def test_a_table_cost_with_its_own_a_reads_the_one_cell_pass(consts, monkeypatch):
+    # any nonzero a / gap is integrated from the schedule's one pass, the
+    # pass that the duration reads too
+    drag = Lagrangian(a=lambda s, c: c.gamma * s, b=lambda s, c: 0.0,
+                      k=lambda s, c: 0.0, from_run=None)
+    monkeypatch.setitem(LAGRANGIANS, "drag", drag)
+    prob = OptimizationProblem(cost="drag", lam=1.0, mu=0.1, s_i=1.0, s_f=2.0)
+    s = np.linspace(1.0, 2.0, 2001)
+    gap = 0.5 * ((s - 1.0) * (2.0 - s)) ** (2.0 / 3.0)
+    p = SGridProtocol(s, (1.0 - gap) / s)
+    real = analog._fitted_cells
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analog, "_fitted_cells", counted)
+    report = j_total(p, prob, consts)
+    assert len(calls) == 1
+    cells, slope = real(s, flow_gap(p, consts), True, True)
+    a = consts.gamma * s
+    assert report.f_absorbed == float(np.sum(a[:-1] * cells + (a[1:] - a[:-1]) * slope))
+    want = quad(lambda x: 2.0 * x, 1.0, 2.0, weight="alg", wvar=(-2.0 / 3.0, -2.0 / 3.0))[0]
+    assert report.f_absorbed == pytest.approx(want, rel=2e-4)
+
+
+def test_f_alpha_from_run_matches_a_refined_run(cache, consts):
+    # alpha is smooth in time, so the Simpson rule on the 2000 default steps
+    # lands within 1e-10 of a 64x refined run (3.3e-12 measured; the
+    # trapezoid was 6.4e-7 off)
+    td = cache.timedomain("phase", 0.01, lam=10.0)
+    run = integrate_ermakov(td.quantum, 1.0, consts)
+    fine = integrate_ermakov(td.quantum, 1.0, consts, dt=td.duration / 64.0e3)
+    want = simpson(fine.alpha**2, x=fine.t)
+    assert f_alpha_from_run(run) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_simpson_is_exact_for_parabolas_on_uneven_samples(n):
+    # both parities of the interval count, the odd one closed by the
+    # three-point end rule
+    t = np.sort(np.random.default_rng(n).uniform(0.0, 2.0, n))
+    t[0], t[-1] = 0.0, 2.0
+    assert _simpson(3.0 * t * t - t + 1.0, t) == pytest.approx(8.0, rel=1e-13)
+
+
 def test_f_energy_refines_at_second_order(consts):
     # the a / gap term on the fitted cells and the rest on a trapezoid:
     # each doubling of the grid shrinks the change of f_energy by 3x or
@@ -250,22 +300,26 @@ def test_f_energy_refines_at_second_order(consts):
 
 def test_emission_and_j_total_make_one_cell_pass(consts, monkeypatch):
     # a schedule's time table and its j_total read one pass over its
-    # duration cells, and each result is bitwise the one from a pass of its
-    # own weight alone; a changed schedule makes a new pass
+    # fitted cells, and each result is bitwise the one from a pass of its
+    # own; a changed schedule makes a new pass
     prob = OptimizationProblem("energy", 1.0, 0.3, 1.0, 2.0, 501)
     p = solve_bvp(prob, consts).protocol
-    real = analog._duration_cells
+    real = analog._fitted_cells
     calls = []
 
     def counted(*args):
-        calls.append(len(args))
+        calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(analog, "_duration_cells", counted)
+    def fresh_cells():
+        g = flow_gap(p, consts)
+        return consts.gamma * real(p.s_nodes, g, *_pinned_ends(g))[0]
+
+    monkeypatch.setattr(analog, "_fitted_cells", counted)
     emitted = to_time_domain(p, consts)
     report = j_total(p, prob, consts)
-    assert calls == [3]
-    cells = real(p, consts)
+    assert len(calls) == 1
+    cells = fresh_cells()
     t_nodes = np.concatenate(([0.0], np.cumsum(0.5 * cells)))
     assert emitted.t_nodes.tobytes() == t_nodes.tobytes()
     assert time_of_s(p, consts).tobytes() == t_nodes.tobytes()
@@ -273,7 +327,7 @@ def test_emission_and_j_total_make_one_cell_pass(consts, monkeypatch):
     assert report.f_energy == f_energy(p, consts)
     assert len(calls) == 1
     p.kbar[p.kbar.size // 2] *= 1.0 + 1e-9
-    assert duration(p, consts) == float(0.5 * np.sum(real(p, consts)))
+    assert duration(p, consts) == float(0.5 * np.sum(fresh_cells()))
     assert len(calls) == 2
 
 
