@@ -26,6 +26,10 @@ kept on the schedule.  Its Gauss geometry depends on the nodes and on which
 ends are pinned, so `_cell_geometry` memoizes it (functools.lru_cache, at
 most 16 node arrays, about 145 kB each at 2001 nodes, keyed on the nodes'
 bytes) for every schedule solved on the same grid.
+
+The time-domain emission is the schedule's node table: each node at its
+transfer time with its kbar and the s-domain kappa, whose kbar' reads the
+same tau^(2/3) model.  Nothing is resampled or differenced in time.
 """
 
 from __future__ import annotations
@@ -167,15 +171,28 @@ def quantum_from_classical_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
     """Quantum stiffness on the protocol's s-grid.
 
     kappa(s) = hbar^2/(2 m s^2) + (2m/gamma^2)(D gamma - s kbar) kbar'
-               - (m/gamma^2) kbar^2,
-    with kbar' = dkbar/ds by centered differences (second-order one-sided
-    at the ends).  On the equilibrium branch kbar = D gamma / s the
-    derivative term carries a zero prefactor, so the result collapses to
+               - (m/gamma^2) kbar^2.
+    With an equilibrium-pinned end, kbar' at interior nodes is exact for
+    the model the duration cells use, kbar = a + b phi with phi = tau^(2/3)
+    and tau the distance to the nearer pinned end:
+    kbar'_j = phi'(s_j) (K[j+1] - K[j-1]) / (phi[j+1] - phi[j-1]).  At a
+    pinned end gap ~ tau^(2/3) and kbar' ~ tau^(-1/3), so the rate term is
+    0 there.  Otherwise kbar' is a centered difference (second-order
+    one-sided at the ends).  On the equilibrium branch kbar = D gamma / s
+    the rate term's prefactor is zero, so the result collapses to
     m D^2 / s^2 at machine precision regardless of discretization.
     """
-    kbar_prime = np.gradient(p.kbar, p.s_nodes, edge_order=2)
-    rate = (2.0 * c.m / c.gamma**2) * flow_gap(p, c) * kbar_prime
-    return _kappa(p.s_nodes, p.kbar, rate, c)
+    x, kbar = p.s_nodes, p.kbar
+    g = flow_gap(p, c)
+    pinned = _pinned_ends(g)
+    kbar_prime = np.gradient(kbar, x, edge_order=2)
+    if any(pinned):
+        end = _nearer_end(x[1:-1], x, *pinned)
+        phi_step = np.abs(x[2:] - end) ** (2.0 / 3.0) - np.abs(x[:-2] - end) ** (2.0 / 3.0)
+        kbar_prime[1:-1] = (2.0 / 3.0) / np.cbrt(x[1:-1] - end) * (kbar[2:] - kbar[:-2]) / phi_step
+    rate = (2.0 * c.m / c.gamma**2) * g * kbar_prime
+    rate[[0, -1]] = np.where(pinned, 0.0, rate[[0, -1]])
+    return _kappa(x, kbar, rate, c)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +213,13 @@ def _pinned_ends(g):
     """Which ends of the sampled gap g sit on the equilibrium branch."""
     scale = np.max(np.abs(g))
     return abs(g[0]) <= _SINGULAR_REL * scale, abs(g[-1]) <= _SINGULAR_REL * scale
+
+
+def _nearer_end(y, x, pinned_left, pinned_right):
+    """The pinned end of the nodes x nearer to each point y."""
+    if pinned_left and pinned_right:
+        return np.where(np.abs(y - x[0]) <= np.abs(y - x[-1]), x[0], x[-1])
+    return x[0] if pinned_left else x[-1]
 
 
 def _layer_exponent(x, g, end):
@@ -244,10 +268,7 @@ def _cell_geometry(x_bytes, pinned_left, pinned_right):
     """
     x = np.frombuffer(x_bytes)
     mid = 0.5 * (x[:-1] + x[1:])
-    if pinned_left and pinned_right:
-        end = np.where(np.abs(mid - x[0]) <= np.abs(mid - x[-1]), x[0], x[-1])
-    else:
-        end = np.full(mid.size, x[0] if pinned_left else x[-1])
+    end = _nearer_end(mid, x, pinned_left, pinned_right)
     ua = np.cbrt(np.abs(x[:-1] - end))
     ub = np.cbrt(np.abs(x[1:] - end))
     # ds = sign * dtau, with sign the direction pointing away from the end
@@ -353,95 +374,73 @@ def time_of_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
 # time-domain emission
 # ---------------------------------------------------------------------------
 
-def _hermite(t_nodes, y, dy, t):
-    """Cubic Hermite interpolant through (t_nodes, y) with slopes dy, at t.
-
-    y and dy may stack several series along a leading axis; the interval
-    search and the four basis polynomials are then built once for all.
-    """
-    j = np.clip(np.searchsorted(t_nodes, t, side="right") - 1, 0, t_nodes.size - 2)
-    h = t_nodes[j + 1] - t_nodes[j]
-    x = (t - t_nodes[j]) / h
-    x2, x3 = x * x, x * x * x
-    # np.take along the last axis: y[..., j] on a stack is several times slower
-    y0, y1 = np.take(y, j, axis=-1), np.take(y, j + 1, axis=-1)
-    dy0, dy1 = np.take(dy, j, axis=-1), np.take(dy, j + 1, axis=-1)
-    return ((2.0 * x3 - 3.0 * x2 + 1.0) * y0 + (x3 - 2.0 * x2 + x) * h * dy0
-            + (3.0 * x2 - 2.0 * x3) * y1 + (x3 - x2) * h * dy1)
-
-
 @dataclass
 class TimeDomainProtocols:
-    """Time-domain emission of an s-parametrized schedule.
+    """Time-domain emission of an s-parametrized schedule: its node table.
 
     classical and quantum share one time grid; s is the variance on that
-    grid.  t_nodes and kappa_nodes give the transfer time and quantum
-    stiffness back on the original s-grid (the node-level table).
-    to_time_domain grades the time grid toward both ends;
-    solver.analytic_work_optimal samples both grids uniformly.
+    grid.  The grid is the schedule's own nodes at their transfer times,
+    plus, from to_time_domain, the sub-nodes of a pinned end cell longer
+    than the mean time step; solver.analytic_work_optimal emits its
+    uniform s-nodes at their closed-form times.
     """
 
     classical: TimeProtocol
     quantum: TimeProtocol
     s: np.ndarray
-    t_nodes: np.ndarray
-    kappa_nodes: np.ndarray
 
     @property
     def duration(self) -> float:
         return float(self.classical.t_nodes[-1])
 
 
-# depth of the end grading of the emitted time grid, in [0, 1)
-_EMIT_GRADING = 0.8
+def _end_subnodes(t, x, kbar, g, end, c: PhysConsts) -> np.ndarray:
+    """Rows t, s, kbar, kappa of the sub-nodes splitting a pinned end cell.
 
-
-def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int = 2001) -> TimeDomainProtocols:
-    """Emit time-domain protocols on n_t samples from an s-grid schedule.
-
-    The node times come from the duration quadrature.  Resampling uses
-    cubic Hermite interpolation, evaluated in numpy by _hermite, with
-    *exact* node derivatives: sdot is known in closed form from the flow,
-    and d(kbar)/dt comes from finite differences in t (np.gradient), where
-    the schedule is smooth even at equilibrium-pinned endpoints (in s it
-    has infinite slope there, which is why differencing in s near the ends
-    is avoided).  The samples sit at t = T (eta - a sin(2 pi eta) / (2 pi))
-    for uniform eta and a = _EMIT_GRADING, so spacing near either end is
-    1 - a times uniform: the quantum stiffness ramps hardest there, and a
-    uniform grid would interpolate it too coarsely for the schedule to
-    land.  The quantum schedule is then produced by the time-domain map on
-    that grid.
+    The cell at node end (0 or -1), of time length dt_end, is cut into
+    m = ceil(dt_end (n-1) / T) sub-cells uniform in time.  Its model is
+    _end_cell's, gap = g1 (tau/dx)^p, so the time from the end is
+    (tau/dx)^(1-p) dt_end and time fraction f sits at tau/dx = f^(1/(1-p));
+    kbar is linear in tau^(2/3), and kappa's rate term is closed form.
+    Returns a (4, m-1) array in time order, empty when m = 1.
     """
-    if n_t < 9:
-        raise ValueError("n_t too small")
-    t_nodes = time_of_s(p, c)
+    nxt = 1 if end == 0 else -2
+    dt_end = t[nxt] - t[end]
+    m = int(np.ceil(abs(dt_end) * (t.size - 1) / t[-1]))
+    f = np.arange(1, m) / m
+    p = _layer_exponent(x, g, end)
+    r = f ** (1.0 / (1.0 - p))
+    dx, dk = x[nxt] - x[end], kbar[nxt] - kbar[end]
+    s = x[end] + dx * r
+    kb = kbar[end] + dk * np.cbrt(r * r)
+    # gap g1 r^p times dkbar/ds = dk (2/3) r^(-1/3) / dx
+    rate = (2.0 * c.m / c.gamma**2) * g[nxt] * (2.0 / 3.0) * dk / dx * r ** (p - 1.0 / 3.0)
+    rows = np.stack((t[end] + dt_end * f, s, kb, _kappa(s, kb, rate, c)))
+    return rows if end == 0 else rows[:, ::-1]
+
+
+def to_time_domain(p: SGridProtocol, c: PhysConsts, n_t: int | None = None) -> TimeDomainProtocols:
+    """Emit the schedule's node table as time-domain protocols.
+
+    Node j sits at t_j = time_of_s(p, c)[j] with the solved kbar_j and
+    kappa_j = quantum_from_classical_s(p, c)[j].  At a pinned end t ~
+    tau^(1/3) can make the end cell many times the mean step T/(n-1); that
+    cell alone is split, by _end_subnodes, and the original nodes keep
+    their times and kappa bit for bit.  Both schedules are linear between
+    the nodes, as every integrator here reads them.  n_t may only repeat
+    p's node count; any other value raises ValueError.
+    """
+    x, kbar = p.s_nodes, p.kbar
+    n = x.size
+    if n_t is not None and n_t != n:
+        raise ValueError(f"n_t must equal the schedule's {n} nodes, got {n_t}: "
+                         "the emission is the node table")
+    t = time_of_s(p, c)
+    table = np.stack((t, x, kbar, quantum_from_classical_s(p, c)))
     g = flow_gap(p, c)
-    sdot_nodes = 2.0 * g / c.gamma
-    kbar_dot_nodes = np.gradient(p.kbar, t_nodes, edge_order=2)
-    # at an equilibrium-pinned end kbar approaches its boundary value
-    # quadratically in time, so the true endpoint rate is zero; the
-    # one-sided estimate extrapolates across the layer-stretched first
-    # interval and lands far off, which would bend the whole first spline
-    # segment the wrong way
-    pinned_left, pinned_right = _pinned_ends(g)
-    if pinned_left:
-        kbar_dot_nodes[0] = 0.0
-    if pinned_right:
-        kbar_dot_nodes[-1] = 0.0
-
-    kappa_nodes = _kappa(p.s_nodes, p.kbar, (c.m / c.gamma) * kbar_dot_nodes, c)
-
-    # graded toward both ends, where kappa(t) ramps hardest; spacing runs
-    # from 0.2 to 1.8 times uniform
-    eta = np.linspace(0.0, 1.0, n_t)
-    t_u = t_nodes[-1] * (eta - _EMIT_GRADING * np.sin(2.0 * np.pi * eta) / (2.0 * np.pi))
-    t_u[0], t_u[-1] = 0.0, t_nodes[-1]
-    s_u, kbar_u = _hermite(t_nodes, np.stack((p.s_nodes, p.kbar)),
-                           np.stack((sdot_nodes, kbar_dot_nodes)), t_u)
-    # interpolation can only undershoot positivity near pathological data
-    if np.any(s_u <= 0.0):
-        raise InfeasibleProtocolError("resampled variance left the positive axis")
-    classical = TimeProtocol(t_u, kbar_u, "classical")
-    quantum = quantum_from_classical_t(classical, s_u, c)
-    return TimeDomainProtocols(classical=classical, quantum=quantum, s=s_u,
-                               t_nodes=t_nodes, kappa_nodes=kappa_nodes)
+    left, right = (_end_subnodes(t, x, kbar, g, end, c) if pinned else np.empty((4, 0))
+                   for end, pinned in zip((0, -1), _pinned_ends(g)))
+    t, s, kbar_t, kappa_t = np.concatenate(
+        (table[:, :1], left, table[:, 1:-1], right, table[:, -1:]), axis=1)
+    return TimeDomainProtocols(classical=TimeProtocol(t, kbar_t, "classical"),
+                               quantum=TimeProtocol(t, kappa_t, "quantum"), s=s)

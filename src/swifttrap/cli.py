@@ -249,7 +249,7 @@ def _cmd_optimize(args) -> int:
             print(f"optimize: {err}", file=sys.stderr)
             return 3
         p = result.protocol
-        emitted = to_time_domain(p, c, n_t=args.grid)
+        emitted = to_time_domain(p, c)
         meta = {"method": "bvp", "iterations": result.iterations,
                 "final_update": result.final_update,
                 "residual": result.residual, "rejections": result.rejections,
@@ -261,8 +261,10 @@ def _cmd_optimize(args) -> int:
     alpha_t = alpha_of(s_t, sdot_t, c)
     energy_t = energy_of(s_t, sdot_t, kappa_t, c)
 
+    # the schedule's own nodes are the rows of the emitted table whose s is a node
+    nodes = np.isin(s_t, p.s_nodes)
     _write_csv(os.path.join(outdir, "protocol_s.csv"), ["s", "kbar", "kappa", "t"],
-               _numeric_rows((p.s_nodes, p.kbar, emitted.kappa_nodes, emitted.t_nodes)))
+               _numeric_rows((p.s_nodes, p.kbar, kappa_t[nodes], t[nodes])))
     _write_csv(os.path.join(outdir, "protocol_t.csv"),
                ["t", "s", "kbar", "kappa", "alpha", "energy"],
                _numeric_rows((t, s_t, kbar_t, kappa_t, alpha_t, energy_t)))
@@ -379,7 +381,7 @@ def _cmd_compare(args) -> int:
         prob = OptimizationProblem(cost=args.cost, lam=args.lam, mu=mu,
                                    s_i=args.si, s_f=args.sf, n_grid=args.grid)
         result = solve_bvp(prob, c)
-        emitted = to_time_domain(result.protocol, c, n_t=args.grid)
+        emitted = to_time_domain(result.protocol, c)
         dur = emitted.duration
         run_opt = integrate_ermakov(emitted.quantum, args.si, c)
         chen, _ = chen_polynomial(kap_i, kap_f, dur, c, n=args.grid)

@@ -196,18 +196,18 @@ class EnsembleStats:
 def _node_substeps(proto: TimeProtocol, dt: float | None = None):
     """Equal substeps of at most dt that never straddle a node of proto.
 
-    dt defaults to a thousandth of the span, so a schedule emitted on 2001
-    samples (largest cell 1.8 span / 2000) takes one substep per cell, and
-    a coarse one still takes about a thousand.  A cell of length L takes
-    ceil(L/dt) equal substeps, so the schedule, linear inside each cell,
-    is smooth over every substep and RK4 keeps its fourth order.  Returns
-    (ta, h, ends, va, vm, vb), each flattened over all substeps in time
-    order: the substep's start time ta and length h, the cumulative
-    substep count at the end of each cell (node j + 1 ends substep
-    ends[j] - 1), and the schedule's value at the start, midpoint and end
-    of the substep, from its cell's own line (no search).  A substep
-    starting at a node has ta and va equal to the node's own time and
-    value.
+    dt defaults to a thousandth of the span, so most cells of a schedule
+    emitted on about 2001 nodes take one substep and its longer cells a
+    few, and a coarse schedule still takes about a thousand.  A cell of
+    length L takes ceil(L/dt) equal substeps, so the schedule, linear
+    inside each cell, is smooth over every substep and RK4 keeps its
+    fourth order.  Returns (ta, h, ends, va, vm, vb), each flattened over
+    all substeps in time order: the substep's start time ta and length h,
+    the cumulative substep count at the end of each cell (node j + 1 ends
+    substep ends[j] - 1), and the schedule's value at the start, midpoint
+    and end of the substep, from its cell's own line (no search).  A
+    substep starting at a node has ta and va equal to the node's own time
+    and value.
     """
     t_nodes, values = proto.t_nodes, proto.values
     if dt is None:

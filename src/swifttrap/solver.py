@@ -521,8 +521,9 @@ def analytic_work_optimal(lam: float, s_i: float, s_f: float, c: PhysConsts,
                           n: int = 2001) -> tuple[SGridProtocol, TimeDomainProtocols]:
     """Closed-form minimum-work schedule between variances s_i and s_f.
 
-    Returns the s-grid schedule and its time-domain emission, the pair
-    solve_bvp and to_time_domain give, both on n uniform samples.  The
+    Returns the schedule on n uniform s-nodes and its emission, the pair
+    solve_bvp and to_time_domain give: the node table, each node at its
+    closed-form time t = sqrt(gamma lam) |sqrt(s) - sqrt(s_i)|.  The
     optimality condition (Schmiedl & Seifert, PRL 98, 108301 (2007)) pins
     s kbar(s) = D gamma - sign sqrt(gamma s / lam), sign = sign(s_f - s_i),
     so the flow always moves toward the target; the endpoints jump away
@@ -552,13 +553,10 @@ def analytic_work_optimal(lam: float, s_i: float, s_f: float, c: PhysConsts,
         return _kappa(s, kbar_of(s), (2.0 * c.m / c.gamma**2) * gap * kbp, c)
 
     s = np.linspace(s_i, s_f, n)
-    # linspace stores its stop as the last sample, so the emission's
+    # linspace stores its stop as the last node, so the emission's
     # duration is the closed form exactly
-    t = np.linspace(0.0, float(root_gl * abs(np.sqrt(s_f) - np.sqrt(s_i))), n)
-    s_t = (np.sqrt(s_i) + sign * t / root_gl) ** 2
+    t = root_gl * np.abs(np.sqrt(s) - np.sqrt(s_i))
     emitted = TimeDomainProtocols(
-        classical=TimeProtocol(t, kbar_of(s_t), "classical"),
-        quantum=TimeProtocol(t, kappa_of(s_t), "quantum"),
-        s=s_t, t_nodes=root_gl * np.abs(np.sqrt(s) - np.sqrt(s_i)),
-        kappa_nodes=kappa_of(s))
+        classical=TimeProtocol(t, kbar_of(s), "classical"),
+        quantum=TimeProtocol(t, kappa_of(s), "quantum"), s=s)
     return SGridProtocol(s, kbar_of(s)), emitted

@@ -56,6 +56,7 @@ from swifttrap import (
     simulate_nelson,
     solve_bvp,
     step_protocol,
+    time_of_s,
     to_time_domain,
     variance_rate,
     verify_born,
@@ -121,7 +122,7 @@ def test_work_optimal_closed_form(consts):
     p, emitted = analytic_work_optimal(1.0, 1.0, 2.0, c)
     assert abs(emitted.duration - (ROOT2 - 1.0)) <= 1e-6
     # quantum image collapses to the instantaneous ground-state stiffness
-    assert np.max(np.abs(emitted.kappa_nodes - c.m * c.D**2 / p.s_nodes**2)) <= 1e-10
+    assert np.max(np.abs(emitted.quantum.values - c.m * c.D**2 / p.s_nodes**2)) <= 1e-10
     # in rescaled time the quantum schedule does not depend on lam
     lams = (0.3, 1.0, 7.7)
     kappas = [analytic_work_optimal(L, 1.0, 2.0, c)[1].quantum.values for L in lams]
@@ -176,6 +177,17 @@ def test_compression_round_trip_lands(cache, cost):
     run = cache.ermakov(cost, 0.5, s_i=2.0, s_f=1.0)
     assert abs(float(run.s[-1]) - 1.0) <= 1e-5
     assert abs(float(run.sdot[-1])) <= 1e-5
+
+
+@pytest.mark.parametrize("cost,s_i,s_f", [("energy", 1.0, 5.0), ("work", 1.0, 5.0),
+                                          ("energy", 5.0, 1.0)])
+def test_thin_boundary_layer_schedules_land(cache, cost, s_i, s_f):
+    # lam = 10, mu = 1e-3 puts kappa's end ramps into a few nodes; emitted as
+    # the solver's node table these land at 3.7e-4, 2.0e-4 and 1.5e-4
+    run = cache.ermakov(cost, 1e-3, lam=10.0, s_i=s_i, s_f=s_f)
+    err_s, err_sdot = abs(float(run.s[-1]) - s_f), abs(float(run.sdot[-1]))
+    assert err_s <= 1e-3, f"|s(T) - s_f| = {err_s:.2e}"
+    assert err_sdot <= 1e-3, f"|sdot(T)| = {err_sdot:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +320,13 @@ def test_invariant_map_consistency(cache, invariant_clock):
         for p, td in protocols:
             if td is None:
                 td = to_time_domain(p, c)
-            # s-differenced and t-differenced stiffness maps agree away
-            # from the boundary layers
+            # the s-form and the t-form of the stiffness map, the latter on
+            # the emitted table at the schedule's own nodes, agree away from
+            # the boundary layers
             kap_s = quantum_from_classical_s(p, c)
-            gap_nodes = np.abs(kap_s - td.kappa_nodes)[30:-30]
+            kap_t = quantum_from_classical_t(td.classical, td.s, c).values
+            j = np.searchsorted(td.classical.t_nodes, time_of_s(p, c))
+            gap_nodes = np.abs(kap_s - kap_t[j])[30:-30]
             assert np.max(gap_nodes) <= 1e-3
             # integrating the flow under the emitted classical schedule
             # reproduces the emitted variance history

@@ -30,7 +30,7 @@ from swifttrap.analog import (
     _cell_geometry,
     _end_cell,
     _fitted_cells,
-    _hermite,
+    _kappa,
     _layer_exponent,
     _schedule_cells,
 )
@@ -199,12 +199,66 @@ def test_evolve_variance_guards(consts):
         evolve_variance(expulsive, 1.0, consts)
 
 
+def original_nodes(td, p, c):
+    """Where the schedule's own nodes sit in its emitted table."""
+    t = time_of_s(p, c)
+    j = np.searchsorted(td.classical.t_nodes, t)
+    assert same_bits(td.classical.t_nodes[j], t)
+    return j
+
+
 def test_map_s_and_t_forms_agree(consts):
-    # the same schedule mapped via d/ds and via d/dt (chain rule check)
+    # the same schedule mapped via d/ds and, on the emitted table, via d/dt
+    # (chain rule check)
     _, p = _pinned_analytic()
     td = to_time_domain(p, consts)
     kap_s = quantum_from_classical_s(p, consts)
-    assert np.max(np.abs(kap_s - td.kappa_nodes)[30:-30]) <= 1e-3
+    kap_t = quantum_from_classical_t(td.classical, td.s, consts).values
+    j = original_nodes(td, p, consts)
+    assert np.max(np.abs(kap_s - kap_t[j])[30:-30]) <= 1e-3
+
+
+@pytest.mark.parametrize("case", ["energy lam=10 mu=0.001 1->5", "uniform fixture"])
+def test_emitted_kappa_reads_no_node_time(consts, case, monkeypatch):
+    # the emitted kappa at the schedule's nodes is the s-domain map itself,
+    # so moving every node time by one ulp leaves it unchanged to the bit
+    if case == "uniform fixture":
+        p = _pinned_analytic()[1]
+    else:
+        p = solve_bvp(OptimizationProblem("energy", 10.0, 0.001, 1.0, 5.0), consts).protocol
+    td = to_time_domain(p, consts)
+    j = original_nodes(td, p, consts)
+    kap_s = quantum_from_classical_s(p, consts)
+    assert same_bits(td.quantum.values[j], kap_s)
+    assert same_bits(td.s[j], p.s_nodes) and same_bits(td.classical.values[j], p.kbar)
+
+    real = analog.time_of_s
+    monkeypatch.setattr(analog, "time_of_s", lambda *a: np.nextafter(real(*a), np.inf))
+    moved = to_time_domain(p, consts)
+    assert not same_bits(moved.classical.t_nodes, td.classical.t_nodes)
+    assert same_bits(moved.quantum.values, td.quantum.values)
+
+
+def test_s_map_is_exact_for_the_pinned_end_model(consts):
+    # kbar = a + b tau^(2/3) from each pinned end (kbar = D gamma / s there):
+    # the fitted kbar' is exact away from the middle, where the two models
+    # meet, and the rate term vanishes at the ends, where gap ~ tau^(2/3)
+    # and kbar' ~ tau^(-1/3)
+    s = np.linspace(1.0, 2.0, 2001)
+    tau = np.minimum(s - 1.0, 2.0 - s)
+    left = s - 1.0 <= 2.0 - s
+    kbar = np.where(left, 1.0 - 0.3 * np.cbrt(tau**2), 0.5 - 0.1 * np.cbrt(tau**2))
+    p = SGridProtocol(s, kbar)
+    got = quantum_from_classical_s(p, consts)
+    inner = slice(1, -1)
+    dkbar = np.where(left, -0.3, 0.1)[inner] * (2.0 / 3.0) / np.cbrt(tau[inner])
+    rate = (2.0 * consts.m / consts.gamma**2) * flow_gap(p, consts)[inner] * dkbar
+    want = _kappa(s[inner], kbar[inner], rate, consts)
+    far_from_middle = np.abs(s[inner] - 1.5) > 1e-3
+    err = np.abs(got[inner] - want)[far_from_middle]
+    assert np.max(err) <= 1e-10 * np.max(np.abs(want))
+    for end in (0, -1):
+        assert got[end] == _kappa(s[end], kbar[end], 0.0, consts)
 
 
 def test_map_t_form_guards(consts):
@@ -229,29 +283,6 @@ def test_emission_round_trip(consts):
     # driving the flow with the emitted schedule reproduces the emitted s
     traj = evolve_variance(td.classical, 1.0, consts)
     assert np.max(np.abs(traj.s - td.s)) <= 2e-4
-
-
-def test_hermite_evaluator_on_nonuniform_nodes():
-    from scipy.interpolate import CubicHermiteSpline  # reference only
-
-    t_nodes = 3.0 * np.linspace(0.0, 1.0, 41) ** 1.7
-    t = np.linspace(0.0, t_nodes[-1], 1001)
-
-    def cubic(x):
-        return 2.0 - 1.5 * x + 0.7 * x**2 - 0.3 * x**3
-
-    def cubic_dot(x):
-        return -1.5 + 1.4 * x - 0.9 * x**2
-
-    exact = cubic(t)
-    got = _hermite(t_nodes, cubic(t_nodes), cubic_dot(t_nodes), t)
-    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
-
-    y, dy = np.sin(2.0 * t_nodes), 2.0 * np.cos(2.0 * t_nodes)
-    # node values come back exactly, t_nodes[-1] (the clipped last cell) too
-    assert np.array_equal(_hermite(t_nodes, y, dy, t_nodes), y)
-    ref = CubicHermiteSpline(t_nodes, y, dy)(t)
-    assert np.max(np.abs(_hermite(t_nodes, y, dy, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_emission_endpoint_stiffness_is_equilibrium(cache):

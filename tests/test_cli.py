@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import swifttrap
-from swifttrap import adiabatic_reference, analog, equilibrium_kbar, solver
+from swifttrap import TimeProtocol, adiabatic_reference, analog, equilibrium_kbar, solver
 from swifttrap.cli import _numeric_rows, main
+from swifttrap.model import _node_substeps
 
 ROOT2 = np.sqrt(2.0)
 
@@ -31,8 +32,22 @@ def test_optimize_emits_artifacts(tmp_path):
     assert _read_csv_header(tmp_path / "protocol_s.csv") == ["s", "kbar", "kappa", "t"]
     assert _read_csv_header(tmp_path / "protocol_t.csv") == \
         ["t", "s", "kbar", "kappa", "alpha", "energy"]
-    # 501 data rows plus the header
-    assert len((tmp_path / "protocol_t.csv").read_text().splitlines()) == 502
+    # protocol_s.csv is the schedule's 501 nodes with the s-domain kappa at
+    # their transfer times; protocol_t.csv holds them too, plus the
+    # sub-nodes that split long pinned end cells
+    s_rows = (tmp_path / "protocol_s.csv").read_text().splitlines()[1:]
+    t_rows = (tmp_path / "protocol_t.csv").read_text().splitlines()[1:]
+    prob = swifttrap.OptimizationProblem("work", 1.0, 0.01, 1.0, 2.0, 501)
+    c = swifttrap.PhysConsts()
+    p = swifttrap.solve_bvp(prob, c).protocol
+    assert [row.split(",") for row in s_rows] == [
+        ["%.12e" % x for x in row] for row in zip(
+            p.s_nodes, p.kbar, swifttrap.quantum_from_classical_s(p, c),
+            swifttrap.time_of_s(p, c))]
+    # as (t, s, kbar, kappa)
+    node_rows = {(t, s, kbar, kappa) for s, kbar, kappa, t in (r.split(",") for r in s_rows)}
+    table_rows = {tuple(r.split(",")[:4]) for r in t_rows}
+    assert len(t_rows) >= 501 and node_rows <= table_rows
 
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["method"] == "bvp"
@@ -69,7 +84,7 @@ def test_optimize_work_mu_zero_uses_closed_form(tmp_path):
         return [["%.12e" % x for x in a] for a in arrays]
 
     assert columns("protocol_s.csv") == formatted(
-        p.s_nodes, p.kbar, emitted.kappa_nodes, emitted.t_nodes)
+        p.s_nodes, p.kbar, emitted.quantum.values, emitted.classical.t_nodes)
     assert columns("protocol_t.csv")[:4] == formatted(
         emitted.classical.t_nodes, emitted.s, emitted.classical.values,
         emitted.quantum.values)
@@ -92,10 +107,13 @@ def test_verify_ermakov_passes_on_emitted_protocol(tmp_path):
     verdict = json.loads((out2 / "verify.json").read_text())
     assert verdict["passed"] is True
     assert verdict["ermakov"]["err_s_end"] <= 1e-3
-    # one width-equation step per emitted cell, each far inside RK4's bound
-    t = np.loadtxt(tmp_path / "protocol_t.csv", delimiter=",", skiprows=1, usecols=0)
-    assert verdict["ermakov"]["n_steps"] == t.size - 1 == 2000
-    assert verdict["ermakov"]["max_step"] == pytest.approx(np.max(np.diff(t)), rel=1e-9)
+    # the width equation steps on the emitted nodes, splitting only cells
+    # longer than its default step, each step far inside RK4's bound
+    t, kappa = np.loadtxt(tmp_path / "protocol_t.csv", delimiter=",", skiprows=1,
+                          usecols=(0, 3), unpack=True)
+    _, h, ends, *_ = _node_substeps(TimeProtocol(t, kappa, "quantum"))
+    assert verdict["ermakov"]["n_steps"] == ends[-1] >= t.size - 1 >= 2000
+    assert verdict["ermakov"]["max_step"] == pytest.approx(np.max(h), rel=1e-9)
     assert 0.0 < verdict["ermakov"]["stability_margin"] < 0.01
 
 

@@ -321,7 +321,7 @@ def test_emission_and_j_total_make_one_cell_pass(consts, monkeypatch):
     assert len(calls) == 1
     cells = fresh_cells()
     t_nodes = np.concatenate(([0.0], np.cumsum(0.5 * cells)))
-    assert emitted.t_nodes.tobytes() == t_nodes.tobytes()
+    assert np.all(np.isin(t_nodes, emitted.classical.t_nodes))
     assert time_of_s(p, consts).tobytes() == t_nodes.tobytes()
     assert report.duration == duration(p, consts) == float(0.5 * np.sum(cells))
     assert report.f_energy == f_energy(p, consts)

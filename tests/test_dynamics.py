@@ -16,6 +16,7 @@ from swifttrap import (
     wigner_at,
 )
 from swifttrap.dynamics import _gouy_angle
+from swifttrap.model import _node_substeps
 from test_model import _recursive_scan, same_bits
 
 
@@ -288,12 +289,15 @@ def _landing_cases(cache):
 
 
 def test_emitted_schedule_takes_one_step_per_cell(consts, cache):
-    # the largest emitted cell is 1.8 span / 2000, under the default step of
-    # span / 1000, so the step grid is the 2001 emitted nodes themselves
+    # every emitted cell is one step, or, if longer than the default step of
+    # span / 1000, ceil(cell / step) equal steps: the step grid is the
+    # emitted nodes plus the substeps model._node_substeps lays out
     for name, em in _landing_cases(cache).items():
         run = integrate_ermakov(em.quantum, 1.0, consts)
-        assert run.t.size == 2001, name
-        assert same_bits(run.t, em.quantum.t_nodes), name
+        ta, _, ends, *_ = _node_substeps(em.quantum)
+        assert run.t.size == ends[-1] + 1 >= em.quantum.t_nodes.size >= 2001, name
+        assert same_bits(run.t, np.append(ta, em.quantum.t_nodes[-1])), name
+        assert same_bits(run.t[np.append(0, ends)], em.quantum.t_nodes), name
 
 
 def test_every_node_is_a_step(consts, cache):
@@ -316,16 +320,18 @@ def test_every_node_is_a_step(consts, cache):
                                   "work lam=1 mu=0.5 1->2", "energy lam=10 mu=0.001 1->5",
                                   "work lam=10 mu=0.001 1->5", "phase lam=10 mu=0.01 1->5"])
 def test_landing_agrees_with_a_refined_node_step_run(consts, cache, case):
-    # one step per emitted cell against 64 equal steps per cell, taken as one
-    # step per cell of the same piecewise-linear kappa on 64x the nodes: the
-    # landing values s(T) and sdot(T) that verify reads agree to 1e-9
+    # the default steps on the emitted cells against 64 equal steps per
+    # cell, taken as one step per cell of the same piecewise-linear kappa on
+    # 64x the nodes: the landing values s(T) and sdot(T) that verify reads
+    # agree to 1e-9
     proto = _landing_cases(cache)[case].quantum
     run = integrate_ermakov(proto, 1.0, consts)
+    assert run.t.size - 1 == _node_substeps(proto)[2][-1]
     t, cells = proto.t_nodes, np.diff(proto.t_nodes)
     t_fine = np.append((t[:-1, None] + cells[:, None] * (np.arange(64) / 64.0)).ravel(), t[-1])
     fine = integrate_ermakov(TimeProtocol(t_fine, proto(t_fine), "quantum"), 1.0, consts,
                              dt=np.max(np.diff(t_fine)))
-    assert fine.t.size - 1 == 64 * (run.t.size - 1)
+    assert fine.t.size - 1 == 64 * cells.size
     assert abs(run.s[-1] - fine.s[-1]) <= 1e-9, case
     assert abs(run.sdot[-1] - fine.sdot[-1]) <= 1e-9, case
 
@@ -344,7 +350,7 @@ def test_width_equation_peak_memory_pin(consts, cache):
     finally:
         tracemalloc.stop()
     record = sum(getattr(run, k).nbytes for k in ("t", "s", "sdot", "alpha", "beta", "energy"))
-    assert run.t.size == 2001
+    assert run.t.size == _node_substeps(proto)[2][-1] + 1 >= 2001
     assert peak <= 3.0 * record
 
 
@@ -379,7 +385,9 @@ def test_work_bundle_satisfies_width_equation(consts):
     # the width equation reduces to kappa sigma / m = 4 D^2 / sigma^3
     _, emitted = analytic_work_optimal(1.0, 1.0, 2.0, consts)
     sigma = np.sqrt(2.0 * emitted.s)
-    assert np.max(np.abs(np.diff(sigma, 2))) <= 1e-10
+    t = emitted.classical.t_nodes
+    line = sigma[0] + (sigma[-1] - sigma[0]) * t / t[-1]
+    assert np.max(np.abs(sigma - line)) <= 1e-10
     resid = emitted.quantum.values * sigma / consts.m - 4.0 * consts.D**2 / sigma**3
     assert np.max(np.abs(resid)) <= 1e-12
 

@@ -570,10 +570,13 @@ def test_work_bundle_views_consistent(consts):
     assert p.direction == 1.0
     assert emitted.classical.kind == "classical"
     assert emitted.quantum.kind == "quantum"
-    # t(s) and s(t) are inverse parametrizations of the same path
+    # the emission is the node table: the schedule's nodes at the times
+    # where the closed-form path s(t) = (1 + t)^2 passes through them
     t = emitted.classical.t_nodes
-    assert np.max(np.abs(np.interp(t, emitted.t_nodes, p.s_nodes) - emitted.s)) <= 1e-6
-    assert emitted.t_nodes[-1] == pytest.approx(emitted.duration, rel=1e-12)
+    assert np.array_equal(emitted.s, p.s_nodes)
+    assert np.array_equal(emitted.classical.values, p.kbar)
+    assert np.max(np.abs((1.0 + t) ** 2 - emitted.s)) <= 1e-6
+    assert t[-1] == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
 
 
 def test_work_bundle_compression_direction(consts):
