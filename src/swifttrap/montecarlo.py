@@ -22,20 +22,30 @@ with G = prod g_k and V from the scalar recursion V <- g_k^2 V + 2 D h.  The
 joint law at the checkpoints is the one stepping gives, so the step h, its
 stability bound and the checkpoint rounding keep their meaning.
 
-Randomness is one sequential SFC64 stream per ensemble (ensemble_stream),
-seeded through SeedSequence.  The draw order is fixed: the initial
-positions, then one row of N normals per checkpoint interval, drawn into
-one reused buffer that the chain update consumes in place; an interval of
-zero steps draws nothing.  Results are therefore a pure function of
-(inputs, seed, particle count).  SeedSequence hashes the seed into the
-generator's whole state, so neighbouring seeds, such as the seed + 1 that
-drives a classical twin next to a Born ensemble, give streams that are
-independent for every practical purpose rather than shifted copies of one
-another.
+Randomness: each ensemble is sampled as N_BLOCKS = 2 fixed particle blocks of
+floor(N/2) and N - floor(N/2) particles.  Block k draws from its own
+stream, BIT_GENERATOR seeded with SeedSequence(seed).spawn(2)[k]
+(ensemble_streams), and runs its whole chain on its own: the caller's
+thread runs block 0 and one worker thread runs block 1.  The normal draws
+and numpy's reductions release the GIL, so the two blocks overlap.  Each
+block's draw order is fixed: its initial positions, then one row per
+checkpoint interval, drawn into one reused buffer that the chain update
+consumes in place; an interval of zero steps draws nothing.  At each
+checkpoint a block keeps its mean and centred sums M2, M3 and M4, and the
+two blocks' sums are merged with the pairwise update formulas (Chan, Golub
+& LeVeque, 1979; Pebay, SAND2008-6212) into the mean, the unbiased variance
+and the excess kurtosis.  The blocks share no state and the merge has a
+fixed order, so results are a pure function of (inputs, seed, particle
+count), whatever the thread scheduling.  SeedSequence hashes the seed and
+the block's spawn key into the generator's whole state, so the two blocks
+of one seed, and neighbouring seeds, such as the seed + 1 that drives a
+classical twin next to a Born ensemble, give streams that are independent
+for every practical purpose rather than shifted copies of one another.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +57,7 @@ __all__ = [
     "BIT_GENERATOR",
     "BornReport",
     "McConfig",
-    "ensemble_stream",
+    "ensemble_streams",
     "simulate_classical",
     "simulate_nelson",
     "verify_born",
@@ -79,11 +89,20 @@ class McConfig:
 # does not load numpy.random (about 6 MB resident) for runs with no ensemble
 BIT_GENERATOR = "SFC64"
 
+# a constant, not read from the host, so that results depend only on
+# (inputs, seed, particle count); block 0 runs on the caller's thread and
+# block 1 on one worker thread
+N_BLOCKS = 2
 
-def ensemble_stream(seed: int) -> np.random.Generator:
-    """The ensemble's random stream: BIT_GENERATOR seeded through SeedSequence."""
+
+def ensemble_streams(seed: int) -> list[np.random.Generator]:
+    """The ensemble's random streams, one per particle block.
+
+    Block k draws from BIT_GENERATOR seeded with SeedSequence(seed).spawn(N_BLOCKS)[k].
+    """
     bit_generator = getattr(np.random, BIT_GENERATOR)
-    return np.random.Generator(bit_generator(np.random.SeedSequence(seed)))
+    return [np.random.Generator(bit_generator(child))
+            for child in np.random.SeedSequence(seed).spawn(N_BLOCKS)]
 
 
 def _resolve_dt(cfg: McConfig, rate_bound: float, span: float) -> float:
@@ -100,17 +119,62 @@ def _checkpoint_steps(cfg: McConfig, t0: float, h: float, n_steps: int) -> np.nd
     return idx
 
 
-def _moments(x: np.ndarray) -> tuple[float, float, float]:
-    """Mean, unbiased variance and excess kurtosis from one centred pass."""
-    n = x.size
-    mean = float(x.mean())
-    d2 = x - mean
-    d2 *= d2
-    m2 = float(d2.sum()) / n
-    m4 = float(np.dot(d2, d2)) / n
-    var = m2 * n / (n - 1)
-    kurt = m4 / (m2 * m2) - 3.0
-    return mean, var, kurt
+def _centred_sums(x: np.ndarray, work: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean and the centred sums M2, M3, M4 of one block, from one centred pass.
+
+    work is a (2, x.size) scratch array; its rows become d = x - mean and
+    d^2, whose Gram matrix [[M2, M3], [M3, M4]] is one BLAS call.  Each
+    step is one numpy call that releases the GIL, so the other block's
+    thread runs meanwhile.
+    """
+    mean = float(np.add.reduce(x)) / x.size
+    d, d2 = work
+    np.subtract(x, mean, out=d)
+    np.multiply(d, d, out=d2)
+    gram = work @ work.T
+    return mean, float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
+
+
+def _merged_moments(n_a: int, a: np.ndarray, n_b: int,
+                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, unbiased variance and excess kurtosis of two blocks together.
+
+    a and b hold (mean, M2, M3, M4) along their last axis; the centred sums
+    combine by the pairwise updates of Chan, Golub & LeVeque (1979) for M2
+    and Pebay (SAND2008-6212) for M4.
+    """
+    n = n_a + n_b
+    delta = b[..., 0] - a[..., 0]
+    mean = a[..., 0] + delta * (n_b / n)
+    m2 = a[..., 1] + b[..., 1] + delta**2 * (n_a * n_b / n)
+    m4 = (a[..., 3] + b[..., 3]
+          + delta**4 * (n_a * n_b * (n_a * n_a - n_a * n_b + n_b * n_b) / n**3)
+          + 6.0 * delta**2 * (n_a * n_a * b[..., 1] + n_b * n_b * a[..., 1]) / n**2
+          + 4.0 * delta * (n_a * b[..., 2] - n_b * a[..., 2]) / n)
+    return mean, m2 / (n - 1), n * m4 / (m2 * m2) - 3.0
+
+
+def _sample_block(rng: np.random.Generator, n: int, sd_start: float,
+                  plan: list[tuple[float, float] | None]) -> np.ndarray:
+    """One block's chain: (mean, M2, M3, M4) at each checkpoint.
+
+    plan holds each checkpoint interval's (gain G, noise sd sqrt(V)), or
+    None for an interval of zero steps, which draws nothing.
+    """
+    x = rng.standard_normal(n)
+    x *= sd_start
+    eta = np.empty_like(x)
+    work = np.empty((2, n))
+    sums = np.empty((len(plan), 4))
+    for j, step in enumerate(plan):
+        if step is not None:
+            gain, sd = step
+            rng.standard_normal(out=eta)
+            eta *= sd
+            x *= gain
+            x += eta
+        sums[j] = _centred_sums(x, work)
+    return sums
 
 
 def _run_em(t_nodes: np.ndarray, values: np.ndarray, divisor: float, bound_name: str,
@@ -120,7 +184,9 @@ def _run_em(t_nodes: np.ndarray, values: np.ndarray, divisor: float, bound_name:
     The drift rate is values / divisor, linear in t between t_nodes; its
     stability bound is |divisor| / max|values|, which bound_name spells
     out in the error.  The step h = span / round(span / dt) must lie below
-    that bound, and the rate is sampled at each step's start.
+    that bound, and the rate is sampled at each step's start.  Each
+    interval's (G, sqrt(V)) is formed once, serially, and both particle
+    blocks read it.
     """
     t0 = float(t_nodes[0])
     span = float(t_nodes[-1] - t_nodes[0])
@@ -135,31 +201,43 @@ def _run_em(t_nodes: np.ndarray, values: np.ndarray, divisor: float, bound_name:
     rates = np.interp(t0 + h * np.arange(n_steps), t_nodes, values) / divisor
 
     idx = _checkpoint_steps(cfg, t0, h, n_steps)
-    rng = ensemble_stream(cfg.seed)
-    x = rng.standard_normal(cfg.n_particles)
-    x *= np.sqrt(s_start)
-    eta = np.empty_like(x)
 
     growth = (1.0 + rates * h).tolist()
     step_var = 2.0 * c.D * h
-
-    n_cp = idx.size
-    mean = np.empty(n_cp)
-    var = np.empty(n_cp)
-    kurt = np.empty(n_cp)
+    plan: list[tuple[float, float] | None] = []
     done = 0
-    for j, b in enumerate(idx.tolist()):
+    for b in idx.tolist():
         if b > done:
             gain, noise_var = 1.0, 0.0
             for g in growth[done:b]:
                 gain *= g
                 noise_var = g * g * noise_var + step_var
-            rng.standard_normal(out=eta)
-            eta *= np.sqrt(noise_var)
-            x *= gain
-            x += eta
+            plan.append((gain, float(np.sqrt(noise_var))))
             done = b
-        mean[j], var[j], kurt[j] = _moments(x)
+        else:
+            plan.append(None)
+
+    n_a = cfg.n_particles // 2
+    sizes = (n_a, cfg.n_particles - n_a)
+    streams = ensemble_streams(cfg.seed)
+    sd_start = float(np.sqrt(s_start))
+    out: list = [None, None]
+
+    def block_1():
+        try:
+            out[1] = _sample_block(streams[1], sizes[1], sd_start, plan)
+        except BaseException as exc:  # re-raised on the caller's thread after the join
+            out[1] = exc
+
+    worker = threading.Thread(target=block_1, name="swifttrap-ensemble-block-1")
+    worker.start()
+    try:
+        out[0] = _sample_block(streams[0], sizes[0], sd_start, plan)
+    finally:
+        worker.join()
+    if isinstance(out[1], BaseException):
+        raise out[1]
+    mean, var, kurt = _merged_moments(sizes[0], out[0], sizes[1], out[1])
 
     stderr = var * np.sqrt(2.0 / (cfg.n_particles - 1))
     return EnsembleStats(times=t0 + idx * h, mean=mean, variance=var,

@@ -11,7 +11,9 @@ from swifttrap import (
     OptimizationProblem,
     SGridProtocol,
     TimeProtocol,
+    chen_polynomial,
     duration,
+    equilibrium_kappa,
     equilibrium_kbar,
     evolve_variance,
     f_energy,
@@ -259,6 +261,38 @@ def test_s_map_is_exact_for_the_pinned_end_model(consts):
     assert np.max(err) <= 1e-10 * np.max(np.abs(want))
     for end in (0, -1):
         assert got[end] == _kappa(s[end], kbar[end], 0.0, consts)
+
+
+def test_swift_equilibration_maps_to_chen_ramp(consts):
+    # the engineered swift equilibration of the bead prescribes s(t) and
+    # applies kbar = (D gamma - gamma sdot/2)/s; through the analog its
+    # quantum image is Chen's ramp with the same s = s_i q^2, both reading
+    # kappa/m = kappa_i/(m q^4) - qddot/q (Martinez et al., Nature Physics
+    # 12, 843 (2016); Chen et al., PRL 104, 063002 (2010)).  Read as an
+    # s-grid schedule, the emission must give back Chen's times and kappa
+    # at second order, with kappa exact at both ends.
+    s_i, s_f, span = 1.0, 2.0, 1.0
+    errors = []
+    for n in (501, 2001, 8001):
+        chen, q = chen_polynomial(equilibrium_kappa(s_i, consts),
+                                  equilibrium_kappa(s_f, consts), span, consts, n)
+        tn = chen.t_nodes / span
+        # q = 1 + (q_f - 1)(6 T^5 - 15 T^4 + 10 T^3), q_f = sqrt(s_f/s_i)
+        qdot = (np.sqrt(s_f / s_i) - 1.0) * 30.0 * tn**2 * (1.0 - tn) ** 2 / span
+        s = s_i * q**2
+        kbar = consts.gamma * (consts.D - s_i * q * qdot) / s
+        p = SGridProtocol(s, kbar)
+        kappa = quantum_from_classical_s(p, consts)
+        assert kappa[[0, -1]] == pytest.approx(chen.values[[0, -1]], rel=1e-15, abs=0.0)
+        errors.append((np.max(np.abs(time_of_s(p, consts) - chen.t_nodes)) / span,
+                       np.max(np.abs(kappa - chen.values)) / np.max(np.abs(chen.values))))
+    # 9.1e-6, 7.4e-7, 6.1e-8 of T and 2.4e-5, 1.5e-6, 1.2e-7 of max|kappa|
+    bounds = ((1.2e-5, 3e-5), (1e-6, 2e-6), (1e-7, 2e-7))
+    for (err_t, err_k), (bound_t, bound_k) in zip(errors, bounds):
+        assert err_t <= bound_t and err_k <= bound_k, (err_t, err_k)
+    # each fourfold refinement gains at least a factor 10 (order > 1.6)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert min(c / f for c, f in zip(coarse, fine)) >= 10.0, (coarse, fine)
 
 
 def test_map_t_form_guards(consts):

@@ -355,13 +355,15 @@ def test_cli_import_skips_scipy_interpolate():
     # every command pays the cold import of swifttrap.cli; the runtime is
     # numpy-only, and importing any part of scipy would add about 0.3 s
     # (scipy.linalg) to 0.4 s (scipy.interpolate) on a 2-core host;
-    # numpy.random (about 6 MB resident) loads only when an ensemble runs
+    # numpy.random (about 6 MB resident) loads only when an ensemble runs;
+    # the ensembles' second thread comes from threading, which the package
+    # loads anyway, not from concurrent.futures
     src = os.path.dirname(os.path.dirname(swifttrap.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for module in ("swifttrap", "swifttrap.cli"):
         code = (f"import sys, {module}; "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith('scipy') or m == 'numpy.random'))")
+                "print(sorted(m for m in sys.modules if m.startswith('scipy') "
+                "or m in ('numpy.random', 'concurrent.futures')))")
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True, check=True)

@@ -1,5 +1,7 @@
 """Stochastic ensemble simulators and the Born-statistics verdict."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,8 @@ from swifttrap import (
     simulate_nelson,
     verify_born,
 )
-from swifttrap.montecarlo import _moments, ensemble_stream
+from swifttrap import montecarlo
+from swifttrap.montecarlo import _centred_sums, _merged_moments, ensemble_streams
 
 
 def _hold_protocol(span=2.0, n=201, kbar=1.0):
@@ -50,28 +53,89 @@ def test_same_seed_reproduces_exactly(consts):
 def test_stream_reproduces_and_neighbouring_seeds_decorrelate():
     n = 100_000
     for s in (0, 11, 2**31 - 3):
-        assert np.array_equal(ensemble_stream(s).standard_normal(n),
-                              ensemble_stream(s).standard_normal(n))
-        # seed + 1 drives the classical twin next to the Born ensemble
-        r = np.corrcoef(ensemble_stream(s).standard_normal(n),
-                        ensemble_stream(s + 1).standard_normal(n))[0, 1]
-        assert abs(r) < 5.0 / np.sqrt(n), f"seeds {s}, {s + 1}: r = {r:.2e}"
+        blocks = [g.standard_normal(n) for g in ensemble_streams(s)]
+        assert len(blocks) == montecarlo.N_BLOCKS == 2
+        for a, b in zip(blocks, (g.standard_normal(n) for g in ensemble_streams(s))):
+            assert np.array_equal(a, b)
+        # the two blocks of one seed, and each of them against each block of
+        # seed + 1, which drives the classical twin next to the Born ensemble
+        twin = [g.standard_normal(n) for g in ensemble_streams(s + 1)]
+        pairs = {"0, 1": (blocks[0], blocks[1])}
+        pairs.update({f"{j}, {k} of seed + 1": (blocks[j], twin[k])
+                      for j in (0, 1) for k in (0, 1)})
+        for label, (a, b) in pairs.items():
+            r = np.corrcoef(a, b)[0, 1]
+            assert abs(r) < 5.0 / np.sqrt(n), f"seed {s} blocks {label}: r = {r:.2e}"
 
 
 @pytest.mark.parametrize("sample", ["offset", "student_t"])
 def test_moments_match_two_pass_reference(sample):
     # a large offset punishes a one-pass E[x^2] - E[x]^2; Student-t (5 dof)
-    # puts most of the fourth moment in a few tail points
+    # puts most of the fourth moment in a few tail points; an odd count
+    # splits into unequal blocks, as _run_em splits the particles
     rng = np.random.default_rng(7)
+    n = 20_001
     if sample == "offset":
-        x = 1.0e3 + 1.0e-2 * rng.standard_normal(20_000)
+        x = 1.0e3 + 1.0e-2 * rng.standard_normal(n)
     else:
-        x = rng.standard_t(5, 20_000)
-    mean, var, kurt = _moments(x)
+        x = rng.standard_t(5, n)
+    n_a = n // 2
+    a, b = (np.array(_centred_sums(part, np.empty((2, part.size))))
+            for part in (x[:n_a], x[n_a:]))
+    mean, var, kurt = _merged_moments(n_a, a, n - n_a, b)
     d = x - x.mean()
     assert mean == pytest.approx(x.mean(), rel=1e-15)
     assert var == pytest.approx(np.var(x, ddof=1), rel=1e-12)
     assert kurt + 3.0 == pytest.approx(np.mean(d**4) / np.var(x) ** 2, rel=1e-12)
+
+
+def test_concurrent_callers_match_serial_calls(consts):
+    # two callers at once put four sampling threads on the host; each
+    # result must still be a function of its own inputs alone, bit for bit
+    span, n = 2.0, 201
+    t = np.linspace(0.0, span, n)
+    protos = (_hold_protocol(), TimeProtocol(t, 2.0 + np.sin(np.pi * t), "classical"))
+    cfgs = (McConfig(2001, 11, np.array([0.5, 1.0, 2.0]), dt=1e-3),
+            McConfig(3000, 12, np.array([0.25, 1.5, 2.0]), dt=2e-3))
+    serial = [simulate_classical(p, 1.0, cfg, consts) for p, cfg in zip(protos, cfgs)]
+    got = [None, None]
+
+    def call(i):
+        got[i] = simulate_classical(protos[i], 1.0, cfgs[i], consts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            callers = [threading.Thread(target=call, args=(i,)) for i in (0, 1)]
+            for th in callers:
+                th.start()
+            for th in callers:
+                th.join(timeout=30.0)
+            assert not any(th.is_alive() for th in callers)
+            for want, have in zip(serial, got):
+                for field in ("times", "mean", "variance", "excess_kurtosis",
+                              "stderr_variance"):
+                    assert np.array_equal(getattr(want, field), getattr(have, field)), field
+            got[:] = (None, None)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_block_1_error_reaches_the_caller(consts, monkeypatch):
+    sample_block = montecarlo._sample_block
+
+    def failing_block_1(rng, *args):
+        if rng.bit_generator.seed_seq.spawn_key == (1,):
+            raise RuntimeError("block 1 failed")
+        return sample_block(rng, *args)
+
+    monkeypatch.setattr(montecarlo, "_sample_block", failing_block_1)
+    threads = threading.active_count()
+    cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([1.0]), dt=1e-2)
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        simulate_classical(_hold_protocol(), 1.0, cfg, consts)
+    assert threading.active_count() == threads
 
 
 def test_zero_noise_reduces_to_discrete_drift(consts):
