@@ -59,7 +59,7 @@ def main():
 
     print("== 4. independent check: stochastic ensemble ==")
     ckpts = np.linspace(0.0, dur, 9)[1:]
-    cfg = McConfig(40_000, 7, ckpts, dt=1e-4)
+    cfg = McConfig(40_000, 7, ckpts)
     t0 = time.perf_counter()
     stats = simulate_nelson(run, cfg, c)
     report = verify_born(stats, np.interp(ckpts, run.t, run.s))

@@ -84,26 +84,15 @@ class VarianceTrajectory:
     sdot: np.ndarray
 
 
-def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
-                    dt: float | None = None) -> VarianceTrajectory:
-    """Integrate the variance flow under kbar_t, from variance s_start.
+def _variance_steps(kbar_t: TimeProtocol, c: PhysConsts, dt: float | None = None):
+    """The RK4 substeps of the variance flow under kbar_t, as affine maps.
 
-    Classic fixed-step RK4, with substeps chosen so no step straddles a
-    protocol node (kbar is linear inside each cell, so fourth order is
-    preserved): a cell of length L takes ceil(L/dt) equal substeps, laid
-    out by model._node_substeps, which integrate_ermakov shares along with
-    its default dt.  The flow is affine in s, so each substep is the map
-    s <- (1 + e) s + b, i.e. the 2x2 map [[1 + e, b], [0, 1]] on (s, 1),
-    written in closed form from the substep's three kbar samples; the maps
-    are composed by a vectorized prefix scan.  Samples are returned at the
-    protocol nodes.  Raises IntegrationError (with the failure time) at the
-    end of the first substep where s leaves (0, inf).
+    The flow is affine in s, so each substep is the map s <- (1 + e) s + b,
+    i.e. the 2x2 map [[1 + e, b], [0, 1]] on (s, 1), written in closed form
+    from the substep's three kbar samples.  Returns (ta, h, ends, maps):
+    model._node_substeps' layout and the (4, n) rows E00 = e, E01 = b,
+    E10 = E11 = 0 of every substep, in time order.
     """
-    if kbar_t.kind != "classical":
-        raise ValueError("evolve_variance drives the classical trap; got a quantum schedule")
-    if s_start <= 0.0:
-        raise ValueError("starting variance must be positive")
-    t_nodes = kbar_t.t_nodes
     two_over_gamma = 2.0 / c.gamma
     source = two_over_gamma * (c.D * c.gamma)
 
@@ -119,7 +108,30 @@ def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
             + h * hy * hy / 12.0 * (x + z) + h * hy * hy * h * x * z / 24.0)
     e[1] = (h * source / 6.0) * (6.0 + 2.0 * hy + h * z + 0.5 * hy * hy
                               + 0.5 * hy * h * z + 0.25 * hy * hy * h * z)
-    p = _prefix_step_maps(e)
+    return ta, h, ends, e
+
+
+def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
+                    dt: float | None = None) -> VarianceTrajectory:
+    """Integrate the variance flow under kbar_t, from variance s_start.
+
+    Classic fixed-step RK4, with substeps chosen so no step straddles a
+    protocol node (kbar is linear inside each cell, so fourth order is
+    preserved): a cell of length L takes ceil(L/dt) equal substeps, laid
+    out by model._node_substeps, which integrate_ermakov shares along with
+    its default dt.  Each substep is an affine map of s (_variance_steps,
+    which montecarlo's ensembles read too); the maps are composed by a
+    vectorized prefix scan.  Samples are returned at the protocol nodes.
+    Raises IntegrationError (with the failure time) at the end of the
+    first substep where s leaves (0, inf).
+    """
+    if kbar_t.kind != "classical":
+        raise ValueError("evolve_variance drives the classical trap; got a quantum schedule")
+    if s_start <= 0.0:
+        raise ValueError("starting variance must be positive")
+    t_nodes = kbar_t.t_nodes
+    ta, h, ends, maps = _variance_steps(kbar_t, c, dt)
+    p = _prefix_step_maps(maps)
     with np.errstate(over="ignore", invalid="ignore"):
         s = s_start + s_start * p[0] + p[1]
     bad = np.flatnonzero(~(np.isfinite(s) & (s > 0.0)))

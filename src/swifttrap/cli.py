@@ -308,11 +308,8 @@ def _cmd_verify(args) -> int:
         }
 
     if args.method in ("nelson", "both"):
-        span = float(t[-1] - t[0])
-        dt = args.dt if args.dt is not None else span / 2000.0
         ckpts = np.linspace(t[0], t[-1], N_CHECKPOINTS + 1)[1:]
-        cfg = McConfig(n_particles=args.particles, seed=args.seed,
-                       checkpoints=ckpts, dt=dt)
+        cfg = McConfig(n_particles=args.particles, seed=args.seed, checkpoints=ckpts)
         stats = simulate_nelson(run, cfg, c)
         reference = np.interp(ckpts, run.t, run.s)
         born = verify_born(stats, reference)
@@ -324,15 +321,12 @@ def _cmd_verify(args) -> int:
             "n_particles": args.particles,
             "seed": args.seed,
             "rng": BIT_GENERATOR,
-            "dt": stats.h,
-            "n_steps": stats.n_steps,
-            "stability_margin": stats.stability_margin,
             "passed": born.passed,
         }
         if args.method == "both":
             kbar_cl = TimeProtocol(t, cols["kbar"], "classical")
             cfg_twin = McConfig(n_particles=args.particles, seed=args.seed + 1,
-                                checkpoints=ckpts, dt=dt)
+                                checkpoints=ckpts)
             twin = simulate_classical(kbar_cl, s_start, cfg_twin, c)
             joint = (np.abs(stats.variance - twin.variance)
                      / np.hypot(stats.stderr_variance, twin.stderr_variance))
@@ -341,9 +335,6 @@ def _cmd_verify(args) -> int:
                 "threshold": 3.0,
                 "seed": args.seed + 1,
                 "rng": BIT_GENERATOR,
-                "dt": twin.h,
-                "n_steps": twin.n_steps,
-                "stability_margin": twin.stability_margin,
                 "passed": bool(np.max(joint) <= 3.0),
             }
 
@@ -352,7 +343,7 @@ def _cmd_verify(args) -> int:
     verdict.update(checks)
     _write_json(os.path.join(outdir, "verify.json"), verdict)
     _write_manifest(outdir, "verify",
-                    _flag_params(args, ("protocol", "method", "particles", "dt")),
+                    _flag_params(args, ("protocol", "method", "particles")),
                     ["verify.json"], seed=args.seed)
     print(f"verify {args.method}: {'pass' if passed else 'FAIL'}")
     return 0 if passed else 4
@@ -488,8 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--protocol", required=True, help="protocol CSV (needs t,s,kbar,kappa)")
     ver.add_argument("--method", choices=("ermakov", "nelson", "both"), required=True)
     ver.add_argument("--particles", type=int, default=100000)
-    ver.add_argument("--dt", type=float, default=None,
-                     help="ensemble step (default: duration/2000)")
     ver.add_argument("--seed", type=int, default=0)
     _add_common(ver)
     ver.set_defaults(func=_cmd_verify)

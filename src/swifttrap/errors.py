@@ -51,8 +51,9 @@ class IntegrationError(RuntimeError):
     h*sqrt(|kappa|/m) <= 2*sqrt(2) (its linear flow cannot collapse, so an
     under-resolved schedule is caught by its step instead), or when the
     variance rebuilt from the flow is non-finite or negligible; the
-    variance flow raises it when s leaves (0, inf).  The time of failure
-    is stored on the exception.
+    variance flow raises it when s leaves (0, inf), and an ensemble when
+    the law of a checkpoint interval is not positive and finite.  The time
+    of failure is stored on the exception.
     """
 
     def __init__(self, message, t=None):

@@ -170,9 +170,8 @@ class OptimizationProblem:
 class EnsembleStats:
     """Moment summaries of a simulated ensemble at checkpoint times.
 
-    h and n_steps are the Euler-Maruyama step actually used and the number
-    of steps over the span; stability_margin is h * max|drift rate| over
-    those steps, which stays below 1 for a stable chain.
+    times are the checkpoints the ensemble was asked for; n_particles is
+    the ensemble size, which the standard errors were formed from.
     """
 
     times: np.ndarray
@@ -181,9 +180,6 @@ class EnsembleStats:
     excess_kurtosis: np.ndarray
     stderr_variance: np.ndarray
     n_particles: int = 0
-    h: float = 0.0
-    n_steps: int = 0
-    stability_margin: float = 0.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -196,7 +192,9 @@ class EnsembleStats:
 def _node_substeps(proto: TimeProtocol, dt: float | None = None):
     """Equal substeps of at most dt that never straddle a node of proto.
 
-    dt defaults to a thousandth of the span, so most cells of a schedule
+    The step grid of the width equation, of the variance flow and of the
+    ensembles' laws, which read that flow.  dt must be positive (not NaN)
+    and defaults to a thousandth of the span, so most cells of a schedule
     emitted on about 2001 nodes take one substep and its longer cells a
     few, and a coarse schedule still takes about a thousand.  A cell of
     length L takes ceil(L/dt) equal substeps, so the schedule, linear
@@ -212,8 +210,8 @@ def _node_substeps(proto: TimeProtocol, dt: float | None = None):
     t_nodes, values = proto.t_nodes, proto.values
     if dt is None:
         dt = (t_nodes[-1] - t_nodes[0]) / 1.0e3
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     cells = np.diff(t_nodes)
     m_sub = np.maximum(1, np.ceil(cells / dt).astype(int))
     ends = np.cumsum(m_sub)

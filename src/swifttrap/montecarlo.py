@@ -1,6 +1,6 @@
 """Stochastic ensemble verification of stiffness schedules.
 
-Two Euler-Maruyama simulations share one diffusion constant D:
+Two ensembles share one diffusion constant D:
 
 * classical: an overdamped bead in the driven trap,
   dx = -(kbar(t)/gamma) x dt + sqrt(2 D) dW;
@@ -14,13 +14,14 @@ into z-scores against a reference variance curve (variance against the
 Gaussian standard error s*sqrt(2/(N-1)), excess kurtosis against
 sqrt(24/N)).
 
-The drift is linear in x, so the Euler-Maruyama chain
-x_{k+1} = g_k x_k + sqrt(2 D h) xi_k, g_k = 1 + rate_k h, is sampled exactly
-at its checkpoint steps instead of being stepped (Gillespie, Phys. Rev. E
-54, 2084 (1996)): between checkpoint steps a < b, x_b = G x_a + sqrt(V) eta
-with G = prod g_k and V from the scalar recursion V <- g_k^2 V + 2 D h.  The
-joint law at the checkpoints is the one stepping gives, so the step h, its
-stability bound and the checkpoint rounding keep their meaning.
+Both SDEs read dx = r(t) x dt + sqrt(2 D) dW, linear in x, so neither is
+stepped: between checkpoints a < b, x_b = G x_a + sqrt(V) eta exactly
+(Gillespie, Phys. Rev. E 54, 2084 (1996)), with G^2 = exp(2 int_a^b r) and
+V the value at b of V' = 2 r V + 2 D from V(a) = 0.  That is the variance
+flow of analog.evolve_variance under the stiffness -gamma r, so G and V
+compose its RK4 substeps (analog._variance_steps) over the nodes with the
+checkpoints inserted.  McConfig.dt only caps those substeps, as dt does for
+evolve_variance.
 
 Randomness: each ensemble is sampled as N_BLOCKS = 2 fixed particle blocks of
 floor(N/2) and N - floor(N/2) particles.  Block k draws from its own
@@ -30,7 +31,7 @@ thread runs block 0 and one worker thread runs block 1.  The normal draws
 and numpy's reductions release the GIL, so the two blocks overlap.  Each
 block's draw order is fixed: its initial positions, then one row per
 checkpoint interval, drawn into one reused buffer that the chain update
-consumes in place; an interval of zero steps draws nothing.  At each
+consumes in place; a checkpoint at the start draws nothing.  At each
 checkpoint a block keeps its mean and centred sums M2, M3 and M4, and the
 two blocks' sums are merged with the pairwise update formulas (Chan, Golub
 & LeVeque, 1979; Pebay, SAND2008-6212) into the mean, the unbiased variance
@@ -50,7 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analog import _variance_steps
 from .dynamics import TrajectoryRecord
+from .errors import IntegrationError
 from .model import EnsembleStats, PhysConsts, TimeProtocol
 
 __all__ = [
@@ -66,7 +69,7 @@ __all__ = [
 
 @dataclass
 class McConfig:
-    """Ensemble size, step, seed and observation times."""
+    """Ensemble size, seed, observation times and the law's substep cap dt."""
 
     n_particles: int
     seed: int
@@ -81,8 +84,8 @@ class McConfig:
             raise ValueError("checkpoints must be a non-empty 1-d array")
         if np.any(np.diff(self.checkpoints) <= 0.0):
             raise ValueError("checkpoints must be strictly increasing")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
 
 
 # looked up by name when a stream is built, so that importing the package
@@ -103,20 +106,6 @@ def ensemble_streams(seed: int) -> list[np.random.Generator]:
     bit_generator = getattr(np.random, BIT_GENERATOR)
     return [np.random.Generator(bit_generator(child))
             for child in np.random.SeedSequence(seed).spawn(N_BLOCKS)]
-
-
-def _resolve_dt(cfg: McConfig, rate_bound: float, span: float) -> float:
-    """Default step: a tenth of min(stability bound, span/10^4)."""
-    if cfg.dt is not None:
-        return float(cfg.dt)
-    return min(rate_bound, span / 1.0e4) / 10.0
-
-
-def _checkpoint_steps(cfg: McConfig, t0: float, h: float, n_steps: int) -> np.ndarray:
-    idx = np.rint((cfg.checkpoints - t0) / h).astype(int)
-    if np.any(idx < 0) or np.any(idx > n_steps):
-        raise ValueError("checkpoints must lie within the protocol support")
-    return idx
 
 
 def _centred_sums(x: np.ndarray, work: np.ndarray) -> tuple[float, float, float, float]:
@@ -159,7 +148,7 @@ def _sample_block(rng: np.random.Generator, n: int, sd_start: float,
     """One block's chain: (mean, M2, M3, M4) at each checkpoint.
 
     plan holds each checkpoint interval's (gain G, noise sd sqrt(V)), or
-    None for an interval of zero steps, which draws nothing.
+    None for a checkpoint at the start, which draws nothing.
     """
     x = rng.standard_normal(n)
     x *= sd_start
@@ -177,45 +166,45 @@ def _sample_block(rng: np.random.Generator, n: int, sd_start: float,
     return sums
 
 
-def _run_em(t_nodes: np.ndarray, values: np.ndarray, divisor: float, bound_name: str,
-            s_start: float, cfg: McConfig, c: PhysConsts) -> EnsembleStats:
-    """Sample x <- (1 + rate_k h) x + sqrt(2 D h) xi exactly at the checkpoints.
+def _run_ensemble(t_nodes: np.ndarray, kbar: np.ndarray, s_start: float,
+                  cfg: McConfig, c: PhysConsts) -> EnsembleStats:
+    """Sample x_b = G x_a + sqrt(V) eta at the checkpoints under the stiffness kbar.
 
-    The drift rate is values / divisor, linear in t between t_nodes; its
-    stability bound is |divisor| / max|values|, which bound_name spells
-    out in the error.  The step h = span / round(span / dt) must lie below
-    that bound, and the rate is sampled at each step's start.  Each
-    interval's (G, sqrt(V)) is formed once, serially, and both particle
-    blocks read it.
+    kbar is linear between t_nodes, so np.interp is exact at the
+    checkpoints inserted among them.  Substep k of the variance flow on
+    that grid maps s -> a_k s + b_k; with L the running sum of log(a_k),
+    the substeps from checkpoint a to b compose to G^2 = exp(L_b - L_a) and
+    V = sum_k b_k exp(L_b - L_k), so nothing cancels as D -> 0.  Only
+    differences of L are exponentiated, so G^2 and V keep their relative
+    precision however far the variance has contracted since t0.  Both
+    particle blocks read the (G, sqrt(V)) table.  A law that is not
+    positive and finite raises IntegrationError at b.
     """
-    t0 = float(t_nodes[0])
-    span = float(t_nodes[-1] - t_nodes[0])
-    vmax = float(np.max(np.abs(values)))
-    bound = abs(divisor) / vmax if vmax > 0.0 else np.inf
-    dt = _resolve_dt(cfg, bound, span)
-    n_steps = max(1, int(round(span / dt)))
-    h = span / n_steps
-    if h >= bound:
-        raise ValueError(f"step h={h:.3g} (dt={dt:.3g}) violates the stability bound "
-                         f"{bound_name}={bound:.3g}")
-    rates = np.interp(t0 + h * np.arange(n_steps), t_nodes, values) / divisor
-
-    idx = _checkpoint_steps(cfg, t0, h, n_steps)
-
-    growth = (1.0 + rates * h).tolist()
-    step_var = 2.0 * c.D * h
-    plan: list[tuple[float, float] | None] = []
-    done = 0
-    for b in idx.tolist():
-        if b > done:
-            gain, noise_var = 1.0, 0.0
-            for g in growth[done:b]:
-                gain *= g
-                noise_var = g * g * noise_var + step_var
-            plan.append((gain, float(np.sqrt(noise_var))))
-            done = b
-        else:
-            plan.append(None)
+    ckpts = cfg.checkpoints
+    if ckpts[0] < t_nodes[0] or ckpts[-1] > t_nodes[-1]:
+        raise ValueError("checkpoints must lie within the protocol support")
+    t = np.union1d(t_nodes, ckpts)
+    _, _, ends, maps = _variance_steps(
+        TimeProtocol(t, np.interp(t, t_nodes, kbar), "classical"), c, cfg.dt)
+    # a checkpoint at t0 draws nothing; node j > 0 of t ends substep
+    # ends[j - 1] - 1, so cuts[i] substeps lie before the i-th later checkpoint
+    j = np.searchsorted(t, ckpts)
+    start = int(j[0] == 0)
+    cuts = ends[j[start:] - 1]
+    n = cuts[-1] if cuts.size else 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_a = np.cumsum(np.log1p(maps[0, :n]))
+        log_end = log_a[cuts - 1]
+        gain2 = np.exp(np.diff(log_end, prepend=0.0))
+        carry = np.exp(np.repeat(log_end, np.diff(cuts, prepend=0)) - log_a)
+        noise_var = np.add.reduceat(maps[1, :n] * carry, np.concatenate(([0], cuts))[:-1])
+        bad = np.flatnonzero(~(np.isfinite(gain2) & np.isfinite(noise_var)
+                               & (gain2 > 0.0) & (noise_var > 0.0)))
+    if bad.size:
+        k, t_bad = bad[0], float(ckpts[bad[0] + start])
+        raise IntegrationError(f"ensemble law G^2={gain2[k]:.6g}, V={noise_var[k]:.6g} "
+                               f"is not positive and finite at t={t_bad:.6g}", t=t_bad)
+    plan = [None] * start + list(zip(np.sqrt(gain2).tolist(), np.sqrt(noise_var).tolist()))
 
     n_a = cfg.n_particles // 2
     sizes = (n_a, cfg.n_particles - n_a)
@@ -240,34 +229,33 @@ def _run_em(t_nodes: np.ndarray, values: np.ndarray, divisor: float, bound_name:
     mean, var, kurt = _merged_moments(sizes[0], out[0], sizes[1], out[1])
 
     stderr = var * np.sqrt(2.0 / (cfg.n_particles - 1))
-    return EnsembleStats(times=t0 + idx * h, mean=mean, variance=var,
+    return EnsembleStats(times=ckpts.copy(), mean=mean, variance=var,
                          excess_kurtosis=kurt, stderr_variance=stderr,
-                         n_particles=cfg.n_particles, h=h, n_steps=n_steps,
-                         stability_margin=h * float(np.max(np.abs(rates))))
+                         n_particles=cfg.n_particles)
 
 
 def simulate_classical(kbar_t: TimeProtocol, s_start: float, cfg: McConfig,
                        c: PhysConsts) -> EnsembleStats:
-    """Euler-Maruyama ensemble under the classical trap schedule."""
+    """Ensemble of overdamped beads under the classical trap schedule."""
     if kbar_t.kind != "classical":
         raise ValueError("expected a classical schedule")
     if s_start <= 0.0:
         raise ValueError("starting variance must be positive")
-    # rate -kbar/gamma; kbar / (-gamma) is that quotient to the bit
-    return _run_em(kbar_t.t_nodes, kbar_t.values, -c.gamma, "gamma/|kbar|max",
-                   s_start, cfg, c)
+    return _run_ensemble(kbar_t.t_nodes, kbar_t.values, s_start, cfg, c)
 
 
 def simulate_nelson(run: TrajectoryRecord, cfg: McConfig, c: PhysConsts) -> EnsembleStats:
-    """Euler-Maruyama ensemble riding the wavepacket drift of a record.
+    """Ensemble riding the wavepacket drift of a record.
 
     The drift is b(x) = (hbar/m) (2 alpha - 1/(2 s)) x, with s and alpha
     from the record: a diffusion dx = b dt + sqrt(2 D) dW, D = hbar/(2m),
     keeps a Gaussian ensemble in lockstep with the Gaussian state
-    (s, alpha), so its density tracks the Born density N(0, s(t)).
+    (s, alpha), so its density tracks the Born density N(0, s(t)).  The
+    rate is taken linear between the record's samples and acts as the
+    classical stiffness -gamma * rate.
     """
-    rate_nodes = (c.hbar / c.m) * (2.0 * run.alpha - 0.5 / run.s)
-    return _run_em(run.t, rate_nodes, 1.0, "1/|drift rate|max", float(run.s[0]), cfg, c)
+    rate = (c.hbar / c.m) * (2.0 * run.alpha - 0.5 / run.s)
+    return _run_ensemble(run.t, -c.gamma * rate, float(run.s[0]), cfg, c)
 
 
 @dataclass

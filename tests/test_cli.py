@@ -128,6 +128,10 @@ def test_verify_both_runs_ensembles(tmp_path):
     assert rc == (0 if verdict["passed"] else 4)
     assert verdict["born"]["rng"] == verdict["twin"]["rng"] == "SFC64"
     assert verdict["ermakov"]["passed"] is True
+    # the ensembles sample their exact law and take no step to report
+    for block in ("born", "twin"):
+        assert not {"dt", "n_steps", "stability_margin"} & set(verdict[block])
+    assert "dt" not in json.loads((out2 / "manifest.json").read_text())["parameters"]
 
 
 def test_verify_flags_lagging_protocol(tmp_path, consts):

@@ -376,8 +376,9 @@ def test_integrator_guards(consts):
                           1.0, consts)
     with pytest.raises(ValueError):
         integrate_ermakov(proto, 0.0, consts)
-    with pytest.raises(ValueError):
-        integrate_ermakov(proto, 1.0, consts, dt=-0.1)
+    for dt in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_ermakov(proto, 1.0, consts, dt=dt)
 
 
 def test_work_bundle_satisfies_width_equation(consts):

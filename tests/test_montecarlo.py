@@ -9,15 +9,18 @@ import pytest
 
 from swifttrap import (
     EnsembleStats,
+    IntegrationError,
     McConfig,
     TimeProtocol,
     equilibrium_kappa,
+    evolve_variance,
     integrate_ermakov,
     simulate_classical,
     simulate_nelson,
     verify_born,
 )
 from swifttrap import montecarlo
+from swifttrap.model import _node_substeps
 from swifttrap.montecarlo import _centred_sums, _merged_moments, ensemble_streams
 
 
@@ -35,8 +38,9 @@ def test_config_validation():
         McConfig(n_particles=100, seed=0, checkpoints=ck[::-1])
     with pytest.raises(ValueError):
         McConfig(n_particles=100, seed=0, checkpoints=np.array([]))
-    with pytest.raises(ValueError):
-        McConfig(n_particles=100, seed=0, checkpoints=ck, dt=-0.1)
+    for dt in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            McConfig(n_particles=100, seed=0, checkpoints=ck, dt=dt)
 
 
 def test_same_seed_reproduces_exactly(consts):
@@ -72,7 +76,7 @@ def test_stream_reproduces_and_neighbouring_seeds_decorrelate():
 def test_moments_match_two_pass_reference(sample):
     # a large offset punishes a one-pass E[x^2] - E[x]^2; Student-t (5 dof)
     # puts most of the fourth moment in a few tail points; an odd count
-    # splits into unequal blocks, as _run_em splits the particles
+    # splits into unequal blocks, as _run_ensemble splits the particles
     rng = np.random.default_rng(7)
     n = 20_001
     if sample == "offset":
@@ -138,80 +142,133 @@ def test_block_1_error_reaches_the_caller(consts, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_zero_noise_reduces_to_discrete_drift(consts):
+def _recorded_plans(monkeypatch) -> list:
+    """Record the (sd_start, plan) that each particle block samples."""
+    plans = []
+    sample_block = montecarlo._sample_block
+
+    def recording(rng, n, sd_start, plan):
+        plans.append((sd_start, plan))
+        return sample_block(rng, n, sd_start, plan)
+
+    monkeypatch.setattr(montecarlo, "_sample_block", recording)
+    return plans
+
+
+def _law(sd_start, plan):
+    """The variance at each checkpoint that a plan's (G, sqrt(V)) steps give."""
+    s, out = sd_start**2, []
+    for step in plan:
+        if step is not None:
+            gain, sd = step
+            s = gain * gain * s + sd * sd
+        out.append(s)
+    return np.array(out)
+
+
+def test_zero_noise_ratio_is_the_rk4_factor(consts):
     # with the injected noise made negligible (hbar = 1e-30 gives
-    # D = hbar/(2m) = 1e-30) every walker contracts by the exact Euler
-    # factor (1 - kbar h / gamma) per step, so the variance ratio between
-    # checkpoints is that factor to the step count
-    h = 1e-3
-    cfg = McConfig(n_particles=2000, seed=11,
-                   checkpoints=np.array([1.0, 2.0]), dt=h)
+    # D = hbar/(2m) = 1e-30) every walker contracts by G, so the variance
+    # ratio between checkpoints is G^2: the product of the variance flow's
+    # RK4 factors 1 + z + z^2/2 + z^3/6 + z^4/24, z = -2 kbar h / gamma,
+    # over the substeps between them, which is e^-2 to RK4's error
+    ck = np.array([1.0, 2.0])
+    cfg = McConfig(n_particles=2000, seed=11, checkpoints=ck, dt=1e-3)
     st = simulate_classical(_hold_protocol(), 1.0, cfg, replace(consts, hbar=1e-30))
-    factor = (1.0 - h) ** 2000
+    t = np.union1d(_hold_protocol().t_nodes, ck)
+    ta, h, *_ = _node_substeps(TimeProtocol(t, np.ones(t.size), "classical"), cfg.dt)
+    z = -2.0 * h[ta >= 1.0]
+    factor = np.prod(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
     assert st.variance[1] / st.variance[0] == pytest.approx(factor, rel=1e-10)
+    assert factor == pytest.approx(np.exp(-2.0), rel=1e-10)
     assert st.variance[0] == pytest.approx(np.exp(-2.0), rel=0.05)
 
 
-def _stepping_reference(rates, h, s_start, n, steps, D, seed):
-    """Euler-Maruyama stepped one step at a time, moments at the given steps."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    x = np.sqrt(s_start) * rng.standard_normal(n)
-    snaps = [x] * int(np.count_nonzero(steps == 0))
-    for k in range(steps[-1]):
-        x = (1.0 + rates[k] * h) * x + np.sqrt(2.0 * D * h) * rng.standard_normal(n)
-        snaps += [x] * int(np.count_nonzero(steps == k + 1))
-    var = np.array([v.var(ddof=1) for v in snaps])
-    kurt = np.array([np.mean((v - v.mean()) ** 4) / v.var() ** 2 - 3.0 for v in snaps])
-    return EnsembleStats(times=steps * h, mean=np.array([v.mean() for v in snaps]),
-                         variance=var, excess_kurtosis=kurt,
-                         stderr_variance=var * np.sqrt(2.0 / (n - 1)), n_particles=n)
+# solved schedules: an expansion, a thin-layer expansion and a compression,
+# each at the benchmark's substep cap (span/2000) and at the default
+LAW_CASES = [pytest.param("energy", 0.5, 1.0, 1.0, 2.0, 2000.0, id="energy-1to2"),
+             pytest.param("work", 1e-3, 10.0, 1.0, 5.0, None, id="work-1to5"),
+             pytest.param("energy", 0.1, 1.0, 2.0, 1.0, 2000.0, id="energy-2to1"),
+             pytest.param("phase", 0.01, 10.0, 1.0, 5.0, None, id="phase-1to5")]
 
 
-def test_exact_sampler_matches_stepping_reference(consts):
-    # kbar swings between 0.2 and 3.8 and the step is coarse (40 steps, up to
-    # a fifth of the stability bound), so the discrete law is far from the
-    # continuous one and every step's own growth factor matters
-    span, dt = 2.0, 0.05
-    t = np.linspace(0.0, span, 401)
-    proto = TimeProtocol(t, 2.0 + 1.8 * np.sin(3.0 * np.pi * t / span), "classical")
-    ck = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
-    exact = simulate_classical(proto, 1.0, McConfig(200_000, 5, ck, dt), consts)
-
-    n_steps = 40
-    h = span / n_steps
-    rates = -np.interp(h * np.arange(n_steps), t, proto.values) / consts.gamma
-    steps = np.rint(ck / h).astype(int)
-    ref = _stepping_reference(rates, h, 1.0, 100_000, steps, consts.D, seed=6)
-
-    s_disc, s = [], 1.0
-    for k in range(n_steps):
-        s = (1.0 + rates[k] * h) ** 2 * s + 2.0 * consts.D * h
-        if k + 1 in steps:
-            s_disc.append(s)
-    assert (exact.h, exact.n_steps) == (h, n_steps)
-    assert exact.stability_margin == pytest.approx(h * np.max(np.abs(rates)), rel=1e-12)
-    assert np.array_equal(exact.times, ref.times)
-    for st in (exact, ref):
-        report = verify_born(st, np.array(s_disc), threshold=4.0)
-        assert report.passed, f"worst |z| = {report.worst_abs_z:.2f}"
-    joint = (np.abs(exact.variance - ref.variance)
-             / np.hypot(exact.stderr_variance, ref.stderr_variance))
-    assert np.max(joint) <= 4.0
+@pytest.mark.parametrize("cost, mu, lam, s_i, s_f, per_span", LAW_CASES)
+def test_twin_law_matches_evolve_variance(cache, consts, monkeypatch,
+                                          cost, mu, lam, s_i, s_f, per_span):
+    # the twin's law telescoped from s_i is evolve_variance's s(t) on the
+    # same grid (the nodes with the checkpoints inserted) and the same cap
+    td = cache.timedomain(cost, mu, lam, s_i, s_f)
+    t0, t1 = td.classical.span
+    ck = np.linspace(t0, t1, 21)[1:]
+    dt = None if per_span is None else (t1 - t0) / per_span
+    plans = _recorded_plans(monkeypatch)
+    st = simulate_classical(td.classical, s_i, McConfig(100, 3, ck, dt), consts)
+    assert np.array_equal(st.times, ck)
+    (sd_a, plan_a), (sd_b, plan_b) = plans
+    assert sd_a == sd_b == np.sqrt(s_i) and plan_a == plan_b
+    t = np.union1d(td.classical.t_nodes, ck)
+    ref = evolve_variance(TimeProtocol(t, td.classical(t), "classical"), s_i, consts, dt)
+    want = ref.s[np.searchsorted(t, ck)]
+    assert np.max(np.abs(_law(sd_a, plan_a) / want - 1.0)) <= 1e-12
 
 
-def test_checkpoints_on_one_step_share_moments(consts):
-    # at dt = 0.1, checkpoints 0 and 0.01 round to step 0 (the initial
-    # positions) and 1.0 and 1.04 to step 10; an interval of zero steps
-    # draws nothing, so the remaining checkpoints see the same stream
-    dup = McConfig(2000, 11, np.array([0.0, 0.01, 1.0, 1.04, 2.0]), dt=0.1)
-    plain = McConfig(2000, 11, np.array([1.0, 2.0]), dt=0.1)
-    a = simulate_classical(_hold_protocol(), 1.0, dup, consts)
-    b = simulate_classical(_hold_protocol(), 1.0, plain, consts)
+@pytest.mark.parametrize("cost, mu, lam, s_i, s_f, per_span", LAW_CASES)
+def test_nelson_law_matches_record(cache, consts, monkeypatch,
+                                   cost, mu, lam, s_i, s_f, per_span):
+    # the Nelson law is the record's own s at the checkpoints, up to the
+    # rate being taken linear between the record's samples
+    run = cache.ermakov(cost, mu, lam, s_i, s_f)
+    ck = np.linspace(run.t[0], run.t[-1], 21)[1:]
+    dt = None if per_span is None else (run.t[-1] - run.t[0]) / per_span
+    plans = _recorded_plans(monkeypatch)
+    simulate_nelson(run, McConfig(100, 3, ck, dt), consts)
+    want = np.interp(ck, run.t, run.s)
+    assert np.max(np.abs(_law(*plans[0]) / want - 1.0)) <= 1e-5
+
+
+def test_law_keeps_its_precision_after_a_long_contraction(consts, monkeypatch):
+    # a 60-long hold at kbar = gamma contracts the variance injected at t0
+    # by e^-120, far below the rounding of 1; the last intervals' law must
+    # still be exact: G^2 = e^-2 per unit time, and from s = 1 = D gamma /
+    # kbar the variance stays at 1, as evolve_variance has it
+    proto = _hold_protocol(span=60.0, n=601)
+    ck = np.array([58.0, 59.0, 60.0])
+    plans = _recorded_plans(monkeypatch)
+    simulate_classical(proto, 1.0, McConfig(100, 3, ck, dt=2e-3), consts)
+    sd, plan = plans[0]
+    assert [gain**2 for gain, _ in plan[1:]] == pytest.approx([np.exp(-2.0)] * 2, rel=1e-10)
+    want = evolve_variance(proto, 1.0, consts, 2e-3).s[np.searchsorted(proto.t_nodes, ck)]
+    assert np.max(np.abs(_law(sd, plan) / want - 1.0)) <= 1e-12
+
+
+def test_checkpoint_at_start_reports_initial_draws(consts):
+    # a checkpoint at the schedule's start draws nothing: it reports the
+    # initial positions, and the later checkpoints see the same stream
+    dup = McConfig(2000, 11, np.array([0.0, 1.0, 2.0]))
+    plain = McConfig(2000, 11, np.array([1.0, 2.0]))
+    a = simulate_classical(_hold_protocol(), 2.0, dup, consts)
+    b = simulate_classical(_hold_protocol(), 2.0, plain, consts)
     for field in ("times", "mean", "variance", "excess_kurtosis", "stderr_variance"):
-        got = getattr(a, field)
-        assert got[0] == got[1] and got[2] == got[3]
-        assert np.array_equal(got[[2, 4]], getattr(b, field))
+        assert np.array_equal(getattr(a, field)[1:], getattr(b, field))
     assert a.times[0] == 0.0
+    x = np.concatenate([np.sqrt(2.0) * g.standard_normal(1000) for g in ensemble_streams(11)])
+    d = x - x.mean()
+    assert a.mean[0] == pytest.approx(x.mean(), rel=1e-12)
+    assert a.variance[0] == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+    assert a.excess_kurtosis[0] == pytest.approx(np.mean(d**4) / np.var(x) ** 2 - 3.0,
+                                                 rel=1e-10)
+
+
+def test_failed_law_raises_with_its_time(consts):
+    # kbar = -400 grows the variance like e^(800 t): the laws of the first
+    # two intervals hold, the one from t = 1 to 2 overflows
+    cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(IntegrationError, match=r"t=2\b") as err:
+        simulate_classical(_hold_protocol(kbar=-400.0), 1.0, cfg, consts)
+    assert err.value.t == 2.0
+    outside = McConfig(n_particles=500, seed=0, checkpoints=np.array([1.0, 2.5]))
+    with pytest.raises(ValueError, match="support"):
+        simulate_classical(_hold_protocol(), 1.0, outside, consts)
 
 
 def test_classical_hold_matches_born(consts):
@@ -233,31 +290,6 @@ def test_nelson_hold_matches_born(consts):
     stats = simulate_nelson(run, cfg, consts)
     report = verify_born(stats, np.interp(ck, run.t, run.s))
     assert report.passed, f"worst |z| = {report.worst_abs_z:.2f}"
-
-
-def test_stability_bound_enforced(consts):
-    cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([1.0]), dt=1.5)
-    with pytest.raises(ValueError, match="stability"):
-        simulate_classical(_hold_protocol(), 1.0, cfg, consts)
-
-
-def test_stability_bound_checks_step_taken(consts):
-    # on a 2-long hold dt = 0.99 passes for the bound 1 but rounds to two
-    # steps of h = 1.0, where g = 1 - h = 0 and the chain forgets its start
-    # (variance 2 against the Born value 1); the step taken is what counts
-    cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([2.0]), dt=0.99)
-    with pytest.raises(ValueError, match=r"h=1 .*stability"):
-        simulate_classical(_hold_protocol(kbar=consts.gamma), 1.0, cfg, consts)
-    t = np.linspace(0.0, 2.0, 201)
-    kappa = TimeProtocol(t, np.full(201, equilibrium_kappa(1.0, consts)), "quantum")
-    run = integrate_ermakov(kappa, 1.0, consts)
-    # drift rate (hbar/m)(2 alpha - 1/(2 s)) = -1 at rest at s = 1: bound 1
-    with pytest.raises(ValueError, match=r"h=1 .*stability"):
-        simulate_nelson(run, cfg, consts)
-    # three steps of h = 2/3 are inside the bound, and both ensembles run
-    ok = McConfig(n_particles=500, seed=0, checkpoints=np.array([2.0]), dt=2.0 / 3.0)
-    assert simulate_classical(_hold_protocol(kbar=consts.gamma), 1.0, ok, consts).h < 1.0
-    assert simulate_nelson(run, ok, consts).h < 1.0
 
 
 def test_classical_rejects_quantum_schedule(consts):

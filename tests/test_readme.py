@@ -1,7 +1,10 @@
-"""The README's library quickstart runs as written."""
+"""The README's quickstarts run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from swifttrap.cli import OUT_ENV, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +14,30 @@ def test_readme_python_blocks_run():
     assert blocks, "README has no python block"
     for k, block in enumerate(blocks):
         exec(compile(block, f"{README.name} python block {k}", "exec"), {"__name__": "readme"})
+
+
+def _cli_quickstart() -> list[tuple[list[str], list[str]]]:
+    """The command-line quickstart's `$ ` commands, each with the lines shown after it."""
+    section = README.read_text().split("## Quickstart (command line)", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```$", section, flags=re.S | re.M).group(1)
+    session: list[tuple[list[str], list[str]]] = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("$ "):
+            session.append((shlex.split(line[2:]), []))
+        elif line.strip():
+            session[-1][1].append(line)
+    return session
+
+
+def test_readme_cli_quickstart_prints_as_shown(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUT_ENV, raising=False)
+    ran = []
+    for argv, shown in _cli_quickstart():
+        if argv[0] == "ls":
+            continue
+        assert argv[0] == "swifttrap"
+        main(argv[1:])
+        assert capsys.readouterr().out.splitlines() == shown, " ".join(argv)
+        ran.append(argv[1])
+    assert ran == ["optimize", "verify"]
