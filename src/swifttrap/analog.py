@@ -84,6 +84,10 @@ class VarianceTrajectory:
     sdot: np.ndarray
 
 
+# |R(z)| <= 1 for RK4's stability function on z in [-2.785, 0]
+_RK4_REAL_BOUND = 2.785
+
+
 def _variance_steps(kbar_t: TimeProtocol, c: PhysConsts, dt: float | None = None):
     """The RK4 substeps of the variance flow under kbar_t, as affine maps.
 
@@ -92,6 +96,13 @@ def _variance_steps(kbar_t: TimeProtocol, c: PhysConsts, dt: float | None = None
     from the substep's three kbar samples.  Returns (ta, h, ends, maps):
     model._node_substeps' layout and the (4, n) rows E00 = e, E01 = b,
     E10 = E11 = 0 of every substep, in time order.
+
+    Raises IntegrationError, with the substep's start time, at the first
+    substep where h (2/gamma) kbar at one of its three samples exceeds
+    2.785, RK4's stability bound on the negative real axis: past it a
+    deviation from the flow's equilibrium grows each substep where the
+    exact flow damps it.  kbar < 0 makes the flow itself grow, so it is
+    not bounded here.
     """
     two_over_gamma = 2.0 / c.gamma
     source = two_over_gamma * (c.D * c.gamma)
@@ -101,6 +112,12 @@ def _variance_steps(kbar_t: TimeProtocol, c: PhysConsts, dt: float | None = None
     x = -two_over_gamma * ka
     y = -two_over_gamma * km
     z = -two_over_gamma * kb
+    stiff = -h * np.minimum(np.minimum(x, y), z)
+    if np.max(stiff) > _RK4_REAL_BOUND:
+        k = int(np.argmax(stiff > _RK4_REAL_BOUND))
+        raise IntegrationError(
+            f"substep h={h[k]:.3g} gives h*(2/gamma)*kbar={stiff[k]:.3g} above the RK4 "
+            f"stability bound {_RK4_REAL_BOUND} at t={ta[k]:.6g}", t=float(ta[k]))
 
     hy = h * y
     e = np.zeros((4, ends[-1]))
@@ -122,8 +139,10 @@ def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
     its default dt.  Each substep is an affine map of s (_variance_steps,
     which montecarlo's ensembles read too); the maps are composed by a
     vectorized prefix scan.  Samples are returned at the protocol nodes.
-    Raises IntegrationError (with the failure time) at the end of the
-    first substep where s leaves (0, inf).
+    Raises IntegrationError (with the failure time) at the first substep
+    that breaks RK4's stability bound h (2/gamma) kbar <= 2.785
+    (_variance_steps), and at the end of the first substep where s leaves
+    (0, inf).
     """
     if kbar_t.kind != "classical":
         raise ValueError("evolve_variance drives the classical trap; got a quantum schedule")

@@ -21,7 +21,7 @@ V the value at b of V' = 2 r V + 2 D from V(a) = 0.  That is the variance
 flow of analog.evolve_variance under the stiffness -gamma r, so G and V
 compose its RK4 substeps (analog._variance_steps) over the nodes with the
 checkpoints inserted.  McConfig.dt only caps those substeps, as dt does for
-evolve_variance.
+evolve_variance, and a substep past RK4's stability bound raises there.
 
 Randomness: each ensemble is sampled as N_BLOCKS = 2 fixed particle blocks of
 floor(N/2) and N - floor(N/2) particles.  Block k draws from its own
@@ -177,8 +177,10 @@ def _run_ensemble(t_nodes: np.ndarray, kbar: np.ndarray, s_start: float,
     V = sum_k b_k exp(L_b - L_k), so nothing cancels as D -> 0.  Only
     differences of L are exponentiated, so G^2 and V keep their relative
     precision however far the variance has contracted since t0.  Both
-    particle blocks read the (G, sqrt(V)) table.  A law that is not
-    positive and finite raises IntegrationError at b.
+    particle blocks read the (G, sqrt(V)) table.  A substep past RK4's
+    stability bound raises IntegrationError at its start
+    (analog._variance_steps), and a law that is not positive and finite
+    at b.
     """
     ckpts = cfg.checkpoints
     if ckpts[0] < t_nodes[0] or ckpts[-1] > t_nodes[-1]:

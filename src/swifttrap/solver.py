@@ -36,14 +36,16 @@ second order.
 The discrete equations are the stationarity conditions of one discrete
 objective, J_h = sum_j W_j (P_j/(s_j gap_j) + R_j + Q_j K_j) + mu sum_f
 |flux_f| (dK_f)^2, W_j the fitted control volumes (signed like ds) and
-flux_f the face coefficients: grad J_h = -2 mu |W| residual, and the |W|-scaled
-Newton matrix is J_h's Hessian.  solve_bvp is Newton's method on J_h
-with backtracking, stopped by the Newton decrement (Boyd & Vandenberghe,
-Convex Optimization, 2004, section 9.5), one path with no per-call
-options; the module constant _MAX_ITER (50000), read at call time, caps
-the iterations.  Every cost has a(s) >= 0, so P > 0 and the running term's
-second kbar-derivative 2 P s / gap^3 has the sign of the orientation on
-the feasible set: J_h is strictly convex there and rises to +inf at the
+flux_f the face coefficients: grad J_h = -2 mu |W| residual.  solve_bvp
+is Newton's method on J_h with backtracking, stopped by the Newton
+decrement (Boyd & Vandenberghe, Convex Optimization, 2004, section 9.5),
+one path with no per-call options; each step solves H delta = -grad J_h
+with J_h's own gradient and symmetric tridiagonal Hessian H, formed with
+J_h from one evaluation of the iterate (_evaluate), and the module
+constant _MAX_ITER (50000), read at call time, caps the iterations.
+Every cost has a(s) >= 0, so P > 0 and the running term's second
+kbar-derivative 2 P s / gap^3 has the sign of the orientation on the
+feasible set: J_h is strictly convex there and rises to +inf at the
 manifold D*gamma = s*kbar, so each problem with mu > 0 has one discrete
 minimizer in either orientation.  The initial iterate (_start) is built
 from the two leading balances of the right-hand side.  With kbar''
@@ -55,17 +57,18 @@ gap ~ C tau^(2/3) with C^3 = (9/2) s P / (2 mu).  The start blends the
 two, and Newton runs in its quadratic basin from the first steps instead
 of repairing the layers or the interior level with damped steps.
 
-Each Newton step solves one tridiagonal system, by odd-even cyclic
-reduction in numpy (`_solve_tridiagonal`), so the runtime needs no scipy.
-The reduction does not pivot; that is safe on the Jacobians of feasible
-schedules, which are strictly diagonally dominant (see
+Each Newton step solves one symmetric tridiagonal system, by odd-even
+cyclic reduction in numpy (`_solve_tridiagonal`), so the runtime needs no
+scipy.  The reduction does not pivot; that is safe on the Hessians of
+feasible schedules, which are strictly diagonally dominant (see
 `_solve_tridiagonal`).
 
 What depends on the grid (s_i, s_f, n) alone is built once per grid and
 memoized by `_solver_grid`, a functools.lru_cache of at most 16 grids
-(about 130 kB each at n = 2001): the graded nodes, the fitted stencil,
-the residual weights, the distances to the ends and the padded, negated
-off-diagonals the reduction starts from.  A mu sweep or a lam search on
+(about 96 kB each at n = 2001): the graded nodes, the fitted stencil,
+the residual weights, the distances to the ends and the padded interior
+face coefficients, the Hessian's fixed off-diagonal up to its factor
+-2 mu, that the reduction starts from.  A mu sweep or a lam search on
 one endpoint pair builds them once.  The memoized arrays are read-only,
 and each BvpResult owns a copy of its nodes.
 
@@ -104,11 +107,6 @@ def _coefficients(s, prob: OptimizationProblem, c: PhysConsts):
             prob.lam * lag.b(s, c))
 
 
-def _el_rhs(P, Q, g, prob):
-    """sgn (P / g^2 + Q) / (2 mu) at the gap g, sgn = prob.direction."""
-    return prob.direction * (P / g**2 + Q) / (2.0 * prob.mu)
-
-
 def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
     """kbar'' demanded by stationarity: sgn (P / gap^2 + Q) / (2 mu).
 
@@ -126,20 +124,8 @@ def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
         raise SingularManifoldError(
             "evaluation on the singular manifold D*gamma = s*kbar")
     P, Q, _ = _coefficients(s, prob, c)
-    out = _el_rhs(P, Q, g, prob)
+    out = prob.direction * (P / g**2 + Q) / (2.0 * prob.mu)
     return float(out) if out.ndim == 0 else out
-
-
-def _el_rhs_slope(P, s, g, prob):
-    """d(el_rhs)/d(kbar) at the gap g, the Newton Jacobian's diagonal term:
-    P s / (mu (sgn g)^3), positive on feasible schedules; g^3 / sgn is
-    formed as (sgn g)^3, since pow is about 30x slower on a negative base."""
-    return P * s / (prob.mu * (prob.direction * g) ** 3)
-
-
-def _running(P, Q, R, s, kbar, g):
-    """The running term gamma/gap + lam ell = P / (s gap) + R + Q kbar."""
-    return P / (s * g) + R + Q * kbar
 
 
 def _start(grid, P, Q, prob, c):
@@ -164,13 +150,14 @@ def _start(grid, P, Q, prob, c):
 class BvpResult:
     """Converged schedule plus solve diagnostics.
 
-    residual is the largest residual of the printed equation with row j
-    weighted by ds[j-1] ds[j] / h^2, h = |s_f - s_i| / (n_grid - 1).  In
-    the interior, where the spacing stays within 16 percent of h, this is
-    the pointwise residual; at the graded end nodes the weight cancels the
-    growth of the pointwise rounding floor eps |kbar| / (ds[j-1] ds[j]), so
-    a converged solve reads near 2 mu eps |kbar| / h^2, as on a uniform
-    grid.
+    residual is the largest residual of the printed equation, read from
+    J_h's gradient as -grad J_h / |W| at the interior nodes (module
+    docstring), with row j weighted by ds[j-1] ds[j] / h^2,
+    h = |s_f - s_i| / (n_grid - 1).  In the interior, where the spacing
+    stays within 16 percent of h, this is the pointwise residual; at the
+    graded end nodes the weight cancels the growth of the pointwise
+    rounding floor eps |kbar| / (ds[j-1] ds[j]), so a converged solve
+    reads near 2 mu eps |kbar| / h^2, as on a uniform grid.
 
     history holds one (residual, step, damping) triple per Newton
     iteration: the weighted residual, in the units of residual, of the
@@ -251,8 +238,9 @@ def _fitted_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for a + b phi, and for cells small against tau they reduce to the
     ordinary three-point scheme.  Returns the control volumes at the
     interior nodes, signed like ds, and the faces' |flux| coefficients;
-    lower, upper = flux[:-1], flux[1:] over |weight| give the pointwise
-    form kbar''[j] ~ upper[j] (K[j+1] - K[j]) - lower[j] (K[j] - K[j-1]).
+    with face f between nodes f and f + 1, the pointwise form is
+    kbar''[j] ~ (flux[j] (K[j+1] - K[j]) - flux[j-1] (K[j] - K[j-1])) / |W_j|,
+    W_j node j's control volume.
     """
     s_i, s_f = s[0], s[-1]
     faces = 0.5 * (s[:-1] + s[1:])
@@ -279,70 +267,72 @@ def _fitted_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _DIRECT_SIZE = 64
 
 
-def _reduction_layout(lower, upper):
-    """The fixed part of _solve_tridiagonal's input: (A, C, levels).
+def _reduction_layout(flux):
+    """The fixed part of _solve_tridiagonal's input: (C, levels).
 
-    A = -lower and C = -upper, each padded with zeros to the size
-    q 2^levels - 1 at which every reduction level has odd size; lower[0]
-    and upper[-1] are dropped.  The arrays are read-only, so one layout
-    can serve every solve that shares the off-diagonals.
+    flux holds one coupling per face, m + 1 of them around m unknowns;
+    the two end faces couple to pinned values and are dropped.  C is the
+    rest, padded with zeros to the size q 2^levels - 1 at which every
+    reduction level has odd size.  C is read-only, so one layout can serve
+    every solve that shares the couplings.
     """
-    n = np.size(lower)
+    n = np.size(flux) - 1
     levels = 0
     while n + 1 > (_DIRECT_SIZE + 1) * 2**levels:
         levels += 1
     block = 2**levels
     size = block * -(-(n + 1) // block) - 1
-    A, C = np.zeros(size), np.zeros(size)
-    A[1:n] = np.negative(lower[1:])
-    C[:n - 1] = np.negative(upper[:-1])
-    A.flags.writeable = C.flags.writeable = False
-    return A, C, levels
+    C = np.zeros(size)
+    C[:n - 1] = flux[1:-1]
+    C.flags.writeable = False
+    return C, levels
 
 
 def _solve_tridiagonal(layout, diag, rhs):
-    """Solve lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i].
+    """Solve diag[i] x[i] - C[i-1] x[i-1] - C[i] x[i+1] = rhs[i].
 
-    layout = _reduction_layout(lower, upper) carries the off-diagonals.
-    Odd-even cyclic reduction (Hockney, J. ACM 12, 95 (1965)) eliminates
-    the even-indexed rows, which leaves a tridiagonal system in the
-    odd-indexed unknowns of about half the size, until at most _DIRECT_SIZE
-    unknowns remain; a Thomas sweep solves those, and back-substitution
-    recovers each eliminated level.  The system is padded with decoupled
-    rows x = 0 to a size q 2^L - 1, so that every level has odd size and
-    its eliminated rows bracket every surviving row; each level is then a
-    dozen whole-array operations.  The off-diagonals are carried negated,
-    A = -lower and C = -upper.
+    layout = _reduction_layout(flux) carries the couplings C = flux[1:-1],
+    so the system is symmetric with off-diagonal -C.  Odd-even cyclic
+    reduction (Hockney, J. ACM 12, 95 (1965)) eliminates the even-indexed
+    rows, which leaves a tridiagonal system in the odd-indexed unknowns of
+    about half the size, until at most _DIRECT_SIZE unknowns remain; a
+    Thomas sweep solves those, and back-substitution recovers each
+    eliminated level.  The system is padded with decoupled rows x = 0 to a
+    size q 2^L - 1, so that every level has odd size and its eliminated
+    rows bracket every surviving row; each level is then a few whole-array
+    operations.  Eliminating rows of a symmetric system leaves a symmetric
+    one (a Schur complement), so each level carries one coupling array C
+    with its diagonal b and right-hand side d.
 
     Neither stage pivots.  Both are stable on strictly row diagonally
     dominant systems, and a reduced system inherits the dominance of the
-    one it came from.  The Newton Jacobians of solve_bvp are dominant on
-    feasible schedules: their off-diagonals lower, upper > 0 and their
-    diagonal is -(lower + upper) - df/dkbar, f = sgn (P / gap^2 + Q) / (2 mu)
-    the EL right-hand side, and df/dkbar = P s / (mu (sgn gap)^3) > 0
-    whenever sgn gap > 0, since every cost has P > 0.
+    one it came from.  The Newton systems of solve_bvp, J_h's Hessian over
+    2 mu, are dominant on feasible schedules: their couplings C are the
+    faces' |flux|, and row j's diagonal exceeds C[j-1] + C[j] by its
+    running term W P s / (mu gap^3), which is positive whenever
+    sgn gap > 0, since W has the sign sgn and every cost has P > 0.
     """
-    A, C, levels = layout
+    C, levels = layout
     n = np.size(rhs)
-    b, d = np.ones(A.size), np.zeros(A.size)
+    b, d = np.ones(C.size), np.zeros(C.size)
     b[:n] = diag
     d[:n] = rhs
 
     stack = []
     for _ in range(levels):
-        stack.append((A, b, C, d))
-        Ae, be, Ce, de = A[0::2], b[0::2], C[0::2], d[0::2]
-        left = A[1::2] / be[:-1]
+        stack.append((C, b, d))
+        Ce, be, de = C[0::2], b[0::2], d[0::2]
+        # row 2i + 1 couples to row 2i through C[2i], to 2i + 2 through C[2i + 1]
+        left = Ce[:-1] / be[:-1]
         right = C[1::2] / be[1:]
-        A, b, C, d = (left * Ae[:-1],
-                      b[1::2] - left * Ce[:-1] - right * Ae[1:],
-                      right * Ce[1:],
-                      d[1::2] + left * de[:-1] + right * de[1:])
+        C, b, d = (right * Ce[1:],
+                   b[1::2] - left * Ce[:-1] - right * C[1::2],
+                   d[1::2] + left * de[:-1] + right * de[1:])
 
     # Thomas sweep on the remaining system
-    A, b, C, d = A.tolist(), b.tolist(), C.tolist(), d.tolist()
+    C, b, d = C.tolist(), b.tolist(), d.tolist()
     for i in range(1, len(b)):
-        w = A[i] / b[i - 1]
+        w = C[i - 1] / b[i - 1]
         b[i] -= w * C[i - 1]
         d[i] += w * d[i - 1]
     x = [0.0] * len(b)
@@ -350,12 +340,14 @@ def _solve_tridiagonal(layout, diag, rhs):
     for i in range(len(b) - 2, -1, -1):
         x[i] = (d[i] + C[i] * x[i + 1]) / b[i]
 
-    for A, b, C, d in reversed(stack):
+    for C, b, d in reversed(stack):
         # p[1 + i] = x[i], with x = 0 just outside both ends
         p = np.zeros(b.size + 2)
         p[2:-1:2] = x
         outer = p[0::2]
-        p[1::2] = (d[0::2] + A[0::2] * outer[:-1] + C[0::2] * outer[1:]) / b[0::2]
+        # row 2i couples to row 2i - 1 through C[2i - 1] (row 0 to none)
+        left = np.concatenate(([0.0], C[1::2]))
+        p[1::2] = (d[0::2] + left * outer[:-1] + C[0::2] * outer[1:]) / b[0::2]
         x = p[1:-1]
     return np.asarray(x)[:n]
 
@@ -366,12 +358,9 @@ class _SolverGrid(NamedTuple):
     s: np.ndarray             # graded nodes
     weight: np.ndarray        # signed control volumes at the interior nodes
     flux: np.ndarray          # |flux coefficient| at each face
-    lower: np.ndarray         # fitted stencil at the interior nodes
-    upper: np.ndarray
-    stencil_diag: np.ndarray  # -lower - upper
     row_weight: np.ndarray    # ds[j-1] ds[j] / h^2
     tau: np.ndarray           # distance of each interior node to the nearer end
-    layout: tuple             # _reduction_layout(lower, upper)
+    layout: tuple             # _reduction_layout(flux)
 
 
 # grids kept by _solver_grid; a sweep or a lam search stays on one or a few
@@ -383,12 +372,12 @@ def _solver_grid(s_i: float, s_f: float, n: int) -> _SolverGrid:
     """Nodes, stencil, residual weights and reduction layout of one grid.
 
     Memoized: solves that share (s_i, s_f, n), as a mu sweep does, build
-    them once.  Every array is read-only, since each caller shares them.
+    them once.  Every array is read-only, since each caller shares them;
+    the Hessian's off-diagonal is -flux, so one padded copy of the
+    interior faces' flux is the whole layout.
     """
     s = _graded_nodes(s_i, s_f, n)
     weight, flux = _fitted_stencil(s)
-    volume = np.abs(weight)
-    lower, upper = flux[:-1] / volume, flux[1:] / volume
     s_int = s[1:-1]
     # row j weighted by ds[j-1] ds[j] / h^2, h the mean spacing: the
     # equation in the uniform grid coordinate, whose rounding floor is
@@ -396,14 +385,43 @@ def _solver_grid(s_i: float, s_f: float, n: int) -> _SolverGrid:
     h = (s_f - s_i) / (n - 1)
     ds = np.diff(s)
     grid = _SolverGrid(
-        s=s, weight=weight, flux=flux, lower=lower, upper=upper,
-        stencil_diag=-lower - upper,
+        s=s, weight=weight, flux=flux,
         row_weight=ds[:-1] * ds[1:] / h**2,
         tau=np.minimum(np.abs(s_int - s_i), np.abs(s_int - s_f)),
-        layout=_reduction_layout(lower, upper))
+        layout=_reduction_layout(flux))
     for a in grid[:-1]:
         a.flags.writeable = False
     return grid
+
+
+def _evaluate(kbar, grid, P, Q, R, prob, c):
+    """J_h at kbar, its gradient over 2 mu and its Hessian's diagonal over 2 mu.
+
+    The gap is formed once; None is returned when kbar is infeasible
+    (sgn gap <= 0 at an interior node).  With Phi_f = flux_f dK_f,
+
+        grad J_h / (2 mu) = |W| el_rhs + Phi_{j-1} - Phi_j,
+        H_jj / (2 mu) = flux_{j-1} + flux_j + W P s / (mu gap^3),
+
+    and H's off-diagonal is -2 mu flux, fixed per grid (grid.layout).
+    The pointwise residual of the printed equation is -grad / (2 mu |W|).
+    J_h's sums are numpy's pairwise sums over product arrays, which keep
+    its rounding near eps |J_h|, the slack of solve_bvp's stop.
+    """
+    s, k = grid.s[1:-1], kbar[1:-1]
+    sgn = prob.direction
+    g = c.D * c.gamma - s * k
+    if not np.all(g * sgn > 0.0):
+        return None
+    dk = np.diff(kbar)
+    j = float(np.sum(grid.weight * (P / (s * g) + R + Q * k))
+              + prob.mu * np.sum(grid.flux * dk**2))
+    g2 = g * g
+    flow = grid.flux * dk
+    rhs = sgn * (P / g2 + Q) / (2.0 * prob.mu)  # el_rhs
+    grad = sgn * grid.weight * rhs + flow[:-1] - flow[1:]
+    diag = grid.flux[:-1] + grid.flux[1:] + grid.weight * P * s / (prob.mu * g2 * g)
+    return j, grad, diag
 
 
 def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
@@ -414,72 +432,48 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     at both ends, and the equation is discretized by _fitted_stencil.  The
     Lagrangian's coefficients P, Q and R depend on s alone and are formed
     once; _start builds the initial iterate from them, on the correct side
-    of the singular manifold.  Each Newton step is one _solve_tridiagonal
-    call.
+    of the singular manifold.
 
-    Iteration is Newton's method on J_h (module docstring).  A step is
-    halved until it stays feasible and J_h(new) <= J_h + 1e-4 r
-    grad J_h . delta + 8 eps |J_h|, r the damping; once the decrement
-    |grad J_h . delta| is at most 8 eps |J_h|, the feasible full step is
-    taken and the solve stops.  Each iterate's gap is formed once; its
-    feasibility, J_h, residual and next Jacobian diagonal read that array.
-    Raises ConvergenceError, with the trace, when the start is infeasible,
-    a step is not finite, the line search halves below 1e-12, or
-    _MAX_ITER iterations are reached.
+    Iteration is Newton's method on J_h (module docstring).  Each iterate
+    is evaluated once (_evaluate): J_h, its gradient and its Hessian's
+    diagonal, and each step solves H delta = -grad J_h by one
+    _solve_tridiagonal call.  A step is halved until it stays feasible and
+    J_h(new) <= J_h + 1e-4 r grad J_h . delta + 8 eps |J_h|, r the damping;
+    once the decrement |grad J_h . delta| is at most 8 eps |J_h|, the
+    feasible full step is taken and the solve stops.  Raises
+    ConvergenceError, with the trace, when the start is infeasible, a step
+    is not finite, the line search halves below 1e-12, or _MAX_ITER
+    iterations are reached.
     """
     if prob.mu == 0.0:
         raise ValueError("mu = 0 is only solvable for the work cost, in closed form; "
                          "use analytic_work_optimal")
     grid = _solver_grid(prob.s_i, prob.s_f, prob.n_grid)
-    s, lower, upper = grid.s, grid.lower, grid.upper
-    sgn = prob.direction
-    Dg = c.D * c.gamma
-    s_int = s[1:-1]
     # the Lagrangian's coefficients depend on s alone
-    P, Q, R = _coefficients(s_int, prob, c)
+    P, Q, R = _coefficients(grid.s[1:-1], prob, c)
     kbar = _start(grid, P, Q, prob, c)
-
-    def gap(k):
-        return Dg - s_int * k[1:-1]
-
-    def feasible(g):
-        return bool(np.all(g * sgn > 0.0))
-
-    def residual(k, g):
-        # difference-of-differences form: no O(|K|) cancellation
-        dk = np.diff(k)
-        return upper * dk[1:] - lower * dk[:-1] - _el_rhs(P, Q, g, prob)
-
-    def objective(k, g):
-        # J_h; pairwise sums keep its rounding near eps |J_h|
-        return float(np.sum(grid.weight * _running(P, Q, R, s_int, k[1:-1], g))
-                     + prob.mu * np.sum(grid.flux * np.diff(k) ** 2))
-
-    def weighted_max(r):
-        return 2.0 * prob.mu * float(np.max(np.abs(grid.row_weight * r)))
-
-    g = gap(kbar)
-    if not feasible(g):
+    at = _evaluate(kbar, grid, P, Q, R, prob, c)
+    if at is None:
         raise ConvergenceError("initial iterate is infeasible")
+    j, grad, diag = at
+    # the weighted residual: row j of the pointwise residual -grad / |W|,
+    # in the units of 2 mu kbar'', times row_weight
+    row_scale = 2.0 * prob.mu * grid.row_weight / (prob.direction * grid.weight)
 
-    volume = sgn * grid.weight  # |weight|: grad J_h = -2 mu volume residual
     history: list[tuple[float, float, float]] = []
-    resid = residual(kbar, g)
-    j = objective(kbar, g)
     while True:
         if len(history) >= _MAX_ITER:
             raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations "
                                    f"(last update {history[-1][1]:.3e})", history=history)
-        norm = weighted_max(resid)
-        diag = grid.stencil_diag - _el_rhs_slope(P, s_int, g, prob)
-        delta = _solve_tridiagonal(grid.layout, diag, -resid)
+        norm = float(np.max(np.abs(row_scale * grad)))
+        delta = _solve_tridiagonal(grid.layout, diag, -grad)
         step = float(np.max(np.abs(delta)))
         if not np.isfinite(step):
             # recorded with damping 0: the step was not taken
             history.append((norm, step, 0.0))
             raise ConvergenceError("Newton step blew up", history=history)
         # Newton decrement -grad J_h . delta
-        decrement = 2.0 * prob.mu * float(np.sum(volume * resid * delta))
+        decrement = -2.0 * prob.mu * float(np.sum(grad * delta))
         slack = 8.0 * np.finfo(float).eps * abs(j)
         # a full step that cannot lower J_h by more than its rounding is
         # the last one, taken as it is when feasible
@@ -488,13 +482,9 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
         while True:
             cand = kbar.copy()
             cand[1:-1] += r * delta
-            cand_g = gap(cand)
-            if feasible(cand_g):
-                if last:
-                    break
-                cand_j = objective(cand, cand_g)
-                if cand_j <= j - 1.0e-4 * r * decrement + slack:
-                    break
+            at = _evaluate(cand, grid, P, Q, R, prob, c)
+            if at is not None and (last or at[0] <= j - 1.0e-4 * r * decrement + slack):
+                break
             last = False
             r *= 0.5
             if r < 1e-12:
@@ -503,14 +493,13 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
                                        f"{decrement:.3e} after {len(history)} iterations)",
                                        history=history)
         history.append((norm, r * step, r))
-        kbar, g = cand, cand_g
-        resid = residual(kbar, g)
+        kbar = cand
+        j, grad, diag = at
         if last:
             break
-        j = cand_j
 
-    return BvpResult(protocol=SGridProtocol(s.copy(), kbar), residual=weighted_max(resid),
-                     history=history)
+    return BvpResult(protocol=SGridProtocol(grid.s.copy(), kbar),
+                     residual=float(np.max(np.abs(row_scale * grad))), history=history)
 
 
 # ---------------------------------------------------------------------------

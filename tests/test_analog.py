@@ -201,6 +201,25 @@ def test_evolve_variance_guards(consts):
         evolve_variance(expulsive, 1.0, consts)
 
 
+def test_evolve_variance_raises_past_the_rk4_bound(consts):
+    # a hold at kbar = 400 relaxing from s = 2/400: substeps of 0.005 have
+    # h (2/gamma) kbar = 4, where RK4 multiplies a deviation from
+    # equilibrium by R(-4) = 5 (it returned s kbar = 3.38 where the flow
+    # relaxes to 1); inside the bound the flow lands on 1
+    hold = TimeProtocol(np.linspace(0.0, 0.05, 11), np.full(11, 400.0), "classical")
+    with pytest.raises(IntegrationError, match="stability") as exc:
+        evolve_variance(hold, 2.0 / 400.0, consts, dt=0.005)
+    assert exc.value.t == 0.0
+    fine = evolve_variance(hold, 2.0 / 400.0, consts, dt=1e-4)
+    assert fine.s[-1] * 400.0 == pytest.approx(1.0, abs=1e-12)
+    # on kbar = 1 + 399 t the first substep past the bound starts at 0.695:
+    # it ends at kbar = 280.3 > 2.785 / 0.01, the one before at 278.3
+    ramp = TimeProtocol(np.array([0.0, 1.0]), np.array([1.0, 400.0]), "classical")
+    with pytest.raises(IntegrationError, match="stability") as exc:
+        evolve_variance(ramp, 1.0, consts, dt=0.005)
+    assert exc.value.t == pytest.approx(0.695, abs=1e-12)
+
+
 def original_nodes(td, p, c):
     """Where the schedule's own nodes sit in its emitted table."""
     t = time_of_s(p, c)

@@ -271,6 +271,16 @@ def test_failed_law_raises_with_its_time(consts):
         simulate_classical(_hold_protocol(), 1.0, outside, consts)
 
 
+def test_law_past_the_rk4_bound_raises_at_its_substep(consts):
+    # the ensembles read the variance flow's RK4 substeps, so a stiff hold
+    # at dt = 0.005 (h (2/gamma) kbar = 4) fails at its first substep, not
+    # once its law has gone wrong (G^2 = 2.5e14 with V < 0 at t = 0.5)
+    cfg = McConfig(n_particles=500, seed=0, checkpoints=np.array([0.5, 1.0, 2.0]), dt=0.005)
+    with pytest.raises(IntegrationError, match="stability") as err:
+        simulate_classical(_hold_protocol(kbar=400.0), 2.0 / 400.0, cfg, consts)
+    assert err.value.t == 0.0
+
+
 def test_classical_hold_matches_born(consts):
     ck = np.array([0.5, 1.0, 2.0])
     cfg = McConfig(n_particles=20000, seed=11, checkpoints=ck, dt=1e-3)

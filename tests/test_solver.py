@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import types
 import warnings
 
 import numpy as np
@@ -96,11 +97,26 @@ def _printed_rhs_slope(cost, s, kbar, prob, c):
     return value, np.abs(value)
 
 
+def _running_terms(s, kbar, prob, c):
+    """solver._evaluate's gradient and Hessian diagonal, both over 2 mu, at
+    each (s, kbar) pair, read on unit control volumes with no flux: el_rhs
+    and the running term's P s / (mu (sgn gap)^3), flattened."""
+    s, kbar = np.ravel(s), np.ravel(kbar)
+    grid = types.SimpleNamespace(s=np.concatenate(([0.0], s, [0.0])),
+                                 weight=np.full(s.size, prob.direction),
+                                 flux=np.zeros(s.size + 1))
+    P, Q, R = solver._coefficients(s, prob, c)
+    _, grad, diag = solver._evaluate(np.concatenate(([0.0], kbar, [0.0])),
+                                     grid, P, Q, R, prob, c)
+    return grad, diag
+
+
 @pytest.mark.parametrize("c", [PhysConsts(), _CUSTOM_CONSTS], ids=["paper", "custom"])
 @pytest.mark.parametrize("cost", ["energy", "phase", "work"])
 def test_table_reproduces_printed_equations(cost, c):
-    # el_rhs and the Newton slope, formed from the table's coefficients, agree
-    # with the hand-written per-cost equations to 4 ulp of their terms
+    # el_rhs and the running term of the Newton matrix, formed from the
+    # table's coefficients, agree with the hand-written per-cost equations
+    # to 4 ulp of their terms
     s = np.linspace(1.0, 5.0, 9)[:, None]
     gap = c.D * c.gamma * np.array([1e-3, 0.01, 0.1, 0.5, 0.9, 1.5])
     s, kbar = np.broadcast_arrays(s, (c.D * c.gamma - gap) / s)
@@ -111,8 +127,7 @@ def test_table_reproduces_printed_equations(cost, c):
             want, scale = _printed_rhs_terms(cost, s, kbar, prob, c)
             assert np.all(np.abs(el_rhs(s, kbar, prob, c) - want) <= 4.0 * eps * scale)
             want, scale = _printed_rhs_slope(cost, s, kbar, prob, c)
-            P, _, _ = solver._coefficients(s, prob, c)
-            got = solver._el_rhs_slope(P, s, c.D * c.gamma - s * kbar, prob)
+            got = _running_terms(s, kbar, prob, c)[1].reshape(s.shape)
             assert np.all(np.abs(got - want) <= 4.0 * eps * scale), (lam, mu)
 
 
@@ -256,12 +271,19 @@ def test_divergent_problem_raises(consts, monkeypatch):
 
 def test_line_search_failure_raises_with_its_trace(consts, monkeypatch):
     # an objective that disagrees with the equations Newton solves: its
-    # running term carries -Q kbar where the equations carry Q, so the
-    # Newton step does not lower it and the line search halves below 1e-12
-    # and gives up (a table entry alone cannot disagree with itself)
-    running = solver._running
-    monkeypatch.setattr(solver, "_running", lambda P, Q, R, s, kbar, g: running(
-        P, -Q, R, s, kbar, g))
+    # running term carries -Q kbar where the gradient and Hessian carry Q,
+    # so the Newton step does not lower it and the line search halves below
+    # 1e-12 and gives up (a table entry alone cannot disagree with itself)
+    evaluate = solver._evaluate
+
+    def mismatched(kbar, grid, P, Q, R, prob, c):
+        at = evaluate(kbar, grid, P, Q, R, prob, c)
+        if at is None:
+            return None
+        j, grad, diag = at
+        return j - 2.0 * float(np.sum(grid.weight * Q * kbar[1:-1])), grad, diag
+
+    monkeypatch.setattr(solver, "_evaluate", mismatched)
     prob = OptimizationProblem(cost="work", lam=10.0, mu=0.1, s_i=1.0, s_f=2.0, n_grid=501)
     with pytest.raises(ConvergenceError, match="line search") as exc:
         solve_bvp(prob, consts)
@@ -290,11 +312,33 @@ def test_stiff_units_converge(cost, gamma):
     assert np.max(np.abs(res.kbar / gamma - unit.kbar)) <= 4.0 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("cost,s_i,s_f", [
+    ("energy", 1.0, 2.0), ("phase", 1.0, 5.0), ("work", 1.0, 5.0), ("energy", 5.0, 1.0)])
+def test_scale_symmetry(consts, cost, s_i, s_f):
+    # s = a sigma and kbar = q / a carry the problem (s_i, s_f, lam, mu) onto
+    # (a s_i, a s_f, lam a, mu a^4), the phase cost's lam as a^2 (its b and k
+    # carry one more 1/s), with every duration times a: gap, running term
+    # and penalty density are unchanged per unit sigma, and the graded
+    # nodes scale with the endpoints.  The solves agree to their rounding
+    # and the Newton stop, with no reference value
+    base = OptimizationProblem(cost=cost, lam=1.0, mu=0.1, s_i=s_i, s_f=s_f)
+    ref = solve_bvp(base, consts)
+    for a in (3.0, 8.0):
+        prob = OptimizationProblem(cost=cost, lam=base.lam * a ** (2 if cost == "phase" else 1),
+                                   mu=base.mu * a**4, s_i=a * s_i, s_f=a * s_f)
+        res = solve_bvp(prob, consts)
+        assert res.iterations == ref.iterations
+        assert duration(res.protocol, consts) == pytest.approx(
+            a * duration(ref.protocol, consts), rel=1e-13)
+        assert np.max(np.abs(a * res.kbar - ref.kbar)) <= 1e-10 * np.max(np.abs(ref.kbar))
+
+
 def test_reported_residual_is_that_of_public_el_rhs():
     # the solve's own right-hand side and the public el_rhs are one
-    # definition: the residual it reports, recomputed on the returned
-    # schedule through el_rhs and the grid's stencil, agrees to the bit
-    # on compressions too, where el_rhs carries the orientation's sign
+    # definition: the residual it reports, the gradient of J_h over
+    # -2 mu |W| recomputed on the returned schedule through el_rhs, the
+    # grid's flux and |W|, agrees to the bit on compressions too, where
+    # el_rhs carries the orientation's sign
     for s_i, s_f in ((1.0, 5.0), (5.0, 1.0)):
         grid = _solver_grid(s_i, s_f, 501)
         for c, cost in itertools.product((PhysConsts(), _CUSTOM_CONSTS),
@@ -304,19 +348,21 @@ def test_reported_residual_is_that_of_public_el_rhs():
             res = solve_bvp(prob, c)
             assert res.s_nodes.tobytes() == grid.s.tobytes()
             k = res.kbar
-            dk = np.diff(k)
-            r = (grid.upper * dk[1:] - grid.lower * dk[:-1]
-                 - el_rhs(res.s_nodes[1:-1], k[1:-1], prob, c))
-            want = 2.0 * prob.mu * float(np.max(np.abs(grid.row_weight * r)))
+            flow = grid.flux * np.diff(k)
+            volume = np.abs(grid.weight)
+            grad = volume * el_rhs(res.s_nodes[1:-1], k[1:-1], prob, c) + flow[:-1] - flow[1:]
+            want = float(np.max(np.abs(2.0 * prob.mu * grid.row_weight / volume * grad)))
             assert res.residual == want, (cost, c)
 
 
 def test_residual_is_the_gradient_of_the_discrete_objective(consts):
     # J_h = sum W (P/(s gap) + R + Q kbar) + mu sum |flux| dK^2 over the grid's
     # signed volumes W and face coefficients |flux| has the analytic
-    # gradient -2 mu |W| residual, in both orientations: a central
-    # difference of J_h at nodes near the ends and inside agrees, on a
-    # feasible schedule off the optimum
+    # gradient -2 mu |W| residual, and the Newton matrix is its Hessian, in
+    # both orientations: on a feasible schedule off the optimum, central
+    # differences of J_h at nodes near the ends and inside give the
+    # gradient, and central differences of the evaluation's gradient give
+    # the Hessian's diagonal and its off-diagonal -2 mu flux
     for s_i, s_f in ((1.0, 2.0), (2.0, 1.0)):
         grid = _solver_grid(s_i, s_f, 501)
         s = grid.s
@@ -324,20 +370,26 @@ def test_residual_is_the_gradient_of_the_discrete_objective(consts):
             prob = OptimizationProblem(cost=cost, lam=1.0, mu=0.1, s_i=s_i, s_f=s_f,
                                        n_grid=501)
             P, Q, R = solver._coefficients(s[1:-1], prob, consts)
+            two_mu = 2.0 * prob.mu
 
             def objective(k):
                 g = consts.D * consts.gamma - s[1:-1] * k[1:-1]
-                running = solver._running(P, Q, R, s[1:-1], k[1:-1], g)
-                return (np.sum(grid.weight * running)
+                return (np.sum(grid.weight * (P / (s[1:-1] * g) + R + Q * k[1:-1]))
                         + prob.mu * np.sum(grid.flux * np.diff(k) ** 2))
+
+            def evaluate(k):
+                return solver._evaluate(k, grid, P, Q, R, prob, consts)
 
             # pushed away from the manifold, so the schedule stays feasible
             x = (s - s_i) / (s_f - s_i)
             kbar = solve_bvp(prob, consts).kbar - np.sign(s_f - s_i) * 0.05 * np.sin(np.pi * x)
+            j_h, grad, diag = evaluate(kbar)
+            assert j_h == pytest.approx(objective(kbar), rel=1e-14)
             dk = np.diff(kbar)
-            residual = (grid.upper * dk[1:] - grid.lower * dk[:-1]
+            residual = ((grid.flux[1:] * dk[1:] - grid.flux[:-1] * dk[:-1]) / np.abs(grid.weight)
                         - el_rhs(s[1:-1], kbar[1:-1], prob, consts))
-            gradient = -2.0 * prob.mu * np.abs(grid.weight) * residual
+            gradient = -two_mu * np.abs(grid.weight) * residual
+            assert np.max(np.abs(two_mu * grad - gradient)) <= 1e-12 * np.max(np.abs(gradient))
             for j in (3, 40, 250, 400, 497):
                 h = 1e-4 * abs(consts.D * consts.gamma - s[j] * kbar[j]) / s[j]
                 up, down = kbar.copy(), kbar.copy()
@@ -345,6 +397,11 @@ def test_residual_is_the_gradient_of_the_discrete_objective(consts):
                 down[j] -= h
                 central = (objective(up) - objective(down)) / (2.0 * h)
                 assert central == pytest.approx(gradient[j - 1], rel=2e-5), (s_i, cost, j)
+                column = two_mu * (evaluate(up)[1] - evaluate(down)[1]) / (2.0 * h)
+                assert column[j - 1] == pytest.approx(two_mu * diag[j - 1], rel=2e-5)
+                # node j couples to j - 1 through face j - 1 and to j + 1 through face j
+                assert column[j - 2] == pytest.approx(-two_mu * grid.flux[j - 1], rel=2e-5)
+                assert column[j] == pytest.approx(-two_mu * grid.flux[j], rel=2e-5)
 
 
 def test_reference_solves_converge_quickly(cache):
@@ -402,7 +459,8 @@ def test_outer_gap_is_root_of_rhs(cost, c):
         kbar = (c.D * c.gamma - g) / s
         # the Newton correction to kbar that would zero the right-hand
         # side is a few ulps of the terms kbar is formed from
-        correction = el_rhs(s, kbar, prob, c) / solver._el_rhs_slope(P, s, g, prob)
+        rhs, slope = _running_terms(s, kbar, prob, c)
+        correction = rhs / slope
         ulp = np.finfo(float).eps * (c.D * c.gamma / s + np.abs(kbar))
         assert np.all(np.abs(correction) <= 4.0 * ulp), lam
 
@@ -460,7 +518,9 @@ def test_grid_memo_is_read_only_and_isolated(consts):
     prob = OptimizationProblem(cost="phase", lam=1.0, mu=0.3, s_i=1.0, s_f=3.0, n_grid=301)
     first = solve_bvp(prob, consts)
     grid = solver._solver_grid(prob.s_i, prob.s_f, prob.n_grid)
-    for a in (*grid[:-1], *grid.layout[:2]):
+    C, _ = grid.layout
+    assert C.ndim == 1
+    for a in (*grid[:-1], C):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -479,13 +539,14 @@ def test_grid_memo_is_read_only_and_isolated(consts):
 # ---------------------------------------------------------------------------
 
 def _dominant_system(rng, n):
-    lower = rng.uniform(-1.0, 1.0, n)
-    upper = rng.uniform(-1.0, 1.0, n)
-    lower[0] = upper[-1] = 0.0
-    diag = (np.abs(lower) + np.abs(upper) + rng.uniform(0.01, 1.0, n)) \
+    # couplings at the n + 1 faces around n unknowns; the end faces are not
+    # part of the system, and the off-diagonal is -flux[1:-1]
+    flux = rng.uniform(-1.0, 1.0, n + 1)
+    flux[0] = flux[-1] = 0.0
+    diag = (np.abs(flux[:-1]) + np.abs(flux[1:]) + rng.uniform(0.01, 1.0, n)) \
         * rng.choice([-1.0, 1.0], n)
-    dense = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-    return lower, diag, upper, dense
+    dense = np.diag(diag) - np.diag(flux[1:-1], -1) - np.diag(flux[1:-1], 1)
+    return flux, diag, dense
 
 
 def test_solve_tridiagonal_matches_dense():
@@ -494,11 +555,11 @@ def test_solve_tridiagonal_matches_dense():
     sizes = list(range(1, 141)) + [1023, 1024, 1025]
     assert sizes[0] <= _DIRECT_SIZE < sizes[-1]
     for n in sizes:
-        lower, diag, upper, dense = _dominant_system(rng, n)
-        # the ignored corner entries must not leak into the solve
-        lower[0], upper[-1] = 7.0, -3.0
+        flux, diag, dense = _dominant_system(rng, n)
+        # the ignored end faces must not leak into the solve
+        flux[0], flux[-1] = 7.0, -3.0
         rhs = rng.normal(size=n)
-        x = _solve_tridiagonal(_reduction_layout(lower, upper), diag, rhs)
+        x = _solve_tridiagonal(_reduction_layout(flux), diag, rhs)
         assert x.shape == (n,)
         scaled = np.max(np.abs(dense @ x - rhs)) / (
             np.max(np.abs(dense)) * np.max(np.abs(x)) + np.max(np.abs(rhs)))
@@ -508,16 +569,17 @@ def test_solve_tridiagonal_matches_dense():
 
 
 def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
-    # cyclic reduction does not pivot; it is stable because every Jacobian
+    # cyclic reduction does not pivot; it is stable because every Hessian
     # Newton hands it is strictly diagonally dominant.  Every cost has that
     # by sign (test_lagrangians_keep_the_objective_convex); this checks it
-    # on the Jacobians the solves actually form
+    # on the Hessians the solves actually form
     margins = []
 
     def checked(layout, diag, rhs):
-        # the layout holds -lower and -upper without the corner entries
-        A, C, _ = layout
-        off = np.abs(A[:diag.size]) + np.abs(C[:diag.size])
+        # the layout holds the couplings C: row i's off-diagonal is -C[i-1], -C[i]
+        C, _ = layout
+        right = np.abs(C[:diag.size])
+        off = right + np.concatenate(([0.0], right[:-1]))
         margins.append(float(np.min((np.abs(diag) - off) / off)))
         return _solve_tridiagonal(layout, diag, rhs)
 
@@ -525,7 +587,7 @@ def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
     problems = [_prob(cost, mu=mu) for cost, mu in sorted(REFERENCE_DURATIONS)]
     problems.append(OptimizationProblem(cost="energy", lam=10.0, mu=1e-3,
                                         s_i=1.0, s_f=5.0))
-    # compressions: the orientation's sign keeps the slope term dominant
+    # compressions: the orientation's sign keeps the running term dominant
     problems += [OptimizationProblem(cost=cost, lam=lam, mu=0.1, s_i=2.0, s_f=1.0)
                  for cost in ("energy", "phase", "work") for lam in (1.0, 10.0)]
     for prob in problems:
@@ -540,9 +602,9 @@ def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
 def test_lagrangians_keep_the_objective_convex(cost, c):
     # a(s) >= 0 and Q = lam k < 0 for every entry: lam d^2(ell)/d(kbar)^2 =
     # 2 lam a s^2 / gap^3 then has the sign of the orientation at every
-    # feasible point, and the Newton slope P s / (mu (sgn gap)^3) is
+    # feasible point, and the Hessian's running term W P s / (mu gap^3) is
     # positive in both orientations, so J_h is strictly convex and the
-    # Jacobians are dominant
+    # Hessians are dominant
     rng = np.random.default_rng(5)
     entry = LAGRANGIANS[cost]
     for s_i, s_f in ((1.0, 5.0), (5.0, 1.0)):
@@ -551,12 +613,13 @@ def test_lagrangians_keep_the_objective_convex(cost, c):
         assert np.all(a >= 0.0)
         for lam in (1e-3, 1.0, 1e3):
             prob = OptimizationProblem(cost=cost, lam=lam, mu=0.1, s_i=s_i, s_f=s_f)
-            P, Q, _ = solver._coefficients(s, prob, c)
+            _, Q, _ = solver._coefficients(s, prob, c)
             assert np.all(np.broadcast_to(Q, s.shape) < 0.0)
             gap = prob.direction * c.D * c.gamma * rng.uniform(1e-4, 3.0, s.size)
             d2l = 2.0 * lam * a * s**2 / gap**3
             assert np.all(prob.direction * d2l >= 0.0)
-            assert np.all(solver._el_rhs_slope(P, s, gap, prob) > 0.0), (lam, s_i)
+            kbar = (c.D * c.gamma - gap) / s
+            assert np.all(_running_terms(s, kbar, prob, c)[1] > 0.0), (lam, s_i)
 
 
 # ---------------------------------------------------------------------------
