@@ -32,7 +32,7 @@ def main():
     t0 = time.perf_counter()
     res = solve_bvp(prob, c)
     print(f"   converged in {res.iterations} Newton steps "
-          f"({time.perf_counter() - t0:.2f} s), residual {res.residual:.2e}")
+          f"({time.perf_counter() - t0:.2f} s), Newton decrement {res.decrement:.2e}")
 
     rep = j_total(res.protocol, prob, c)
     print(f"   duration        {rep.duration:.6f}")

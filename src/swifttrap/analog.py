@@ -289,13 +289,16 @@ _GEOMETRY_MEMO_SIZE = 16
 def _cell_geometry(x_bytes, pinned_left, pinned_right):
     """Gauss geometry of the fitted cells on the nodes stored in x_bytes.
 
-    Returns (frac, three_u2, half) for the 4-point rule of every cell:
-    frac = (u^2 - ua^2) / (ub^2 - ua^2) at the Gauss points u, 3 u^2, and
+    Returns (frac, three_u2, half, penalty) for the 4-point rule of every
+    cell: frac = (u^2 - ua^2) / (ub^2 - ua^2) at the Gauss points u, 3 u^2,
     the signed half-width sign * (ub - ua) / 2, with u = tau^(1/3)
-    measured from the nearer pinned end.  They depend on the nodes and
-    the pinned flags alone, so the memo, keyed on the nodes' bytes, lets
-    every schedule on the same grid share them.  The arrays are
-    read-only.
+    measured from the nearer pinned end, and the (3, cells) rows
+    penalty = (b2, bg, g2): with the gap g linear in phi = u^2 and kbar =
+    (D gamma - g) / s, u dkbar/ds is smooth in u, and the rule makes the
+    cell's integral of (dkbar/ds)^2 over |ds| the quadratic form b2 dg^2 +
+    2 bg dg e + g2 e^2, dg = g_b - g_a, e = D gamma - g_a.  They depend on
+    the nodes and the pinned flags alone, so the memo, keyed on the nodes'
+    bytes, lets every schedule on the same grid share them (read-only).
     """
     x = np.frombuffer(x_bytes)
     mid = 0.5 * (x[:-1] + x[1:])
@@ -308,9 +311,16 @@ def _cell_geometry(x_bytes, pinned_left, pinned_right):
     frac = (u**2 - (ua**2)[:, None]) / (ub**2 - ua**2)[:, None]
     three_u2 = 3.0 * u**2
     half = sign * 0.5 * (ub - ua)
-    for a in (frac, three_u2, half):
+    # u dkbar/ds = -(beta dg + gamma e) / root at the Gauss points s
+    s = np.reshape(end, (-1, 1)) + sign[:, None] * u**3
+    root = np.sqrt(3.0 * np.abs(half)[:, None] * _GAUSS_W)
+    slope = (sign * (2.0 / 3.0) / (ub**2 - ua**2))[:, None]
+    beta, gamma = root * (slope / s - u * frac / s**2), root * u / s**2
+    penalty = np.stack([np.sum(a * b, axis=1) for a, b in
+                        ((beta, beta), (beta, gamma), (gamma, gamma))])
+    for a in (frac, three_u2, half, penalty):
         a.flags.writeable = False
-    return frac, three_u2, half
+    return frac, three_u2, half, penalty
 
 
 def _fitted_cells(x, g, pinned_left, pinned_right):
@@ -343,7 +353,7 @@ def _fitted_cells(x, g, pinned_left, pinned_right):
         if pinned_right:
             p_right = _layer_exponent(x, g, -1)
             g[-1] = 0.0
-        frac, three_u2, half = _cell_geometry(
+        frac, three_u2, half, _ = _cell_geometry(
             np.ascontiguousarray(x, dtype=float).tobytes(), pinned_left, pinned_right)
         base = three_u2 / (g[:-1, None] + (g[1:] - g[:-1])[:, None] * frac)
         cells = half * (base @ _GAUSS_W)

@@ -30,7 +30,7 @@ The raw functionals are F times a prefactor plus a boundary term:
 * g_penalty = integral of (dkbar/ds)^2 over |ds| (orientation-free).
 
 [s kbar] = s_f kbar_f - s_i kbar_i, zero on pinned schedules.  j_total
-combines duration + lam * F + mu * G; CostReport carries the raw
+combines 2 duration + lam * F + mu * G; CostReport carries the raw
 functionals and F.  A cost is added by adding its entry to LAGRANGIANS:
 problem validation, the solver, j_total and the CLI read the table.
 """
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import _schedule_cells, duration
+from .analog import _cell_geometry, _pinned_ends, _schedule_cells, duration, flow_gap
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
 from .dynamics import TrajectoryRecord
 
@@ -135,9 +135,21 @@ def f_alpha(p: SGridProtocol, c: PhysConsts) -> float:
 
 
 def g_penalty(p: SGridProtocol, c: PhysConsts) -> float:
-    """Smoothing penalty: integral of (dkbar/ds)^2 over the unsigned measure."""
-    kbar_prime = np.gradient(p.kbar, p.s_nodes, edge_order=2)
-    return abs(_trapz(kbar_prime**2, p.s_nodes))
+    """Smoothing penalty: integral of (dkbar/ds)^2 over the unsigned measure.
+
+    On the duration's cell model: with a pinned end, the gap linear in
+    tau^(2/3) in every cell and 0 at the pinned ends, by the Gauss rule of
+    analog._cell_geometry (the solver's G_h); with none, kbar linear in s.
+    """
+    x = p.s_nodes
+    g = flow_gap(p, c)
+    pinned = _pinned_ends(g)
+    if not any(pinned):
+        return float(np.sum(np.diff(p.kbar) ** 2 / np.abs(np.diff(x))))
+    b2, bg, g2 = _cell_geometry(np.ascontiguousarray(x, dtype=float).tobytes(), *pinned)[3]
+    g[[0, -1]] = np.where(pinned, 0.0, g[[0, -1]])
+    dg, e = np.diff(g), c.D * c.gamma - g[:-1]
+    return float(np.sum(dg * (dg * b2 + e * bg) + e * (dg * bg + e * g2)))
 
 
 def work_classical(p: SGridProtocol, c: PhysConsts) -> float:
@@ -239,13 +251,16 @@ class CostReport:
 
 
 def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostReport:
-    """Evaluate duration, all raw functionals, and J = duration + lam*F + mu*G.
+    """Evaluate duration, all raw functionals, and J = 2 duration + lam*F + mu*G.
 
     F is the integral of prob.cost's Lagrangian (see module docstring);
-    with lam = mu = 0 the objective is the bare duration.  The duration
-    and every a / gap term read one fitted-cell pass, the one the
-    schedule's time table made if it was just emitted (_schedule_cells),
-    so each field is bitwise its own function's.
+    J is the objective whose stationarity equations swifttrap.solver
+    prints and whose discretization it minimizes, so a solved schedule is
+    a stationary point of the J reported here; with lam = mu = 0 it is
+    twice the bare duration.  The duration and every a / gap term read
+    one fitted-cell pass, the one the schedule's time table made if it
+    was just emitted (_schedule_cells), so each field is bitwise its own
+    function's.
     """
     dur = duration(p, c)
     g = g_penalty(p, c)
@@ -253,4 +268,4 @@ def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostR
     return CostReport(cost=prob.cost, lam=prob.lam, mu=prob.mu, duration=dur,
                       f_energy=f_energy(p, c), f_alpha=f_alpha(p, c), g_penalty=g,
                       work=work_classical(p, c), f_absorbed=f_abs,
-                      j_total=dur + prob.lam * f_abs + prob.mu * g)
+                      j_total=2.0 * dur + prob.lam * f_abs + prob.mu * g)

@@ -25,10 +25,9 @@ class ConvergenceError(RuntimeError):
 
     solve_bvp raises it for an infeasible start, a non-finite Newton step,
     a line search that halves below 1e-12, or the iteration cap.  history
-    holds one (residual, step, damping) triple per iteration, as
-    BvpResult.history does; a non-finite step is recorded with damping 0.
-    iterations (the number of records) and update_history (the steps of
-    the last 50) are read from it.
+    holds one (objective, decrement, step, damping) record per iteration,
+    as BvpResult.history does; a non-finite step is recorded with damping
+    0.  iterations, the number of records, is read from it.
     """
 
     def __init__(self, message, history=None):
@@ -38,10 +37,6 @@ class ConvergenceError(RuntimeError):
     @property
     def iterations(self) -> int:
         return len(self.history)
-
-    @property
-    def update_history(self) -> list[float]:
-        return [step for _, step, _ in self.history[-50:]]
 
 
 class IntegrationError(RuntimeError):

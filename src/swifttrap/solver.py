@@ -2,75 +2,58 @@
 
 The duration/cost trade-off is posed on the variance axis: find kbar(s)
 between the equilibrium endpoint values kbar(s_i) = D*gamma/s_i and
-kbar(s_f) = D*gamma/s_f minimizing the integral of
-gamma/gap + lam ell(s, kbar) from s_i to s_f plus mu (dkbar/ds)^2 over
-|ds|, gap = D*gamma - s*kbar.  The first term integrates to twice the
-duration; ell = a(s)/gap + b(s) + k(s) kbar is the cost's Lagrangian,
-its coefficients given by swifttrap.costs.LAGRANGIANS, and its integral
-is the F that j_total reports (j_total counts the duration once).  The
-running term is then P/(s gap) + R + Q kbar with
+kbar(s_f) = D*gamma/s_f minimizing J = 2 duration + lam F + mu G, the
+objective costs.j_total reports:
 
-    P = (gamma + lam a) s,   Q = lam k,   R = lam b,
+    J = integral of (gamma/gap + lam ell(s, kbar)) ds + mu integral of (dkbar/ds)^2 |ds|
 
-all three functions of s alone, and stationarity (Gelfand & Fomin,
-Calculus of Variations, 1963) gives one second-order two-point boundary
-problem for every cost,
+from s_i to s_f, gap = D*gamma - s*kbar, ell = a(s)/gap + b(s) + k(s) kbar
+the cost's Lagrangian (swifttrap.costs.LAGRANGIANS).  The running term is
+w/gap + R + Q kbar with w = gamma + lam a, Q = lam k and R = lam b, all
+functions of s alone, and stationarity (Gelfand & Fomin, Calculus of
+Variations, 1963) gives one two-point boundary problem for every cost,
 
-    2 mu kbar'' = sgn (P / gap^2 + Q),
+    2 mu kbar'' = sgn (w s / gap^2 + Q),
 
-sgn = sign(s_f - s_i).  el_rhs evaluates the right-hand side over 2 mu,
-sign included; reported residuals are 2 mu (kbar'' - el_rhs), in the
-units of the equation above.
+sgn = sign(s_f - s_i); el_rhs evaluates its right-hand side over 2 mu.
 
-At an equilibrium-pinned end the equation has a regular singular point:
-the gap grows like C tau^(2/3), tau = |s - s_end|, followed by
-tau^(4/3) ln(tau) terms.  A uniform grid with the three-point stencil
-leaves an O(1) relative error at the first nodes, and solved durations
-then converge far slower than first order.  The solver therefore grades
-its nodes like tau ~ xi^3 toward both ends (xi uniform, interior spacing
-within 16 percent of uniform) and discretizes with finite volumes whose
-flux and source are exact for kbar = a + b tau^(2/3); away from the ends
-this is the ordinary three-point scheme.  Durations then refine at
-second order.
+At an equilibrium-pinned end the gap grows like C tau^(2/3),
+tau = |s - s_end|, followed by tau^(4/3) ln(tau) terms.  The nodes are
+graded like tau ~ xi^3 toward both ends (xi uniform, interior spacing
+within 16 percent of uniform), and J is discretized by the Ritz method
+(Strang & Fix, An Analysis of the Finite Element Method, 1973) on the cell
+model of analog's fitted cells: the gap linear in phi = tau^(2/3) of the
+nearer end in every cell, 0 at both ends, and kbar = (D gamma - gap) / s.
+w/gap is the 4-point Gauss rule of analog._cell_geometry, b + k kbar the
+trapezoid of costs._integral, and G the same Gauss rule, one quadratic
+form in the two gaps per cell (costs.g_penalty).  The first interior node
+at each end is tied to the second (_tie), so the end exponent analog fits
+there reads 2/3.  J_h is thus the J that j_total reports on the solved
+schedule, to rounding (Hager, Numer. Math. 87, 247 (2000)), and duration,
+F and G refine at second order.
 
-The discrete equations are the stationarity conditions of one discrete
-objective, J_h = sum_j W_j (P_j/(s_j gap_j) + R_j + Q_j K_j) + mu sum_f
-|flux_f| (dK_f)^2, W_j the fitted control volumes (signed like ds) and
-flux_f the face coefficients: grad J_h = -2 mu |W| residual.  solve_bvp
-is Newton's method on J_h with backtracking, stopped by the Newton
-decrement (Boyd & Vandenberghe, Convex Optimization, 2004, section 9.5),
-one path with no per-call options; each step solves H delta = -grad J_h
-with J_h's own gradient and symmetric tridiagonal Hessian H, formed with
-J_h from one evaluation of the iterate (_evaluate), and the module
-constant _MAX_ITER (50000), read at call time, caps the iterations.
-Every cost has a(s) >= 0, so P > 0 and the running term's second
-kbar-derivative 2 P s / gap^3 has the sign of the orientation on the
-feasible set: J_h is strictly convex there and rises to +inf at the
-manifold D*gamma = s*kbar, so each problem with mu > 0 has one discrete
-minimizer in either orientation.  The initial iterate (_start) is built
-from the two leading balances of the right-hand side.  With kbar''
-dropped, setting it to zero leaves the outer (mu -> 0) root g_out, with
-g_out^-4 = (Q / P)^2; for work that is g_out = sqrt(gamma s / lam), the
-Schmiedl-Seifert optimum that analytic_work_optimal returns.  At a pinned
-end the gap vanishes and P / (2 mu gap^2) balances kbar'' alone, so
-gap ~ C tau^(2/3) with C^3 = (9/2) s P / (2 mu).  The start blends the
-two, and Newton runs in its quadratic basin from the first steps instead
-of repairing the layers or the interior level with damped steps.
+solve_bvp is Newton's method on J_h with backtracking, stopped by the
+Newton decrement (Boyd & Vandenberghe, Convex Optimization, 2004, section
+9.5), one path with no per-call options; each step solves H delta =
+-grad J_h with J_h's gradient and symmetric tridiagonal Hessian H, formed
+in closed form with J_h in one pass over the cells (_evaluate), and the
+module constant _MAX_ITER (50000), read at call time, caps the
+iterations.  Every cost has a(s) >= 0, so w > 0 and each cell's w/gap is
+convex in its two gaps where sgn gap > 0: J_h is strictly convex on the
+feasible set and rises to +inf at the manifold D*gamma = s*kbar, so each
+problem with mu > 0 has one discrete minimizer in either orientation.
+The start (_start) blends the two leading balances of the right-hand
+side: the outer (mu -> 0) root g_out^-4 = (Q / P)^2, P = w s (for work
+the Schmiedl-Seifert optimum of analytic_work_optimal), and the end layer
+gap ~ C tau^(2/3), C^3 = (9/2) s P / (2 mu), so Newton runs in its
+quadratic basin from the first steps.  Each step's system is solved by
+odd-even cyclic reduction in numpy (_solve_tridiagonal), without
+pivoting: H is symmetric positive definite on the feasible set.
 
-Each Newton step solves one symmetric tridiagonal system, by odd-even
-cyclic reduction in numpy (`_solve_tridiagonal`), so the runtime needs no
-scipy.  The reduction does not pivot; that is safe on the Hessians of
-feasible schedules, which are strictly diagonally dominant (see
-`_solve_tridiagonal`).
-
-What depends on the grid (s_i, s_f, n) alone is built once per grid and
-memoized by `_solver_grid`, a functools.lru_cache of at most 16 grids
-(about 96 kB each at n = 2001): the graded nodes, the fitted stencil,
-the residual weights, the distances to the ends and the padded interior
-face coefficients, the Hessian's fixed off-diagonal up to its factor
--2 mu, that the reduction starts from.  A mu sweep or a lam search on
-one endpoint pair builds them once.  The memoized arrays are read-only,
-and each BvpResult owns a copy of its nodes.
+What depends on the grid (s_i, s_f, n) alone is memoized by
+_solver_grid, a functools.lru_cache of at most 16 grids (about 0.5 MB
+each at n = 2001), so a mu sweep on one endpoint pair builds it once; the
+arrays are read-only, and each BvpResult owns a copy of its nodes.
 
 The work cost with mu = 0 has a closed-form optimum (no smoothing, free
 endpoint jumps).  `analytic_work_optimal` returns it as the pair every
@@ -87,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analog import TimeDomainProtocols, _kappa
+from .analog import _GAUSS_W, TimeDomainProtocols, _cell_geometry, _kappa
 from .costs import LAGRANGIANS
 from .errors import ConvergenceError, SingularManifoldError
 from .model import OptimizationProblem, PhysConsts, SGridProtocol, TimeProtocol
@@ -101,17 +84,17 @@ __all__ = [
 
 
 def _coefficients(s, prob: OptimizationProblem, c: PhysConsts):
-    """P = (gamma + lam a) s, Q = lam k and R = lam b of prob.cost at s."""
+    """w = gamma + lam a, Q = lam k and R = lam b of prob.cost at s."""
     lag = LAGRANGIANS[prob.cost]
-    return ((c.gamma + prob.lam * lag.a(s, c)) * s, prob.lam * lag.k(s, c),
+    return (c.gamma + prob.lam * lag.a(s, c), prob.lam * lag.k(s, c),
             prob.lam * lag.b(s, c))
 
 
 def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
-    """kbar'' demanded by stationarity: sgn (P / gap^2 + Q) / (2 mu).
+    """kbar'' demanded by stationarity: sgn (w s / gap^2 + Q) / (2 mu).
 
     sgn = sign(s_f - s_i): the running terms integrate along the schedule,
-    the penalty over |ds|.  P = (gamma + lam a) s and Q = lam k come from
+    the penalty over |ds|.  w = gamma + lam a and Q = lam k come from
     prob.cost's Lagrangian (swifttrap.costs.LAGRANGIANS).  Only valid for
     mu > 0; the mu = 0 work optimum is analytic_work_optimal.
     """
@@ -123,17 +106,17 @@ def el_rhs(s, kbar, prob: OptimizationProblem, c: PhysConsts):
     if np.any(g == 0.0):
         raise SingularManifoldError(
             "evaluation on the singular manifold D*gamma = s*kbar")
-    P, Q, _ = _coefficients(s, prob, c)
-    out = prob.direction * (P / g**2 + Q) / (2.0 * prob.mu)
+    w, Q, _ = _coefficients(s, prob, c)
+    out = prob.direction * (w * s / g**2 + Q) / (2.0 * prob.mu)
     return float(out) if out.ndim == 0 else out
 
 
 def _start(grid, P, Q, prob, c):
     """The initial iterate: gap (L^-4 + B^-4)^(-1/4) at the interior nodes.
 
-    L = C tau^(2/3) is the end layer, where kbar'' balances P / (2 mu gap^2)
-    alone, so C^3 = (9/2) s P / (2 mu); B is the outer root of
-    P / gap^2 + Q, B^-4 = (Q / P)^2, formed directly so that lam = 0
+    P = w s and Q at the interior nodes.  L = C tau^(2/3) is the end layer,
+    where kbar'' balances P / (2 mu gap^2) alone, C^3 = (9/2) s P / (2 mu);
+    B is the outer root of P / gap^2 + Q, B^-4 = (Q / P)^2, so that lam = 0
     (Q = 0) gives gap = L.
     """
     s_int = grid.s[1:-1]
@@ -150,26 +133,16 @@ def _start(grid, P, Q, prob, c):
 class BvpResult:
     """Converged schedule plus solve diagnostics.
 
-    residual is the largest residual of the printed equation, read from
-    J_h's gradient as -grad J_h / |W| at the interior nodes (module
-    docstring), with row j weighted by ds[j-1] ds[j] / h^2,
-    h = |s_f - s_i| / (n_grid - 1).  In the interior, where the spacing
-    stays within 16 percent of h, this is the pointwise residual; at the
-    graded end nodes the weight cancels the growth of the pointwise
-    rounding floor eps |kbar| / (ds[j-1] ds[j]), so a converged solve
-    reads near 2 mu eps |kbar| / h^2, as on a uniform grid.
-
-    history holds one (residual, step, damping) triple per Newton
-    iteration: the weighted residual, in the units of residual, of the
-    iterate the step was taken from, the largest |change of kbar| the
-    step made, and the factor 2^-k the line search scaled the full step
-    by.  iterations, rejections (the halvings k, summed) and final_update
-    (the last step) are read from it.
+    history holds one (objective, decrement, step, damping) record per
+    Newton iteration: J_h and the Newton decrement -grad J_h . delta of the
+    iterate the step left from, the largest |change of kbar| the step
+    made, and the factor 2^-k the line search scaled it by.  iterations,
+    rejections (the k, summed) and decrement (the last record's, at most
+    8 eps |J_h| when converged) are read from it.
     """
 
     protocol: SGridProtocol
-    residual: float
-    history: list[tuple[float, float, float]]
+    history: list[tuple[float, float, float, float]]
 
     @property
     def iterations(self) -> int:
@@ -177,11 +150,11 @@ class BvpResult:
 
     @property
     def rejections(self) -> int:
-        return int(sum(-math.log2(damping) for _, _, damping in self.history
+        return int(sum(-math.log2(damping) for *_, damping in self.history
                        if damping > 0.0))
 
     @property
-    def final_update(self) -> float:
+    def decrement(self) -> float:
         return self.history[-1][1]
 
     @property
@@ -228,93 +201,38 @@ def _graded_nodes(s_i: float, s_f: float, n: int) -> np.ndarray:
     return s
 
 
-def _fitted_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Finite volumes fitted to kbar = a + b tau^(2/3) at the pinned ends.
-
-    With phi = tau^(2/3), tau the distance to the nearer end, the flux
-    through a face is phi'(face) (K[j+1] - K[j]) / (phi[j+1] - phi[j]) and
-    the control-volume integral of the right-hand side is
-    f[j] (phi'(s[j+1/2]) - phi'(s[j-1/2])) / phi''(s[j]); both are exact
-    for a + b phi, and for cells small against tau they reduce to the
-    ordinary three-point scheme.  Returns the control volumes at the
-    interior nodes, signed like ds, and the faces' |flux| coefficients;
-    with face f between nodes f and f + 1, the pointwise form is
-    kbar''[j] ~ (flux[j] (K[j+1] - K[j]) - flux[j-1] (K[j] - K[j-1])) / |W_j|,
-    W_j node j's control volume.
-    """
-    s_i, s_f = s[0], s[-1]
-    faces = 0.5 * (s[:-1] + s[1:])
-
-    def nearer_end(x):
-        return np.where(np.abs(x - s_i) <= np.abs(x - s_f), s_i, s_f)
-
-    def dphi(x, end):
-        return (2.0 / 3.0) / np.cbrt(x - end)
-
-    # flux coefficients, one per face, in the face's own layer coordinate
-    end_f = nearer_end(faces)
-    flux = dphi(faces, end_f) / (np.abs(s[1:] - end_f) ** (2.0 / 3.0)
-                                 - np.abs(s[:-1] - end_f) ** (2.0 / 3.0))
-    # control-volume weights at the interior nodes, in the node's coordinate
-    end_n = nearer_end(s[1:-1])
-    tau = np.abs(s[1:-1] - end_n)
-    weight = (dphi(faces[1:], end_n) - dphi(faces[:-1], end_n)) / (
-        -(2.0 / 9.0) * tau ** (-4.0 / 3.0))
-    return weight, np.abs(flux)
-
-
 # largest system that cyclic reduction hands over to a Thomas sweep
 _DIRECT_SIZE = 64
 
 
-def _reduction_layout(flux):
-    """The fixed part of _solve_tridiagonal's input: (C, levels).
+def _solve_tridiagonal(diag, off, rhs):
+    """Solve off[i-1] x[i-1] + diag[i] x[i] + off[i] x[i+1] = rhs[i].
 
-    flux holds one coupling per face, m + 1 of them around m unknowns;
-    the two end faces couple to pinned values and are dropped.  C is the
-    rest, padded with zeros to the size q 2^levels - 1 at which every
-    reduction level has odd size.  C is read-only, so one layout can serve
-    every solve that shares the couplings.
+    The system is symmetric; the reduction carries the couplings C = -off.
+    Odd-even cyclic reduction (Hockney, J. ACM 12, 95 (1965)) eliminates
+    the even-indexed rows, halving the system, until at most _DIRECT_SIZE
+    unknowns remain for a Thomas sweep; back-substitution recovers each
+    level.  Padding with decoupled rows x = 0 to a size q 2^L - 1 gives
+    every level odd size, so each level is a few whole-array operations
+    on one coupling array (a Schur complement stays symmetric), its
+    diagonal b and right-hand side d.
+
+    Neither stage pivots: both are Gaussian elimination on a symmetric
+    permutation of the matrix, which is stable without pivoting when the
+    matrix is positive definite.  J_h's Hessians are, on feasible
+    schedules: every cell adds a positive semidefinite block of its w/gap
+    term (sum_q c w / gap^3 times outer products of the shape functions)
+    and of its penalty (a sum of squares), definite with both ends pinned.
     """
-    n = np.size(flux) - 1
+    n = np.size(rhs)
     levels = 0
     while n + 1 > (_DIRECT_SIZE + 1) * 2**levels:
         levels += 1
     block = 2**levels
     size = block * -(-(n + 1) // block) - 1
-    C = np.zeros(size)
-    C[:n - 1] = flux[1:-1]
-    C.flags.writeable = False
-    return C, levels
-
-
-def _solve_tridiagonal(layout, diag, rhs):
-    """Solve diag[i] x[i] - C[i-1] x[i-1] - C[i] x[i+1] = rhs[i].
-
-    layout = _reduction_layout(flux) carries the couplings C = flux[1:-1],
-    so the system is symmetric with off-diagonal -C.  Odd-even cyclic
-    reduction (Hockney, J. ACM 12, 95 (1965)) eliminates the even-indexed
-    rows, which leaves a tridiagonal system in the odd-indexed unknowns of
-    about half the size, until at most _DIRECT_SIZE unknowns remain; a
-    Thomas sweep solves those, and back-substitution recovers each
-    eliminated level.  The system is padded with decoupled rows x = 0 to a
-    size q 2^L - 1, so that every level has odd size and its eliminated
-    rows bracket every surviving row; each level is then a few whole-array
-    operations.  Eliminating rows of a symmetric system leaves a symmetric
-    one (a Schur complement), so each level carries one coupling array C
-    with its diagonal b and right-hand side d.
-
-    Neither stage pivots.  Both are stable on strictly row diagonally
-    dominant systems, and a reduced system inherits the dominance of the
-    one it came from.  The Newton systems of solve_bvp, J_h's Hessian over
-    2 mu, are dominant on feasible schedules: their couplings C are the
-    faces' |flux|, and row j's diagonal exceeds C[j-1] + C[j] by its
-    running term W P s / (mu gap^3), which is positive whenever
-    sgn gap > 0, since W has the sign sgn and every cost has P > 0.
-    """
-    C, levels = layout
-    n = np.size(rhs)
-    b, d = np.ones(C.size), np.zeros(C.size)
+    # C = -off: row i reads diag[i] x[i] - C[i-1] x[i-1] - C[i] x[i+1]
+    C, b, d = np.zeros(size), np.ones(size), np.zeros(size)
+    np.negative(off, out=C[:n - 1])
     b[:n] = diag
     d[:n] = rhs
 
@@ -353,14 +271,18 @@ def _solve_tridiagonal(layout, diag, rhs):
 
 
 class _SolverGrid(NamedTuple):
-    """Everything solve_bvp needs that depends on (s_i, s_f, n) alone."""
+    """What solve_bvp needs of (s_i, s_f, n) alone; 4 rows per Gauss point."""
 
     s: np.ndarray             # graded nodes
-    weight: np.ndarray        # signed control volumes at the interior nodes
-    flux: np.ndarray          # |flux coefficient| at each face
-    row_weight: np.ndarray    # ds[j-1] ds[j] / h^2
     tau: np.ndarray           # distance of each interior node to the nearer end
-    layout: tuple             # _reduction_layout(flux)
+    tie: np.ndarray           # phi[1] / phi[2] and phi[-2] / phi[-3], phi = tau^(2/3)
+    chain: np.ndarray         # d kbar[1] / d kbar[2] and d kbar[-2] / d kbar[-3] under the tie
+    shape: np.ndarray         # (2, 4, n - 1): the shape functions 1 - f and f of each cell
+    shape2: np.ndarray        # (3, 4, n - 1): 2 (1 - f)^2, 2 (1 - f) f and 2 f^2
+    gauss: np.ndarray         # Gauss weights c of the running term, signed like ds
+    penalty: np.ndarray       # (3, n - 1): sum_q beta^2, beta gamma and gamma^2 per cell
+    curvature: np.ndarray     # (3, n - 1): the penalty's second derivatives in g_a, g_b over 2
+    trap: np.ndarray          # trapezoid weight of each node, signed like ds
 
 
 # grids kept by _solver_grid; a sweep or a lam search stays on one or a few
@@ -369,75 +291,125 @@ _GRID_MEMO_SIZE = 16
 
 @functools.lru_cache(maxsize=_GRID_MEMO_SIZE)
 def _solver_grid(s_i: float, s_f: float, n: int) -> _SolverGrid:
-    """Nodes, stencil, residual weights and reduction layout of one grid.
+    """Nodes and cell geometry of one grid, both ends pinned, read-only.
 
-    Memoized: solves that share (s_i, s_f, n), as a mu sweep does, build
-    them once.  Every array is read-only, since each caller shares them;
-    the Hessian's off-diagonal is -flux, so one padded copy of the
-    interior faces' flux is the whole layout.
+    The geometry comes from analog._cell_geometry, so the schedules solved
+    on the grid find that memo's entry too.
     """
     s = _graded_nodes(s_i, s_f, n)
-    weight, flux = _fitted_stencil(s)
-    s_int = s[1:-1]
-    # row j weighted by ds[j-1] ds[j] / h^2, h the mean spacing: the
-    # equation in the uniform grid coordinate, whose rounding floor is
-    # eps |kbar| / h^2 at every node, as on a uniform grid
-    h = (s_f - s_i) / (n - 1)
+    frac, three_u2, half, penalty = _cell_geometry(s.tobytes(), True, True)
+    f = np.ascontiguousarray(frac.T)
     ds = np.diff(s)
+    s_int = s[1:-1]
+    tau = np.abs(s[[1, 2, -2, -3]] - s[[0, 0, -1, -1]])  # as _layer_exponent reads them
+    tie = np.array([tau[0] / tau[1], tau[2] / tau[3]]) ** (2.0 / 3.0)
+    b2, bg, g2 = penalty
     grid = _SolverGrid(
-        s=s, weight=weight, flux=flux,
-        row_weight=ds[:-1] * ds[1:] / h**2,
-        tau=np.minimum(np.abs(s_int - s_i), np.abs(s_int - s_f)),
-        layout=_reduction_layout(flux))
-    for a in grid[:-1]:
+        s=s, tau=np.minimum(np.abs(s_int - s_i), np.abs(s_int - s_f)),
+        tie=tie, chain=tie * s[[2, -3]] / s[[1, -2]],
+        shape=np.stack((1.0 - f, f)),
+        shape2=2.0 * np.stack(((1.0 - f) ** 2, (1.0 - f) * f, f * f)),
+        gauss=(half[:, None] * three_u2 * _GAUSS_W).T.copy(),
+        penalty=penalty,
+        curvature=np.stack((b2 + 2.0 * bg + g2, -(b2 + bg), b2)),
+        trap=0.5 * np.concatenate(([ds[0]], ds[:-1] + ds[1:], [ds[-1]])))
+    for a in grid:
         a.flags.writeable = False
     return grid
 
 
-def _evaluate(kbar, grid, P, Q, R, prob, c):
-    """J_h at kbar, its gradient over 2 mu and its Hessian's diagonal over 2 mu.
+def _tie(kbar, grid, c):
+    """Set the gap at node 1 (and n - 2) to grid.tie times the next, in place.
 
-    The gap is formed once; None is returned when kbar is infeasible
-    (sgn gap <= 0 at an interior node).  With Phi_f = flux_f dK_f,
-
-        grad J_h / (2 mu) = |W| el_rhs + Phi_{j-1} - Phi_j,
-        H_jj / (2 mu) = flux_{j-1} + flux_j + W P s / (mu gap^3),
-
-    and H's off-diagonal is -2 mu flux, fixed per grid (grid.layout).
-    The pointwise residual of the printed equation is -grad / (2 mu |W|).
-    J_h's sums are numpy's pairwise sums over product arrays, which keep
-    its rounding near eps |J_h|, the slack of solve_bvp's stop.
+    The gap is then linear in tau^(2/3) across both end cells, so the end
+    exponent analog fits there reads 2/3, the power J_h integrates with.
     """
-    s, k = grid.s[1:-1], kbar[1:-1]
-    sgn = prob.direction
-    g = c.D * c.gamma - s * k
-    if not np.all(g * sgn > 0.0):
-        return None
-    dk = np.diff(kbar)
-    j = float(np.sum(grid.weight * (P / (s * g) + R + Q * k))
-              + prob.mu * np.sum(grid.flux * dk**2))
-    g2 = g * g
-    flow = grid.flux * dk
-    rhs = sgn * (P / g2 + Q) / (2.0 * prob.mu)  # el_rhs
-    grad = sgn * grid.weight * rhs + flow[:-1] - flow[1:]
-    diag = grid.flux[:-1] + grid.flux[1:] + grid.weight * P * s / (prob.mu * g2 * g)
-    return j, grad, diag
+    s, Dg = grid.s, c.D * c.gamma
+    kbar[1] = (Dg - grid.tie[0] * (Dg - s[2] * kbar[2])) / s[1]
+    kbar[-2] = (Dg - grid.tie[1] * (Dg - s[-3] * kbar[-3])) / s[-2]
+
+
+def _gap(kbar, grid, prob, c):
+    """The gap of kbar, 0 at the pinned ends, or None when kbar is infeasible."""
+    g = np.zeros(kbar.size)
+    g[1:-1] = c.D * c.gamma - grid.s[1:-1] * kbar[1:-1]
+    return g if (g[1:-1] * prob.direction).min() > 0.0 else None
+
+
+def _evaluate(g, kbar, grid, terms, prob, c):
+    """J_h at kbar, its gradient, and its Hessian's diagonal and off-diagonal.
+
+    The derivatives treat every interior node as free.  g is kbar's gap
+    (_gap); terms = (wc, qt, r) is what the cost fixes per solve (_terms).
+    With g_q = g_a + (g_b - g_a) f at the Gauss points, a cell's running
+    term is sum_q w c / g_q, its g-gradient -sum_q w c (1 - f, f) / g_q^2
+    and its g-Hessian 2 sum_q w c / g_q^3 times the products of 1 - f and
+    f.  Its penalty is the form b2 dg^2 + 2 bg dg e + g2 e^2 of
+    grid.penalty, dg = g_b - g_a, e = D gamma - g_a.  dg_j = -s_j dkbar_j
+    carries both to kbar.  J_h's sums are numpy's pairwise sums over
+    product arrays, which keep its rounding near eps |J_h|, the slack of
+    solve_bvp's stop.
+    """
+    wc, qt, r = terms
+    dg = np.diff(g)
+    e = c.D * c.gamma - g[:-1]
+    rec = dg * grid.shape[1]
+    rec += g[:-1]
+    np.reciprocal(rec, out=rec)
+    v = wc * rec
+    b2, bg, g2 = grid.penalty
+    # half the penalty's derivatives in dg and e
+    pd, pe = dg * b2 + e * bg, dg * bg + e * g2
+    j = float(v.sum() + (qt * kbar).sum() + prob.mu * (dg * pd + e * pe).sum()) + r
+    two_mu = 2.0 * prob.mu
+    v *= rec
+    left, right = np.einsum("qc,kqc->kc", v, grid.shape)
+    v *= rec
+    h = np.einsum("qc,kqc->kc", v, grid.shape2)
+    h += two_mu * grid.curvature
+    # dJ_h/dg at each cell's left and right node, negated
+    left += two_mu * (pd + pe)
+    right -= two_mu * pd
+    right[:-1] += left[1:]
+    s = grid.s[1:-1]
+    grad = s * right[:-1]
+    grad += qt[1:-1]
+    h[2, :-1] += h[0, 1:]
+    diag = s * s * h[2, :-1]
+    off = s[:-1] * s[1:] * h[1, 1:-1]
+    return j, grad, diag, off
+
+
+def _tied(at, grid):
+    """_evaluate's derivatives in the free nodes 2 .. n - 3 under _tie.
+
+    Node 1 moves by rho = grid.chain times node 2, which folds its row in.
+    """
+    j, grad, diag, off = at
+    for end, nxt, rho in zip((0, -1), (1, -2), grid.chain.tolist()):
+        grad[nxt] += rho * grad[end]
+        diag[nxt] += rho * (2.0 * off[end] + rho * diag[end])
+    return j, grad[1:-1], diag[1:-1], off[1:-1]
+
+
+def _terms(grid, w, Q, R):
+    """What the cost's w, Q and R on grid fix for _evaluate: (w c, Q trap, trap of R)."""
+    if np.ndim(w):
+        w = w[:-1] + np.diff(w) * grid.shape[1]
+    return grid.gauss * w, Q * grid.trap, float(np.sum(R * grid.trap))
 
 
 def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
     """Solve the Euler-Lagrange boundary problem for prob.cost.
 
-    prob.n_grid nodes from s_i to s_f, graded toward both ends by
-    _graded_nodes; boundary values are pinned to the equilibrium stiffness
-    at both ends, and the equation is discretized by _fitted_stencil.  The
-    Lagrangian's coefficients P, Q and R depend on s alone and are formed
-    once; _start builds the initial iterate from them, on the correct side
-    of the singular manifold.
+    prob.n_grid nodes from s_i to s_f (_graded_nodes), both ends pinned to
+    the equilibrium stiffness, J discretized by the Ritz method (module
+    docstring) with node 1 and n - 2 tied (_tie).  The coefficients depend
+    on s alone and are formed once; _start builds the first iterate.
 
-    Iteration is Newton's method on J_h (module docstring).  Each iterate
-    is evaluated once (_evaluate): J_h, its gradient and its Hessian's
-    diagonal, and each step solves H delta = -grad J_h by one
-    _solve_tridiagonal call.  A step is halved until it stays feasible and
+    Newton's method on J_h: each iterate is evaluated once (_evaluate), and
+    each step solves H delta = -grad J_h by one _solve_tridiagonal call.
+    A step is halved until it stays feasible and
     J_h(new) <= J_h + 1e-4 r grad J_h . delta + 8 eps |J_h|, r the damping;
     once the decrement |grad J_h . delta| is at most 8 eps |J_h|, the
     feasible full step is taken and the solve stops.  Raises
@@ -449,31 +421,28 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
         raise ValueError("mu = 0 is only solvable for the work cost, in closed form; "
                          "use analytic_work_optimal")
     grid = _solver_grid(prob.s_i, prob.s_f, prob.n_grid)
-    # the Lagrangian's coefficients depend on s alone
-    P, Q, R = _coefficients(grid.s[1:-1], prob, c)
-    kbar = _start(grid, P, Q, prob, c)
-    at = _evaluate(kbar, grid, P, Q, R, prob, c)
-    if at is None:
+    w, Q, R = _coefficients(grid.s, prob, c)
+    terms = _terms(grid, w, Q, R)
+    kbar = _start(grid, (w * grid.s)[1:-1], Q[1:-1] if np.ndim(Q) else Q, prob, c)
+    _tie(kbar, grid, c)
+    g = _gap(kbar, grid, prob, c)
+    if g is None:
         raise ConvergenceError("initial iterate is infeasible")
-    j, grad, diag = at
-    # the weighted residual: row j of the pointwise residual -grad / |W|,
-    # in the units of 2 mu kbar'', times row_weight
-    row_scale = 2.0 * prob.mu * grid.row_weight / (prob.direction * grid.weight)
+    j, grad, diag, off = _tied(_evaluate(g, kbar, grid, terms, prob, c), grid)
 
-    history: list[tuple[float, float, float]] = []
+    history: list[tuple[float, float, float, float]] = []
     while True:
         if len(history) >= _MAX_ITER:
             raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations "
-                                   f"(last update {history[-1][1]:.3e})", history=history)
-        norm = float(np.max(np.abs(row_scale * grad)))
-        delta = _solve_tridiagonal(grid.layout, diag, -grad)
+                                   f"(last step {history[-1][2]:.3e})", history=history)
+        delta = _solve_tridiagonal(diag, off, -grad)
         step = float(np.max(np.abs(delta)))
+        # Newton decrement -grad J_h . delta
+        decrement = -float(np.sum(grad * delta))
         if not np.isfinite(step):
             # recorded with damping 0: the step was not taken
-            history.append((norm, step, 0.0))
+            history.append((j, decrement, step, 0.0))
             raise ConvergenceError("Newton step blew up", history=history)
-        # Newton decrement -grad J_h . delta
-        decrement = -2.0 * prob.mu * float(np.sum(grad * delta))
         slack = 8.0 * np.finfo(float).eps * abs(j)
         # a full step that cannot lower J_h by more than its rounding is
         # the last one, taken as it is when feasible
@@ -481,25 +450,29 @@ def solve_bvp(prob: OptimizationProblem, c: PhysConsts) -> BvpResult:
         r = 1.0
         while True:
             cand = kbar.copy()
-            cand[1:-1] += r * delta
-            at = _evaluate(cand, grid, P, Q, R, prob, c)
-            if at is not None and (last or at[0] <= j - 1.0e-4 * r * decrement + slack):
-                break
+            cand[2:-2] += r * delta
+            _tie(cand, grid, c)
+            g = _gap(cand, grid, prob, c)
+            if g is not None:
+                if last:
+                    break
+                at = _evaluate(g, cand, grid, terms, prob, c)
+                if at[0] <= j - 1.0e-4 * r * decrement + slack:
+                    break
             last = False
             r *= 0.5
             if r < 1e-12:
-                history.append((norm, r * step, r))
+                history.append((j, decrement, r * step, r))
                 raise ConvergenceError(f"line search cannot lower J_h (decrement "
                                        f"{decrement:.3e} after {len(history)} iterations)",
                                        history=history)
-        history.append((norm, r * step, r))
+        history.append((j, decrement, r * step, r))
         kbar = cand
-        j, grad, diag = at
         if last:
             break
+        j, grad, diag, off = _tied(at, grid)
 
-    return BvpResult(protocol=SGridProtocol(grid.s.copy(), kbar),
-                     residual=float(np.max(np.abs(row_scale * grad))), history=history)
+    return BvpResult(protocol=SGridProtocol(grid.s.copy(), kbar), history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ holds, since the definitions behind the stated values are not in it:
 * the six reference durations: the converged solves of the implemented
   stationarity equations land 13-19 percent short of the quoted values
   (energy -13.0/-13.6/-14.1, phase -19.2/-16.2/-15.4 percent).  The
-  printed equations are stationary for 2*duration + lam*F + mu*G while
-  j_total reports duration + lam*F + mu*G, but solving for either
-  convention misses the references, with opposite signs for the two
-  costs, so no single convention explains the gap;
+  solver minimizes 2*duration + lam*F + mu*G, the J that j_total
+  reports, but solving for duration + lam*F + mu*G instead also misses
+  the references, with opposite signs for the two costs, so no single
+  convention explains the gap;
 * the phase-cost crossover window: the ramp wins at durations 0.572,
   0.830 and 1.189 (mu = 0.03, 0.1, 0.3).  The time-domain phase cost
   matches the s-domain one to 1e-6, and the reversals persist under
@@ -355,7 +355,7 @@ def test_invariant_domain_change_identities(cache, invariant_clock):
 
         prob = OptimizationProblem(cost="phase", lam=1.0, mu=0.5, s_i=1.0, s_f=2.0)
         rep = j_total(cache.bvp("phase", 0.5).protocol, prob, c)
-        recomposed = rep.duration + prob.lam * rep.f_alpha + prob.mu * rep.g_penalty
+        recomposed = 2.0 * rep.duration + prob.lam * rep.f_alpha + prob.mu * rep.g_penalty
         assert abs(rep.j_total - recomposed) <= 1e-12
 
 

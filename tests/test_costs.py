@@ -97,10 +97,13 @@ def test_time_and_s_domain_work_agree(consts):
 
 
 def test_penalty_closed_form_and_direction_invariance(consts):
+    # kbar' = 1 with no end on the equilibrium branch (gap = 1 - s - s^2),
+    # so the penalty reads kbar as linear in s, exactly
     s = np.linspace(1.0, 2.0, 1001)
-    p = SGridProtocol(s, s.copy())          # kbar' = 1
+    p = SGridProtocol(s, s + 1.0)
+    assert _pinned_ends(flow_gap(p, consts)) == (False, False)
     assert g_penalty(p, consts) == pytest.approx(1.0, rel=1e-10)
-    q = SGridProtocol(s[::-1], s[::-1].copy())
+    q = SGridProtocol(s[::-1], s[::-1] + 1.0)
     assert g_penalty(q, consts) == pytest.approx(g_penalty(p, consts), rel=1e-12)
 
 
@@ -120,16 +123,16 @@ def test_combined_objective_composition(cache):
             f_abs = -np.trapezoid(p.kbar, p.s_nodes)
         assert rep.f_absorbed == pytest.approx(f_abs, rel=1e-9)
         assert rep.j_total == pytest.approx(
-            rep.duration + 1.3 * f_abs + 0.7 * rep.g_penalty, rel=1e-12)
+            2.0 * rep.duration + 1.3 * f_abs + 0.7 * rep.g_penalty, rel=1e-12)
 
 
 def _assert_local_minimum(p0, prob, c):
     # a solved schedule makes the right-hand side stationary for the
-    # combination 2 * duration + lam * F + mu * G; every smooth feasible
-    # perturbation, sin(k pi x) with x uniform in s, must raise it
+    # combination 2 * duration + lam * F + mu * G that j_total reports;
+    # every smooth feasible perturbation, sin(k pi x) with x uniform in s,
+    # must raise it
     def j_el(p):
-        rep = j_total(p, prob, c)
-        return rep.j_total + rep.duration
+        return j_total(p, prob, c).j_total
 
     base = j_el(p0)
     x = (p0.s_nodes - p0.s_start) / (p0.s_end - p0.s_start)
@@ -360,4 +363,43 @@ def test_j_total_shares_one_cell_pass_to_the_bit(consts, pinned):
                        "work": report.work}[cost]
         if cost == "work":
             assert f_abs == -np.sum(0.5 * (p.kbar[1:] + p.kbar[:-1]) * np.diff(s))
-        assert report.j_total == report.duration + 2.0 * f_abs + 0.1 * report.g_penalty
+        assert report.j_total == 2.0 * report.duration + 2.0 * f_abs + 0.1 * report.g_penalty
+
+
+# energy 1 -> 2, phase 1 -> 5, work 1 -> 5 and the compression energy 5 -> 1
+_SOLVED = [("energy", 1.0, 0.5, 1.0, 2.0), ("phase", 10.0, 0.01, 1.0, 5.0),
+           ("work", 10.0, 1e-3, 1.0, 5.0), ("energy", 10.0, 1e-3, 5.0, 1.0)]
+
+
+@pytest.mark.parametrize("cost,lam,mu,s_i,s_f", _SOLVED)
+def test_reported_objective_is_the_solved_one(consts, cost, lam, mu, s_i, s_f):
+    # the solver minimizes the J that j_total reports: on the solved
+    # schedule j_total's J is the solver's J_h at its last iterate, and
+    # central differences of it along bumps inside 2-98 % of the span
+    # vanish to 1e-8 of its terms' size (J itself nearly cancels for work)
+    prob = OptimizationProblem(cost, lam, mu, s_i, s_f)
+    res = solve_bvp(prob, consts)
+    p = res.protocol
+    rep = j_total(p, prob, consts)
+    want = rep.j_total
+    assert want == pytest.approx(res.history[-1][0], rel=1e-13)
+    size = 2.0 * rep.duration + abs(lam * rep.f_absorbed) + mu * rep.g_penalty
+    x = (p.s_nodes - s_i) / (s_f - s_i)
+    eps = 1e-5
+    for lo, hi in ((0.02, 0.98), (0.02, 0.3), (0.3, 0.7), (0.6, 0.98)):
+        bump = np.where((x > lo) & (x < hi), np.sin(np.pi * (x - lo) / (hi - lo)) ** 2, 0.0)
+        up, down = (j_total(SGridProtocol(p.s_nodes, p.kbar + sign * eps * bump),
+                            prob, consts).j_total for sign in (1.0, -1.0))
+        assert abs(up - down) / (2.0 * eps) <= 1e-8 * size, (lo, hi)
+
+
+@pytest.mark.parametrize("cost,lam,mu,s_i,s_f", _SOLVED)
+def test_reported_terms_refine_at_second_order(consts, cost, lam, mu, s_i, s_f):
+    # duration, F and G of solved schedules: Richardson over n, 2n, 4n
+    reports = []
+    for n in (1001, 2001, 4001):
+        prob = OptimizationProblem(cost, lam, mu, s_i, s_f, n)
+        reports.append(j_total(solve_bvp(prob, consts).protocol, prob, consts))
+    for field in ("duration", "f_absorbed", "g_penalty"):
+        coarse, mid, fine = (getattr(rep, field) for rep in reports)
+        assert 3.5 <= (coarse - mid) / (mid - fine) <= 4.5, field
