@@ -48,8 +48,8 @@ def main():
             ramp, _ = chen_polynomial(k0, k1, dur, c)
             run_ramp = integrate_ermakov(ramp, 1.0, c, dt=1e-4)
 
-            f_solved = LAGRANGIANS[cost].from_run(run)
-            f_ramp = LAGRANGIANS[cost].from_run(run_ramp)
+            f_solved = LAGRANGIANS[cost].from_run(run, c)
+            f_ramp = LAGRANGIANS[cost].from_run(run_ramp, c)
             rows.append((dur, f_solved, f_ramp))
             who = "solved" if f_solved < f_ramp else "ramp"
             print(f"   {mu:7.3f}  {dur:9.4f}  {f_solved:10.5f}  "

@@ -61,9 +61,7 @@ from .costs import (
     CostReport,
     Lagrangian,
     f_alpha,
-    f_alpha_from_run,
     f_energy,
-    f_energy_from_run,
     g_penalty,
     j_total,
     work_classical,
@@ -103,9 +101,7 @@ __all__ = [
     "evolve_variance",
     "flow_gap",
     "f_alpha",
-    "f_alpha_from_run",
     "f_energy",
-    "f_energy_from_run",
     "g_penalty",
     "integrate_ermakov",
     "j_total",

@@ -384,8 +384,8 @@ def _cmd_compare(args) -> int:
         run_opt = integrate_ermakov(emitted.quantum, args.si, c)
         chen, _ = chen_polynomial(kap_i, kap_f, dur, c, n=args.grid)
         run_chen = integrate_ermakov(chen, args.si, c)
-        rows.append(",".join(["optimal", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_opt))]))
-        rows.append(",".join(["chen", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_chen))]))
+        rows.append(",".join(["optimal", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_opt, c))]))
+        rows.append(",".join(["chen", _fmt(mu), _fmt(dur), _fmt(f_of_run(run_chen, c))]))
 
     _write_csv(os.path.join(outdir, "tradeoff.csv"),
                ["protocol_kind", "mu", "duration", "f_value"], rows)
@@ -491,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
 
     cmp_ = sub.add_parser("compare", help="optimal family vs duration-matched baselines")
-    _add_problem(cmp_, tuple(k for k, lag in LAGRANGIANS.items() if lag.from_run))
+    _add_problem(cmp_, tuple(LAGRANGIANS))
     cmp_.add_argument("--mu-list", dest="mu_list", required=True,
                       help="comma-separated mu values")
     _add_common(cmp_)

@@ -3,24 +3,27 @@
 All integrals run from s_i to s_f along the protocol's own node order, so
 expansions and compressions come out with the same signs.
 
-Every cost shares one Lagrangian form: LAGRANGIANS maps each cost to the
-coefficients of its running term
+A cost is the time integral of f = A(s) + B(s) sdot + C(s) sdot^2, the
+form of the mean work of Schmiedl & Seifert (PRL 98, 108301 (2007)), and
+its entry of LAGRANGIANS holds A, B and C alone:
 
-    lam ell = lam (a(s) / gap + b(s) + k(s) kbar),   gap = D gamma - s kbar,
+    cost     A(s)        B(s)        C(s)
+    energy   4 D^2 / s   0           1 / s
+    phase    0           0           m^2 / (16 hbar^2 s^2)   (f = alpha^2)
+    work     0           -2 D C(s)   gamma / (2 s)           (f = -kbar sdot)
 
-which the solver's equations and start, and j_total's F, are built from
-(see swifttrap.solver for the Euler-Lagrange equation):
+Along the flow sdot = 2 gap / gamma, gap = D gamma - s kbar, so the cost
+is F = integral of ell ds, ell = a / gap + b + k kbar with a = gamma A / 2,
+b = B + 2 C D and k = -2 C s / gamma (Lagrangian.a, b and k): the running
+term lam ell that the solver's equations and start, and j_total's F, are
+built from (see swifttrap.solver).  Lagrangian.from_run is F's
+time-domain twin, the Simpson rule of f over a TrajectoryRecord.
 
-    cost     a(s)              b(s)                    k(s)
-    energy   2 D^2 gamma / s   2 D / s                 -2 / gamma
-    phase    0                 m^2 D / (8 hbar^2 s^2)  -m^2 / (8 gamma hbar^2 s)
-    work     0                 0                       -1
-
-F = integral of ell ds: the a / gap term, for any a, reads the schedule's
-one fitted-cell pass over 1 / gap, the (cells, slope) pair the duration
-and the time table read too (it has the duration integrand's endpoint
-divergence on equilibrium-pinned schedules); the rest is a trapezoid.
-The raw functionals are F times a prefactor plus a boundary term:
+F's a / gap term, for any a, reads the schedule's one fitted-cell pass
+over 1 / gap, the (cells, slope) pair the duration and the time table
+read too (it has the duration integrand's endpoint divergence on
+equilibrium-pinned schedules); the rest is a trapezoid.  The raw
+functionals are F times a prefactor plus a boundary term:
 
 * f_energy = (m/4) (F_energy + (2/gamma) [s kbar]), the excess energy
   (m/(4 gamma)) integral of [gap/s + (3 D^2 gamma^2 - s^2 kbar^2)/(s gap)
@@ -30,9 +33,10 @@ The raw functionals are F times a prefactor plus a boundary term:
 * g_penalty = integral of (dkbar/ds)^2 over |ds| (orientation-free).
 
 [s kbar] = s_f kbar_f - s_i kbar_i, zero on pinned schedules.  j_total
-combines 2 duration + lam * F + mu * G; CostReport carries the raw
-functionals and F.  A cost is added by adding its entry to LAGRANGIANS:
-problem validation, the solver, j_total and the CLI read the table.
+integrates each entry's F once and combines 2 duration + lam * F + mu * G;
+CostReport carries the raw functionals and F.  A cost is added by adding
+its entry to LAGRANGIANS: problem validation, the solver, j_total, the
+time twin and the CLI read the table.
 """
 
 from __future__ import annotations
@@ -51,9 +55,7 @@ __all__ = [
     "CostReport",
     "Lagrangian",
     "f_alpha",
-    "f_alpha_from_run",
     "f_energy",
-    "f_energy_from_run",
     "g_penalty",
     "j_total",
     "work_classical",
@@ -85,6 +87,50 @@ def _simpson(y, x):
         total += b / 6.0 * ((2.0 * b + 3.0 * a) / (a + b) * y[-1] + (b + 3.0 * a) / a * y[-2]
                             - b * b / (a * (a + b)) * y[-3])
     return float(total)
+
+
+@dataclass(frozen=True)
+class Lagrangian:
+    """One cost's time integrand f = A(s) + B(s) sdot + C(s) sdot^2.
+
+    A, B and C take (s, c) and may return scalars; A >= 0 keeps the
+    solver's objective strictly convex.  a, b and k are the coefficients
+    of ell (module docstring).
+    """
+
+    A: Callable
+    B: Callable
+    C: Callable
+
+    def a(self, s, c):
+        return 0.5 * c.gamma * self.A(s, c)
+
+    def b(self, s, c):
+        return self.B(s, c) + 2.0 * c.D * self.C(s, c)
+
+    def k(self, s, c):
+        return -2.0 * self.C(s, c) * s / c.gamma
+
+    def from_run(self, run: TrajectoryRecord, c: PhysConsts) -> float:
+        """F's time-domain twin: the Simpson rule (_simpson) of f over run."""
+        s, sdot = run.s, run.sdot
+        return _simpson(self.A(s, c) + self.B(s, c) * sdot + self.C(s, c) * sdot**2, run.t)
+
+
+def _zero(s, c):
+    return 0.0
+
+
+def _work_c(s, c):
+    return c.gamma / (2.0 * s)
+
+
+LAGRANGIANS = {
+    "energy": Lagrangian(A=lambda s, c: 4.0 * c.D**2 / s, B=_zero, C=lambda s, c: 1.0 / s),
+    "phase": Lagrangian(A=_zero, B=_zero, C=lambda s, c: c.m**2 / (16.0 * c.hbar**2 * s**2)),
+    # B = -2 D C, so that b = B + 2 C D is an exact 0
+    "work": Lagrangian(A=_zero, B=lambda s, c: -2.0 * c.D * _work_c(s, c), C=_work_c),
+}
 
 
 def _over_gap(w, pair) -> float:
@@ -121,7 +167,10 @@ def f_energy(p: SGridProtocol, c: PhysConsts) -> float:
     pass (_schedule_cells), so a schedule that stalls inside raises
     InfeasibleProtocolError, as duration does.
     """
-    f = _integral(LAGRANGIANS["energy"], p, c)
+    return _excess_energy(_integral(LAGRANGIANS["energy"], p, c), p, c)
+
+
+def _excess_energy(f: float, p: SGridProtocol, c: PhysConsts) -> float:
     return (c.m / 4.0) * (f + (2.0 / c.gamma) * _boundary(p))
 
 
@@ -153,15 +202,17 @@ def g_penalty(p: SGridProtocol, c: PhysConsts) -> float:
 
 
 def work_classical(p: SGridProtocol, c: PhysConsts) -> float:
-    """Mean work done on the overdamped bead along the schedule.
+    """Mean work on the overdamped bead: (1/2) (F_work + [s kbar]).
 
-    (1/2) (F_work + [s kbar]) = -(1/2) integral kbar ds
-    + (1/2)(s_f kbar_f - s_i kbar_i); the boundary term uses the
-    protocol's own endpoint values.  (For schedules whose endpoints jump
-    away from equilibrium, adding the up-front and final equilibration
-    jump works cancels the boundary term, leaving -(1/2) integral kbar ds.)
+    The boundary term uses the protocol's own endpoint values; on
+    schedules whose endpoints jump away from equilibrium, the up-front and
+    final equilibration jumps' work cancels it, leaving -(1/2) integral kbar ds.
     """
-    return 0.5 * (_integral(LAGRANGIANS["work"], p, c) + _boundary(p))
+    return _mean_work(_integral(LAGRANGIANS["work"], p, c), p)
+
+
+def _mean_work(f: float, p: SGridProtocol) -> float:
+    return 0.5 * (f + _boundary(p))
 
 
 def work_from_schedule(kbar_t: TimeProtocol, s_t: np.ndarray) -> float:
@@ -173,60 +224,6 @@ def work_from_schedule(kbar_t: TimeProtocol, s_t: np.ndarray) -> float:
         raise ValueError("s_t must be sampled on the schedule's grid")
     kbar_dot = np.gradient(kbar_t.values, kbar_t.t_nodes, edge_order=2)
     return 0.5 * _trapz(kbar_dot * s_t, kbar_t.t_nodes)
-
-
-def f_energy_from_run(run: TrajectoryRecord) -> float:
-    """Time-domain excess-energy cost: integral of E(t) dt over a record.
-
-    A trapezoid: kappa is piecewise linear in time, so E(t) kinks at every
-    sample, and Simpson's rule gains nothing there (measured against
-    refined runs, it was worse on some schedules).
-    """
-    return _trapz(run.energy, run.t)
-
-
-def f_alpha_from_run(run: TrajectoryRecord) -> float:
-    """Time-domain phase-curvature cost: integral of alpha(t)^2 dt.
-
-    alpha is smooth across the samples, so the composite Simpson rule
-    (_simpson) gains over the trapezoid there.
-    """
-    return _simpson(run.alpha**2, run.t)
-
-
-@dataclass(frozen=True)
-class Lagrangian:
-    """One cost's running term lam (a(s)/gap + b(s) + k(s) kbar).
-
-    a, b and k take (s, c) and may return scalars; a(s) >= 0 keeps the
-    solver's objective strictly convex.  from_run(run) is the time-domain
-    twin of the cost's raw functional on a TrajectoryRecord, or None when
-    there is none.
-    """
-
-    a: Callable
-    b: Callable
-    k: Callable
-    from_run: Callable | None
-
-
-LAGRANGIANS = {
-    "energy": Lagrangian(
-        a=lambda s, c: 2.0 * c.D**2 * c.gamma / s,
-        b=lambda s, c: 2.0 * c.D / s,
-        k=lambda s, c: -2.0 / c.gamma,
-        from_run=f_energy_from_run),
-    "phase": Lagrangian(
-        a=lambda s, c: 0.0,
-        b=lambda s, c: c.m**2 * c.D / (8.0 * c.hbar**2 * s**2),
-        k=lambda s, c: -c.m**2 / (8.0 * c.gamma * c.hbar**2 * s),
-        from_run=f_alpha_from_run),
-    "work": Lagrangian(
-        a=lambda s, c: 0.0,
-        b=lambda s, c: 0.0,
-        k=lambda s, c: -1.0,
-        from_run=None),
-}
 
 
 @dataclass
@@ -253,19 +250,20 @@ class CostReport:
 def j_total(p: SGridProtocol, prob: OptimizationProblem, c: PhysConsts) -> CostReport:
     """Evaluate duration, all raw functionals, and J = 2 duration + lam*F + mu*G.
 
-    F is the integral of prob.cost's Lagrangian (see module docstring);
-    J is the objective whose stationarity equations swifttrap.solver
-    prints and whose discretization it minimizes, so a solved schedule is
-    a stationary point of the J reported here; with lam = mu = 0 it is
-    twice the bare duration.  The duration and every a / gap term read
-    one fitted-cell pass, the one the schedule's time table made if it
-    was just emitted (_schedule_cells), so each field is bitwise its own
-    function's.
+    F is the integral of prob.cost's ell (module docstring); J is the
+    objective whose stationarity equations swifttrap.solver prints and
+    whose discretization it minimizes, so a solved schedule is a
+    stationary point of the J reported here.  Each entry's F is integrated
+    once, and f_absorbed and the raw functionals read it.  The duration
+    and every a / gap term read one fitted-cell pass, the one the
+    schedule's time table made if it was just emitted (_schedule_cells),
+    so each field is bitwise its own function's.
     """
     dur = duration(p, c)
     g = g_penalty(p, c)
-    f_abs = _integral(LAGRANGIANS[prob.cost], p, c)
+    f = {name: _integral(lag, p, c) for name, lag in LAGRANGIANS.items()}
+    f_abs = f[prob.cost]
     return CostReport(cost=prob.cost, lam=prob.lam, mu=prob.mu, duration=dur,
-                      f_energy=f_energy(p, c), f_alpha=f_alpha(p, c), g_penalty=g,
-                      work=work_classical(p, c), f_absorbed=f_abs,
+                      f_energy=_excess_energy(f["energy"], p, c), f_alpha=f["phase"],
+                      g_penalty=g, work=_mean_work(f["work"], p), f_absorbed=f_abs,
                       j_total=2.0 * dur + prob.lam * f_abs + prob.mu * g)

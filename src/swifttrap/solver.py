@@ -8,10 +8,11 @@ objective costs.j_total reports:
     J = integral of (gamma/gap + lam ell(s, kbar)) ds + mu integral of (dkbar/ds)^2 |ds|
 
 from s_i to s_f, gap = D*gamma - s*kbar, ell = a(s)/gap + b(s) + k(s) kbar
-the cost's Lagrangian (swifttrap.costs.LAGRANGIANS).  The running term is
-w/gap + R + Q kbar with w = gamma + lam a, Q = lam k and R = lam b, all
-functions of s alone, and stationarity (Gelfand & Fomin, Calculus of
-Variations, 1963) gives one two-point boundary problem for every cost,
+the cost's Lagrangian, derived from its time integrand in
+swifttrap.costs.LAGRANGIANS.  The running term is w/gap + R + Q kbar with
+w = gamma + lam a, Q = lam k and R = lam b, all functions of s alone, and
+stationarity (Gelfand & Fomin, Calculus of Variations, 1963) gives one
+two-point boundary problem for every cost,
 
     2 mu kbar'' = sgn (w s / gap^2 + Q),
 
@@ -38,10 +39,11 @@ Newton decrement (Boyd & Vandenberghe, Convex Optimization, 2004, section
 -grad J_h with J_h's gradient and symmetric tridiagonal Hessian H, formed
 in closed form with J_h in one pass over the cells (_evaluate), and the
 module constant _MAX_ITER (50000), read at call time, caps the
-iterations.  Every cost has a(s) >= 0, so w > 0 and each cell's w/gap is
-convex in its two gaps where sgn gap > 0: J_h is strictly convex on the
-feasible set and rises to +inf at the manifold D*gamma = s*kbar, so each
-problem with mu > 0 has one discrete minimizer in either orientation.
+iterations.  Every cost has A(s) >= 0, so a >= 0, w > 0 and each
+cell's w/gap is convex in its two gaps where sgn gap > 0: J_h is strictly
+convex on the feasible set and rises to +inf at the manifold
+D*gamma = s*kbar, so each problem with mu > 0 has one discrete minimizer
+in either orientation.
 The start (_start) blends the two leading balances of the right-hand
 side: the outer (mu -> 0) root g_out^-4 = (Q / P)^2, P = w s (for work
 the Schmiedl-Seifert optimum of analytic_work_optimal), and the end layer

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from swifttrap import (
+    LAGRANGIANS,
     McConfig,
     OptimizationProblem,
     PhysConsts,
@@ -45,9 +46,7 @@ from swifttrap import (
     equilibrium_kbar,
     evolve_variance,
     f_alpha,
-    f_alpha_from_run,
     f_energy,
-    f_energy_from_run,
     integrate_ermakov,
     j_total,
     quantum_from_classical_s,
@@ -221,8 +220,9 @@ def test_stochastic_ensemble_matches_born(cache):
 # 6. crossover against the polynomial-ramp baseline at lam = 10
 # ---------------------------------------------------------------------------
 
-def _crossover_rows(cache, cost, mus, f_of):
+def _crossover_rows(cache, cost, mus):
     c = cache.c
+    f_of = LAGRANGIANS[cost].from_run
     ki, kf = equilibrium_kappa(1.0, c), equilibrium_kappa(2.0, c)
     rows = []
     for mu in mus:
@@ -230,15 +230,14 @@ def _crossover_rows(cache, cost, mus, f_of):
         run_opt = cache.ermakov(cost, mu, lam=10.0)
         ramp, _ = chen_polynomial(ki, kf, td.duration, c)
         run_ramp = integrate_ermakov(ramp, 1.0, c)
-        rows.append((td.duration, mu, f_of(run_opt), f_of(run_ramp)))
+        rows.append((td.duration, mu, f_of(run_opt, c), f_of(run_ramp, c)))
     rows.sort()
     return rows
 
 
 def test_crossover_energy_cost(cache):
     rows = _crossover_rows(cache, "energy",
-                           (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 2.5),
-                           f_energy_from_run)
+                           (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 2.5))
     for dur, mu, f_opt, f_ramp in rows[:3]:
         assert f_opt < f_ramp, (
             f"short schedule (dt={dur:.3f}, mu={mu}) should beat the ramp: "
@@ -249,8 +248,7 @@ def test_crossover_energy_cost(cache):
 
 def test_crossover_phase_cost(cache):
     rows = _crossover_rows(cache, "phase",
-                           (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 2.5),
-                           f_alpha_from_run)
+                           (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 2.5))
     window = [r for r in rows if r[0] < 1.2]
     assert window, "no solved schedule shorter than the stated window"
     reversed_ = [r for r in window if not r[2] < r[3]]
@@ -343,9 +341,10 @@ def test_invariant_domain_change_identities(cache, invariant_clock):
         for cost in ("energy", "phase"):
             p = cache.bvp(cost, 0.5).protocol
             run = cache.ermakov(cost, 0.5)
-            fe_s, fe_t = f_energy(p, c), f_energy_from_run(run)
+            fe_s = f_energy(p, c)
+            fe_t = (c.m / 4.0) * LAGRANGIANS["energy"].from_run(run, c)
             assert abs(fe_t / fe_s - 1.0) <= 1e-2, f"{cost}: energy integrals disagree"
-            fa_s, fa_t = f_alpha(p, c), f_alpha_from_run(run)
+            fa_s, fa_t = f_alpha(p, c), LAGRANGIANS["phase"].from_run(run, c)
             assert abs(fa_t / fa_s - 1.0) <= 5e-4, f"{cost}: phase integrals disagree"
 
         p_w, emitted = analytic_work_optimal(1.0, 1.0, 2.0, c)

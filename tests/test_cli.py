@@ -11,6 +11,7 @@ import pytest
 import swifttrap
 from swifttrap import TimeProtocol, adiabatic_reference, analog, equilibrium_kbar, solver
 from swifttrap.cli import _numeric_rows, main
+from swifttrap.costs import _simpson
 from swifttrap.model import _node_substeps
 
 ROOT2 = np.sqrt(2.0)
@@ -268,6 +269,41 @@ def test_compare_tabulates_both_kinds(tmp_path):
     # matched durations: each pair shares the duration column
     for j in (1, 3):
         assert lines[j].split(",")[2] == lines[j + 1].split(",")[2]
+
+
+def test_compare_runs_the_work_cost(tmp_path):
+    # every cost has its time twin, so compare takes work too
+    rc = main(["compare", "--cost", "work", "--lambda", "1",
+               "--mu-list", "0.1,0.5", "--si", "1", "--sf", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [ln.split(",") for ln in (tmp_path / "tradeoff.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["optimal", "1.000000000000e-01"],
+                                         ["chen", "1.000000000000e-01"],
+                                         ["optimal", "5.000000000000e-01"],
+                                         ["chen", "5.000000000000e-01"]]
+    for j in (0, 2):
+        assert rows[j][2] == rows[j + 1][2]
+    assert all(np.isfinite(float(row[3])) for row in rows)
+
+
+def test_compare_phase_values_are_the_integral_of_alpha_squared(tmp_path):
+    # the benchmark's compare command: the twin of the phase cost, f = alpha^2,
+    # prints the Simpson rule of alpha^2 over each run to every digit shown
+    rc = main(["compare", "--cost", "phase", "--lambda", "10", "--mu-list", "0.01,0.1",
+               "--si", "1", "--sf", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = [ln.split(",") for ln in (tmp_path / "tradeoff.csv").read_text().splitlines()[1:]]
+    c = swifttrap.PhysConsts()
+    kap_i, kap_f = swifttrap.equilibrium_kappa(1.0, c), swifttrap.equilibrium_kappa(2.0, c)
+    want = []
+    for mu in (0.01, 0.1):
+        prob = swifttrap.OptimizationProblem("phase", 10.0, mu, 1.0, 2.0)
+        emitted = swifttrap.to_time_domain(swifttrap.solve_bvp(prob, c).protocol, c)
+        chen, _ = swifttrap.chen_polynomial(kap_i, kap_f, emitted.duration, c, n=2001)
+        for kappa_t in (emitted.quantum, chen):
+            run = swifttrap.integrate_ermakov(kappa_t, 1.0, c)
+            want.append("%.12e" % _simpson(run.alpha**2, run.t))
+    assert [row[3] for row in rows] == want
 
 
 def test_compare_rejects_bad_mu_list(tmp_path, capsys):

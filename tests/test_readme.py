@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+from swifttrap import LAGRANGIANS
 from swifttrap.cli import OUT_ENV, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,3 +42,12 @@ def test_readme_cli_quickstart_prints_as_shown(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out.splitlines() == shown, " ".join(argv)
         ran.append(argv[1])
     assert ran == ["optimize", "verify"]
+
+
+def test_readme_cost_table_lists_every_cost():
+    # one row per entry of LAGRANGIANS and no other, so a new cost brings its row
+    table = re.search(r"^\| cost \| `A\(s\)` \| `B\(s\)` \| `C\(s\)` \|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                      README.read_text(), flags=re.M)
+    assert table, "README has no cost table"
+    rows = [line.split("|")[1].strip() for line in table.group(1).splitlines()]
+    assert rows == list(LAGRANGIANS)
