@@ -209,14 +209,16 @@ def quantum_from_classical_s(p: SGridProtocol, c: PhysConsts) -> np.ndarray:
     kbar'_j = phi'(s_j) (K[j+1] - K[j-1]) / (phi[j+1] - phi[j-1]).  At a
     pinned end gap ~ tau^(2/3) and kbar' ~ tau^(-1/3), so the rate term is
     0 there.  Otherwise kbar' is a centered difference (second-order
-    one-sided at the ends).  On the equilibrium branch kbar = D gamma / s
+    one-sided at the ends), which a schedule pinned at both ends, as every
+    solved one is, never reads.  On the equilibrium branch kbar = D gamma / s
     the rate term's prefactor is zero, so the result collapses to
     m D^2 / s^2 at machine precision regardless of discretization.
     """
     x, kbar = p.s_nodes, p.kbar
     g = flow_gap(p, c)
     pinned = _pinned_ends(g)
-    kbar_prime = np.gradient(kbar, x, edge_order=2)
+    # with both ends pinned every value of the difference would be replaced
+    kbar_prime = np.zeros_like(kbar) if all(pinned) else np.gradient(kbar, x, edge_order=2)
     if any(pinned):
         end = _nearer_end(x[1:-1], x, *pinned)
         phi_step = np.abs(x[2:] - end) ** (2.0 / 3.0) - np.abs(x[:-2] - end) ** (2.0 / 3.0)

@@ -40,12 +40,7 @@ from .analog import to_time_domain, variance_rate
 from .baselines import chen_polynomial
 from .costs import LAGRANGIANS, j_total
 from .dynamics import energy_of, integrate_ermakov
-from .errors import (
-    ConvergenceError,
-    InfeasibleProtocolError,
-    IntegrationError,
-    SingularManifoldError,
-)
+from .errors import ConvergenceError, InfeasibleProtocolError, IntegrationError
 from .model import (
     OptimizationProblem,
     PhysConsts,
@@ -422,8 +417,7 @@ def _cmd_sweep(args) -> int:
                                    s_i=args.si, s_f=args.sf, n_grid=args.grid)
         try:
             rep = j_total(solve_bvp(prob, c).protocol, prob, c)
-        except (ConvergenceError, InfeasibleProtocolError,
-                SingularManifoldError, ValueError) as err:
+        except (ConvergenceError, InfeasibleProtocolError, ValueError) as err:
             failures.append({"mu": float(mu), "error": str(err)})
             continue
         rows.append(",".join([_fmt(mu), _fmt(rep.duration), _fmt(rep.f_absorbed),
@@ -516,7 +510,7 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"swifttrap: solver failed: {err}", file=sys.stderr)
         return 3
-    except (InfeasibleProtocolError, SingularManifoldError) as err:
+    except InfeasibleProtocolError as err:
         print(f"swifttrap: infeasible schedule: {err}", file=sys.stderr)
         return 3
     except IntegrationError as err:

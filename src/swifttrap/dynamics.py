@@ -54,7 +54,8 @@ class TrajectoryRecord:
     t holds every node of the driving schedule and the substeps between
     them, so its spacing follows the schedule's cells.  stability_margin
     is max_k h_k sqrt(|kappa|/m) over the steps' stage samples, which
-    RK4 needs below 2 sqrt(2).
+    RK4 needs below 2 sqrt(2).  The mean energy on the same grid is
+    energy_of(s, sdot, kappa_t(t), c).
     """
 
     t: np.ndarray
@@ -62,7 +63,6 @@ class TrajectoryRecord:
     sdot: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    energy: np.ndarray
     stability_margin: float = 0.0
 
     @property
@@ -143,7 +143,7 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     if s_start <= 0.0:
         raise ValueError("starting variance must be positive")
     # arrays are dropped once read for the last time, which keeps the
-    # transient peak near two and a half records
+    # transient peak below three records
     ta, h, ends, ka, km, kb = _node_substeps(kappa_t, dt)
     t = np.append(ta, kappa_t.t_nodes[-1])
     del ta, ends
@@ -160,7 +160,7 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     # RK4 step map I + E of y' = [[0, 1], [-a(t), 0]] y with stage rates
     # a = kappa/m at the step's start, midpoint (twice) and end
     a, am, b = ka / c.m, km / c.m, kb / c.m
-    del km, kb
+    del ka, km, kb
     h2 = h * h
     e = np.zeros((4, t.size))
     e[0, 1:] = -h2 * (a + 2.0 * am) / 6.0 + h2 * h2 * am * a / 24.0
@@ -185,9 +185,7 @@ def integrate_ermakov(kappa_t: TimeProtocol, s_start: float, c: PhysConsts,
     del e, u1, u2, du1, du2
     return TrajectoryRecord(
         t=t, s=s, sdot=sdot, alpha=c.m * sdot / (4.0 * c.hbar * s),
-        beta=-c.hbar * theta / (4.0 * c.m * c.D),
-        energy=energy_of(s, sdot, np.append(ka, kappa_t.values[-1]), c),
-        stability_margin=margin)
+        beta=-c.hbar * theta / (4.0 * c.m * c.D), stability_margin=margin)
 
 
 def wigner_at(x, p, s, alpha, c: PhysConsts):

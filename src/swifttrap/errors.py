@@ -24,7 +24,8 @@ class ConvergenceError(RuntimeError):
     """The boundary-value solve found no minimizer of its objective.
 
     solve_bvp raises it for an infeasible start, a non-finite Newton step,
-    a line search that halves below 1e-12, or the iteration cap.  history
+    a line search that halves below 1e-12, or the iteration cap
+    (solver._MAX_ITER, 100, where converging solves take at most 8).  history
     holds one (objective, decrement, step, damping) record per iteration,
     as BvpResult.history does; a non-finite step is recorded with damping
     0.  iterations, the number of records, is read from it.

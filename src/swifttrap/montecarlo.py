@@ -112,16 +112,15 @@ def _centred_sums(x: np.ndarray, work: np.ndarray) -> tuple[float, float, float,
     """Mean and the centred sums M2, M3, M4 of one block, from one centred pass.
 
     work is a (2, x.size) scratch array; its rows become d = x - mean and
-    d^2, whose Gram matrix [[M2, M3], [M3, M4]] is one BLAS call.  Each
-    step is one numpy call that releases the GIL, so the other block's
-    thread runs meanwhile.
+    d^2, and M2 = d.d, M3 = d.d^2 and M4 = d^2.d^2 are three dot products.
+    Each step is one numpy call that releases the GIL, so the other
+    block's thread runs meanwhile.
     """
     mean = float(np.add.reduce(x)) / x.size
     d, d2 = work
     np.subtract(x, mean, out=d)
     np.multiply(d, d, out=d2)
-    gram = work @ work.T
-    return mean, float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])
+    return mean, float(d @ d), float(d @ d2), float(d2 @ d2)
 
 
 def _merged_moments(n_a: int, a: np.ndarray, n_b: int,

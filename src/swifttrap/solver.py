@@ -38,12 +38,14 @@ Newton decrement (Boyd & Vandenberghe, Convex Optimization, 2004, section
 9.5), one path with no per-call options; each step solves H delta =
 -grad J_h with J_h's gradient and symmetric tridiagonal Hessian H, formed
 in closed form with J_h in one pass over the cells (_evaluate), and the
-module constant _MAX_ITER (50000), read at call time, caps the
-iterations.  Every cost has A(s) >= 0, so a >= 0, w > 0 and each
-cell's w/gap is convex in its two gaps where sgn gap > 0: J_h is strictly
-convex on the feasible set and rises to +inf at the manifold
-D*gamma = s*kbar, so each problem with mu > 0 has one discrete minimizer
-in either orientation.
+module constant _MAX_ITER (100), read at call time, caps the iterations:
+the solves of a grid of extreme problems (every cost, lam from 0.01 to
+1e4, mu from 1e-8 to 1e3, expansion, compression and s_f/s_i = 1.001)
+take 4 to 8, so a solve that cannot converge fails within milliseconds.
+Every cost has A(s) >= 0, so a >= 0, w > 0 and each cell's w/gap is
+convex in its two gaps where sgn gap > 0: J_h is strictly convex on the
+feasible set and rises to +inf at the manifold D*gamma = s*kbar, so each
+problem with mu > 0 has one discrete minimizer in either orientation.
 The start (_start) blends the two leading balances of the right-hand
 side: the outer (mu -> 0) root g_out^-4 = (Q / P)^2, P = w s (for work
 the Schmiedl-Seifert optimum of analytic_work_optimal), and the end layer
@@ -168,8 +170,8 @@ class BvpResult:
         return self.protocol.s_nodes
 
 
-# iteration cap
-_MAX_ITER = 50000
+# iteration cap, about ten times the most a solve has been seen to take
+_MAX_ITER = 100
 
 # width of the end regions in which the node map grades like tau ~ xi^3
 _LAYER_WIDTH = 0.05

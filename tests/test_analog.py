@@ -282,6 +282,65 @@ def test_s_map_is_exact_for_the_pinned_end_model(consts):
         assert got[end] == _kappa(s[end], kbar[end], 0.0, consts)
 
 
+def _phi_difference_kappa(p, c):
+    """kappa of a schedule pinned at both ends, written out node by node:
+    kbar' from the phi-difference about the nearer end inside, and no rate
+    term at the ends."""
+    s, kbar = p.s_nodes, p.kbar
+    rate = np.zeros_like(s)
+    for j in range(1, s.size - 1):
+        end = s[0] if abs(s[j] - s[0]) <= abs(s[j] - s[-1]) else s[-1]
+        tau_next, tau_prev = np.abs(s[[j + 1, j - 1]] - end) ** (2.0 / 3.0)
+        slope = (2.0 / 3.0) / np.cbrt(s[j] - end) * (kbar[j + 1] - kbar[j - 1]) / (
+            tau_next - tau_prev)
+        rate[j] = (2.0 * c.m / c.gamma**2) * (c.D * c.gamma - s[j] * kbar[j]) * slope
+    return c.hbar**2 / (2.0 * c.m * s**2) + rate - (c.m / c.gamma**2) * kbar**2
+
+
+@pytest.mark.parametrize("case", [("energy", 1.0, 0.5, 1.0, 2.0),
+                                  ("phase", 1.0, 0.1, 2.0, 1.0),
+                                  ("work", 10.0, 0.001, 5.0, 1.0)])
+def test_pinned_schedule_kappa_takes_no_gradient(consts, cache, case, monkeypatch):
+    # on a solved schedule, pinned at both ends, every value np.gradient
+    # would give is replaced, so it is not called and kappa is the
+    # phi-difference form to the bit, in both orientations
+    cost, lam, mu, s_i, s_f = case
+    p = cache.bvp(cost, mu, lam, s_i, s_f).protocol
+    assert analog._pinned_ends(flow_gap(p, consts)) == (True, True)
+    want = _phi_difference_kappa(p, consts)
+
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("np.gradient called")
+
+    monkeypatch.setattr(np, "gradient", no_gradient)
+    assert same_bits(quantum_from_classical_s(p, consts), want)
+    td = to_time_domain(p, consts)
+    assert same_bits(td.quantum.values[original_nodes(td, p, consts)], want)
+
+
+@pytest.mark.parametrize("pinned", [(True, False), (False, True), (False, False)])
+def test_unpinned_end_kappa_reads_the_gradient(consts, pinned):
+    # an end off the equilibrium branch keeps the centred difference of
+    # np.gradient there; a pinned end's interior is the phi-difference and
+    # its own rate term is 0
+    s = np.linspace(1.0, 2.0, 401)
+    factors = [(s - 1.0) ** (2.0 / 3.0) if pinned[0] else 0.3 + 0.0 * s,
+               (2.0 - s) ** (2.0 / 3.0) if pinned[1] else 0.2 + 0.1 * s]
+    gap = 0.5 * factors[0] * factors[1]
+    p = SGridProtocol(s, (consts.D * consts.gamma - gap) / s)
+    g = flow_gap(p, consts)
+    assert analog._pinned_ends(g) == pinned
+    kbar_prime = np.gradient(p.kbar, s, edge_order=2)
+    if any(pinned):
+        end = s[0] if pinned[0] else s[-1]
+        phi_step = np.abs(s[2:] - end) ** (2.0 / 3.0) - np.abs(s[:-2] - end) ** (2.0 / 3.0)
+        kbar_prime[1:-1] = ((2.0 / 3.0) / np.cbrt(s[1:-1] - end)
+                            * (p.kbar[2:] - p.kbar[:-2]) / phi_step)
+    rate = (2.0 * consts.m / consts.gamma**2) * g * kbar_prime
+    rate[[0, -1]] = np.where(pinned, 0.0, rate[[0, -1]])
+    assert same_bits(quantum_from_classical_s(p, consts), _kappa(s, p.kbar, rate, consts))
+
+
 def test_swift_equilibration_maps_to_chen_ramp(consts):
     # the engineered swift equilibration of the bead prescribes s(t) and
     # applies kbar = (D gamma - gamma sdot/2)/s; through the analog its

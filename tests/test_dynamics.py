@@ -1,6 +1,7 @@
 """Gaussian wavepacket integration and its phase-space observables."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from swifttrap import (
     IntegrationError,
     TimeProtocol,
+    TrajectoryRecord,
     analytic_work_optimal,
     chen_polynomial,
     energy_of,
@@ -261,8 +263,7 @@ def _node_step_reference(kappa_t, s_start, c, dt=None):
         ([0.0], np.cumsum(np.diff(raw) < -np.pi, dtype=float)))
     return {"t": np.append(ta, t1), "s": s, "sdot": sdot,
             "alpha": c.m * sdot / (4.0 * c.hbar * s),
-            "beta": -c.hbar * theta / (4.0 * c.m * c.D),
-            "energy": energy_of(s, sdot, np.append(ka, kappa_t.values[-1]), c)}
+            "beta": -c.hbar * theta / (4.0 * c.m * c.D)}
 
 
 @pytest.mark.parametrize("case", ["cached", "chen inverted", "odd steps"])
@@ -337,8 +338,8 @@ def test_landing_agrees_with_a_refined_node_step_run(consts, cache, case):
 
 
 def test_width_equation_peak_memory_pin(consts, cache):
-    # the record's own six arrays plus the substep layout, the step maps
-    # and the scan's scratch, each freed once read for the last time
+    # the record's own arrays plus the substep layout, the step maps and
+    # the scan's scratch, each freed once read for the last time
     proto = cache.timedomain("energy", 0.1).quantum
     integrate_ermakov(proto, 1.0, consts)
     tracemalloc.start()
@@ -349,7 +350,8 @@ def test_width_equation_peak_memory_pin(consts, cache):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    record = sum(getattr(run, k).nbytes for k in ("t", "s", "sdot", "alpha", "beta", "energy"))
+    record = sum(v.nbytes for f in fields(TrajectoryRecord)
+                 if isinstance(v := getattr(run, f.name), np.ndarray))
     assert run.t.size == _node_substeps(proto)[2][-1] + 1 >= 2001
     assert peak <= 3.0 * record
 
@@ -358,8 +360,8 @@ def test_integration_is_deterministic(consts, cache):
     proto = cache.timedomain("energy", 0.1).quantum
     a = integrate_ermakov(proto, 1.0, consts)
     b = integrate_ermakov(proto, 1.0, consts)
-    for name in ("t", "s", "sdot", "alpha", "beta", "energy"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    for f in fields(TrajectoryRecord):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 def test_under_resolved_integration_collapses(consts):

@@ -239,6 +239,21 @@ def test_work_solution_approaches_closed_form(consts):
     assert k_fine < 0.05
 
 
+@pytest.mark.parametrize("case", [("work", 100.0, 1e3, 1.0, 20.0),
+                                  ("phase", 1e4, 1e3, 20.0, 1.0),
+                                  ("energy", 0.01, 1e3, 1.0, 20.0),
+                                  ("energy", 1e4, 1e-8, 20.0, 1.0),
+                                  ("phase", 0.01, 1e-8, 1.0, 1.001),
+                                  ("work", 1e4, 1e-5, 1.0, 1.001)])
+def test_extreme_problems_converge_far_below_the_cap(consts, case):
+    # lam from 0.01 to 1e4, mu from 1e-8 to 1e3, a twentyfold expansion and
+    # compression and a 0.1 % step: Newton converges in 4 to 8 iterations,
+    # a tenth of the cap
+    res = solve_bvp(OptimizationProblem(*case), consts)
+    assert res.iterations <= 10, case
+    assert abs(res.decrement) <= 8.0 * np.finfo(float).eps * abs(res.history[-1][0])
+
+
 def test_divergent_problem_raises(consts, monkeypatch):
     # a solve that has not converged when its iteration cap runs out; the
     # cap sits below what Newton needs on this (solvable) problem
