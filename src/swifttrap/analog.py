@@ -6,7 +6,9 @@ D = hbar/(2m), which PhysConsts holds by construction, so every map here
 applies to any constants it accepts.  The bridge works in both directions:
 
 * forward: drive the bead with kbar(t), its variance obeys
-  sdot = (2/gamma) * (D*gamma - kbar*s);
+  sdot = (2/gamma) * (D*gamma - kbar*s), whose RK4 substeps between two
+  nodes compose to one exact law (_variance_law): evolve_variance
+  telescopes it node by node and montecarlo's ensembles sample it;
 * back: given kbar and the variance history, the quantum stiffness is
   kappa = hbar^2/(2 m s^2) + (m/gamma) * d(kbar)/dt - (m/gamma^2) * kbar^2,
   or equivalently, with s as the independent variable,
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleProtocolError, IntegrationError
-from .model import PhysConsts, SGridProtocol, TimeProtocol, _node_substeps, _prefix_step_maps
+from .model import PhysConsts, SGridProtocol, TimeProtocol, _node_substeps
 
 __all__ = [
     "TimeDomainProtocols",
@@ -88,14 +90,19 @@ class VarianceTrajectory:
 _RK4_REAL_BOUND = 2.785
 
 
-def _variance_steps(kbar_t: TimeProtocol, c: PhysConsts, dt: float | None = None):
-    """The RK4 substeps of the variance flow under kbar_t, as affine maps.
+def _variance_law(kbar_t: TimeProtocol, c: PhysConsts, dt: float | None,
+                  stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G^2 and V of the variance flow's law between consecutive nodes stops.
 
-    The flow is affine in s, so each substep is the map s <- (1 + e) s + b,
-    i.e. the 2x2 map [[1 + e, b], [0, 1]] on (s, 1), written in closed form
-    from the substep's three kbar samples.  Returns (ta, h, ends, maps):
-    model._node_substeps' layout and the (4, n) rows E00 = e, E01 = b,
-    E10 = E11 = 0 of every substep, in time order.
+    The flow is affine in s, so each RK4 substep (model._node_substeps'
+    layout) is the map s <- (1 + e_k) s + b_k, in closed form from the
+    substep's three kbar samples.  With L the running sum of log(1 + e_k),
+    the substeps from node a to b compose to s_b = G^2 s_a + V, G^2 =
+    exp(L_b - L_a) and V = sum_k b_k exp(L_b - L_k) (Gillespie, Phys. Rev.
+    E 54, 2084 (1996)).  Only differences of L are exponentiated, so the
+    law keeps its relative precision however far s has contracted, and
+    nothing cancels as D -> 0.  stops holds increasing node indices above
+    0, the first interval starting at node 0; the caller checks overflow.
 
     Raises IntegrationError, with the substep's start time, at the first
     substep where h (2/gamma) kbar at one of its three samples exceeds
@@ -120,12 +127,21 @@ def _variance_steps(kbar_t: TimeProtocol, c: PhysConsts, dt: float | None = None
             f"stability bound {_RK4_REAL_BOUND} at t={ta[k]:.6g}", t=float(ta[k]))
 
     hy = h * y
-    e = np.zeros((4, ends[-1]))
-    e[0] = (h / 6.0 * (x + 4.0 * y + z) + h * hy / 6.0 * (x + y + z)
-            + h * hy * hy / 12.0 * (x + z) + h * hy * hy * h * x * z / 24.0)
-    e[1] = (h * source / 6.0) * (6.0 + 2.0 * hy + h * z + 0.5 * hy * hy
+    e = (h / 6.0 * (x + 4.0 * y + z) + h * hy / 6.0 * (x + y + z)
+         + h * hy * hy / 12.0 * (x + z) + h * hy * hy * h * x * z / 24.0)
+    b = (h * source / 6.0) * (6.0 + 2.0 * hy + h * z + 0.5 * hy * hy
                               + 0.5 * hy * h * z + 0.25 * hy * hy * h * z)
-    return ta, h, ends, e
+    # node j > 0 ends substep ends[j - 1] - 1, so cuts[i] substeps lie
+    # before node stops[i]
+    cuts = ends[stops - 1]
+    n = cuts[-1] if cuts.size else 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_a = np.cumsum(np.log1p(e[:n]))
+        log_end = log_a[cuts - 1]
+        gain2 = np.exp(np.diff(log_end, prepend=0.0))
+        carry = np.exp(np.repeat(log_end, np.diff(cuts, prepend=0)) - log_a)
+        noise_var = np.add.reduceat(b[:n] * carry, np.concatenate(([0], cuts))[:-1])
+    return gain2, noise_var
 
 
 def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
@@ -136,32 +152,29 @@ def evolve_variance(kbar_t: TimeProtocol, s_start: float, c: PhysConsts,
     protocol node (kbar is linear inside each cell, so fourth order is
     preserved): a cell of length L takes ceil(L/dt) equal substeps, laid
     out by model._node_substeps, which integrate_ermakov shares along with
-    its default dt.  Each substep is an affine map of s (_variance_steps,
-    which montecarlo's ensembles read too); the maps are composed by a
-    vectorized prefix scan.  Samples are returned at the protocol nodes.
+    its default dt.  The substeps of each cell compose to the law s_j =
+    G^2_j s_{j-1} + V_j (_variance_law, which montecarlo's ensembles read
+    too), telescoped node by node, so s keeps its relative precision
+    however far it contracts.  Samples are returned at the protocol nodes.
     Raises IntegrationError (with the failure time) at the first substep
-    that breaks RK4's stability bound h (2/gamma) kbar <= 2.785
-    (_variance_steps), and at the end of the first substep where s leaves
-    (0, inf).
+    that breaks RK4's stability bound h (2/gamma) kbar <= 2.785 (at the
+    substep's start), and at the first node where s leaves (0, inf).
     """
     if kbar_t.kind != "classical":
         raise ValueError("evolve_variance drives the classical trap; got a quantum schedule")
     if s_start <= 0.0:
         raise ValueError("starting variance must be positive")
     t_nodes = kbar_t.t_nodes
-    ta, h, ends, maps = _variance_steps(kbar_t, c, dt)
-    p = _prefix_step_maps(maps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = s_start + s_start * p[0] + p[1]
-    bad = np.flatnonzero(~(np.isfinite(s) & (s > 0.0)))
+    gain2, noise_var = _variance_law(kbar_t, c, dt, np.arange(1, t_nodes.size))
+    s = [float(s_start)]
+    for g2, v in zip(gain2.tolist(), noise_var.tolist()):
+        s.append(g2 * s[-1] + v)
+    s_out = np.array(s)
+    bad = np.flatnonzero(~(np.isfinite(s_out) & (s_out > 0.0)))
     if bad.size:
-        t_bad = float(ta[bad[0]] + h[bad[0]])
+        t_bad = float(t_nodes[bad[0]])
         raise IntegrationError(
             f"variance left (0, inf) during integration at t={t_bad:.6g}", t=t_bad)
-
-    s_out = np.empty_like(t_nodes)
-    s_out[0] = s_start
-    s_out[1:] = s[ends - 1]
     sdot = variance_rate(s_out, kbar_t.values, c)
     return VarianceTrajectory(t=t_nodes.copy(), s=s_out, sdot=sdot)
 

@@ -417,7 +417,7 @@ def _cmd_sweep(args) -> int:
                                    s_i=args.si, s_f=args.sf, n_grid=args.grid)
         try:
             rep = j_total(solve_bvp(prob, c).protocol, prob, c)
-        except (ConvergenceError, InfeasibleProtocolError, ValueError) as err:
+        except (ConvergenceError, ValueError) as err:
             failures.append({"mu": float(mu), "error": str(err)})
             continue
         rows.append(",".join([_fmt(mu), _fmt(rep.duration), _fmt(rep.f_absorbed),

@@ -19,11 +19,11 @@ global phase beta = -hbar theta / (4 m D) needs no quadrature.  The steps
 sit on the schedule's own nodes, as in evolve_variance: kappa is piecewise
 linear, so a step that straddled a node would meet a kink in kappa and
 cost RK4 its order.  Each RK4 step of the linear flow is a 2x2 map, and
-the maps are composed by a vectorized prefix scan instead of a per-step
-loop.  theta is continued across the branch of atan2 by counting the
-steps where its raw value drops by more than pi.  Since theta never
-decreases, that count is what np.unwrap would add, as long as every step
-turns theta by less than pi, the condition np.unwrap assumes as well.
+the maps are composed by a vectorized prefix scan (_prefix_step_maps)
+instead of a per-step loop.  theta is continued across the branch of
+atan2 by counting the steps where its raw value drops by more than pi.
+Since theta never decreases, that count is what np.unwrap would add, as
+long as every step turns theta by less than pi, which np.unwrap assumes.
 
 Also here: the instantaneous energy of the Gaussian state and its Wigner
 phase-space density.  The drift that carries an ensemble in lockstep with
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .model import PhysConsts, TimeProtocol, _node_substeps, _prefix_step_maps
+from .model import PhysConsts, TimeProtocol, _node_substeps
 
 __all__ = [
     "TrajectoryRecord",
@@ -84,6 +84,75 @@ def energy_of(s, sdot, kappa, c: PhysConsts):
     kappa = np.asarray(kappa, dtype=float)
     out = (c.m / (4.0 * s)) * (0.5 * sdot**2 + 2.0 * s**2 * kappa / c.m + 2.0 * c.D**2)
     return float(out) if out.ndim == 0 else out
+
+
+def _compose_step_maps(a: np.ndarray, b: np.ndarray, ab: np.ndarray,
+                       tmp: np.ndarray) -> None:
+    """a <- (a + b) + ab for stacked 2x2 maps of shape (2, 2, m), A the later.
+
+    (I + A)(I + B) - I = A + B + AB, written into a through out=; ab and
+    tmp are (2, 2, m) scratch.  Each entry is rounded as in the expression
+    (a + b) + (a[i, 0] b[0, j] + a[i, 1] b[1, j]).
+    """
+    np.multiply(a[:, 0, None], b[0, None], out=ab)
+    np.multiply(a[:, 1, None], b[1, None], out=tmp)
+    ab += tmp
+    a += b
+    a += ab
+
+
+def _prefix_step_maps(e: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products of the 2x2 step maps I + E_k, in I + E form.
+
+    e has shape (4, n): rows E00, E01, E10, E11 of each step, in time
+    order.  Column k of the result holds P_k - I, where
+    P_k = (I + E_k) ... (I + E_0).  The scan overwrites e and returns it:
+    integrate_ermakov builds e for the scan alone.
+
+    The scan is Blelloch's work-efficient one (Prefix sums and their
+    applications, CMU-CS-90-190, 1990), about 2n compositions, run in
+    place.  The up-sweep, for strides d = 1, 2, 4, ..., composes
+    x[2d-1::2d] <- x[2d-1::2d] o x[d-1::2d], after which column
+    2d (j + 1) - 1 holds the product of the 2d steps ending there; the
+    down-sweep, for the same strides from the largest down, completes the
+    columns in between, x[3d-1::2d] <- x[3d-1::2d] o x[2d-1::2d].  That
+    is the tree of the recursive form (compose neighbouring pairs, scan
+    the half-length sequence, finish each even-indexed product with one
+    more composition) with the same operand order, so every product is
+    the same float.  The scratch is two (2, 2, n // 2) arrays per call.
+    numpy copies a multi-dimensional strided operand into its ufunc buffer
+    whenever the whole operand fits there (every level with n // 2d <= 2048
+    at the default 8192 elements), so the scan runs with the smallest
+    buffer numpy allows and then restores the caller's size.  Each
+    composition combines a later product A with an earlier one B as
+    (I + A)(I + B) = I + A + B + AB, so no entry is ever rounded next to
+    1, and maps with a zero second row (affine ones) keep it exactly zero.
+    Overflow is left to the caller, which checks its reconstructed state
+    for non-finite values.
+    """
+    x = np.asarray(e, dtype=float)
+    n = x.shape[1]
+    v = x.reshape(2, 2, n)
+    ab = np.empty((2, 2, n // 2))
+    tmp = np.empty_like(ab)
+    d = 1
+    bufsize = np.setbufsize(16)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            while 2 * d <= n:
+                m = n // (2 * d)
+                _compose_step_maps(v[..., 2 * d - 1::2 * d], v[..., d - 1::2 * d][..., :m],
+                                   ab[..., :m], tmp[..., :m])
+                d *= 2
+            while d > 1:
+                d //= 2
+                later = v[..., 3 * d - 1::2 * d]
+                m = later.shape[-1]
+                _compose_step_maps(later, v[..., 2 * d - 1::2 * d][..., :m],
+                                   ab[..., :m], tmp[..., :m])
+    finally:
+        np.setbufsize(bufsize)
+    return x
 
 
 def _gouy_angle(raw: np.ndarray) -> np.ndarray:

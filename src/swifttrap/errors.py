@@ -47,11 +47,11 @@ class IntegrationError(RuntimeError):
     h*sqrt(|kappa|/m) <= 2*sqrt(2) (its linear flow cannot collapse, so an
     under-resolved schedule is caught by its step instead), or when the
     variance rebuilt from the flow is non-finite or negligible.  The
-    variance flow, which the ensembles' laws read too, raises it when a
-    substep breaks RK4's real-axis bound h*(2/gamma)*kbar <= 2.785 or when
-    s leaves (0, inf), and an ensemble when the law of a checkpoint
-    interval is not positive and finite.  The time of failure is stored on
-    the exception.
+    variance flow's law raises it at a substep breaking RK4's real-axis
+    bound h*(2/gamma)*kbar <= 2.785, evolve_variance at the first node
+    where s leaves (0, inf), and an ensemble when the law of a checkpoint
+    interval is not positive and finite.  The time of failure is stored
+    on the exception.
     """
 
     def __init__(self, message, t=None):

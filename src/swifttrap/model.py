@@ -9,11 +9,9 @@ everything downstream of that correspondence lives in :mod:`swifttrap.analog`.
 
 This module holds the parameter and protocol containers and the
 closed-form identities that need no integration: equilibrium stiffnesses
-and the phase curvature alpha.  It also holds what both fixed-step
-integrators (the width equation and the variance flow) are built on: the
-layout of their substeps on a schedule's nodes, and the prefix product of
-2x2 step maps, since each of their RK4 steps is a linear (or affine) map
-of the state; the scan runs in place on the maps it is given.
+and the phase curvature alpha.  It also holds the layout of the substeps
+on a schedule's nodes that both fixed-step integrators (the width
+equation and the variance flow) step on.
 """
 
 from __future__ import annotations
@@ -192,8 +190,8 @@ class EnsembleStats:
 def _node_substeps(proto: TimeProtocol, dt: float | None = None):
     """Equal substeps of at most dt that never straddle a node of proto.
 
-    The step grid of the width equation, of the variance flow and of the
-    ensembles' laws, which read that flow.  dt must be positive (not NaN)
+    The step grid of the width equation and of the variance flow, whose
+    law the ensembles read too.  dt must be positive (not NaN)
     and defaults to a thousandth of the span, so most cells of a schedule
     emitted on about 2001 nodes take one substep and its longer cells a
     few, and a coarse schedule still takes about a thousand.  A cell of
@@ -227,75 +225,6 @@ def _node_substeps(proto: TimeProtocol, dt: float | None = None):
     vm = v0 + slope * (ta + 0.5 * h - t0)
     vb = v0 + slope * (ta + h - t0)
     return ta, h, ends, va, vm, vb
-
-
-def _compose_step_maps(a: np.ndarray, b: np.ndarray, ab: np.ndarray,
-                       tmp: np.ndarray) -> None:
-    """a <- (a + b) + ab for stacked 2x2 maps of shape (2, 2, m), A the later.
-
-    (I + A)(I + B) - I = A + B + AB, written into a through out=; ab and
-    tmp are (2, 2, m) scratch.  Each entry is rounded as in the expression
-    (a + b) + (a[i, 0] b[0, j] + a[i, 1] b[1, j]).
-    """
-    np.multiply(a[:, 0, None], b[0, None], out=ab)
-    np.multiply(a[:, 1, None], b[1, None], out=tmp)
-    ab += tmp
-    a += b
-    a += ab
-
-
-def _prefix_step_maps(e: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products of the 2x2 step maps I + E_k, in I + E form.
-
-    e has shape (4, n): rows E00, E01, E10, E11 of each step, in time
-    order.  Column k of the result holds P_k - I, where
-    P_k = (I + E_k) ... (I + E_0).  The scan overwrites e and returns it:
-    both integrators build e for the scan alone.
-
-    The scan is Blelloch's work-efficient one (Prefix sums and their
-    applications, CMU-CS-90-190, 1990), about 2n compositions, run in
-    place.  The up-sweep, for strides d = 1, 2, 4, ..., composes
-    x[2d-1::2d] <- x[2d-1::2d] o x[d-1::2d], after which column
-    2d (j + 1) - 1 holds the product of the 2d steps ending there; the
-    down-sweep, for the same strides from the largest down, completes the
-    columns in between, x[3d-1::2d] <- x[3d-1::2d] o x[2d-1::2d].  That
-    is the tree of the recursive form (compose neighbouring pairs, scan
-    the half-length sequence, finish each even-indexed product with one
-    more composition) with the same operand order, so every product is
-    the same float.  The scratch is two (2, 2, n // 2) arrays per call.
-    numpy copies a multi-dimensional strided operand into its ufunc buffer
-    whenever the whole operand fits there (every level with n // 2d <= 2048
-    at the default 8192 elements), so the scan runs with the smallest
-    buffer numpy allows and then restores the caller's size.  Each
-    composition combines a later product A with an earlier one B as
-    (I + A)(I + B) = I + A + B + AB, so no entry is ever rounded next to
-    1, and maps with a zero second row (affine ones) keep it exactly zero.
-    Overflow is left to the caller, which checks its reconstructed state
-    for non-finite values.
-    """
-    x = np.asarray(e, dtype=float)
-    n = x.shape[1]
-    v = x.reshape(2, 2, n)
-    ab = np.empty((2, 2, n // 2))
-    tmp = np.empty_like(ab)
-    d = 1
-    bufsize = np.setbufsize(16)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            while 2 * d <= n:
-                m = n // (2 * d)
-                _compose_step_maps(v[..., 2 * d - 1::2 * d], v[..., d - 1::2 * d][..., :m],
-                                   ab[..., :m], tmp[..., :m])
-                d *= 2
-            while d > 1:
-                d //= 2
-                later = v[..., 3 * d - 1::2 * d]
-                m = later.shape[-1]
-                _compose_step_maps(later, v[..., 2 * d - 1::2 * d][..., :m],
-                                   ab[..., :m], tmp[..., :m])
-    finally:
-        np.setbufsize(bufsize)
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ Both SDEs read dx = r(t) x dt + sqrt(2 D) dW, linear in x, so neither is
 stepped: between checkpoints a < b, x_b = G x_a + sqrt(V) eta exactly
 (Gillespie, Phys. Rev. E 54, 2084 (1996)), with G^2 = exp(2 int_a^b r) and
 V the value at b of V' = 2 r V + 2 D from V(a) = 0.  That is the variance
-flow of analog.evolve_variance under the stiffness -gamma r, so G and V
-compose its RK4 substeps (analog._variance_steps) over the nodes with the
-checkpoints inserted.  McConfig.dt only caps those substeps, as dt does for
+flow under the stiffness -gamma r, so G^2 and V are its law over the nodes
+with the checkpoints inserted (analog._variance_law, which evolve_variance
+telescopes).  McConfig.dt only caps the law's RK4 substeps, as dt does for
 evolve_variance, and a substep past RK4's stability bound raises there.
 
 Randomness: each ensemble is sampled as N_BLOCKS = 2 fixed particle blocks of
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analog import _variance_steps
+from .analog import _variance_law
 from .dynamics import TrajectoryRecord
 from .errors import IntegrationError
 from .model import EnsembleStats, PhysConsts, TimeProtocol
@@ -170,37 +170,25 @@ def _run_ensemble(t_nodes: np.ndarray, kbar: np.ndarray, s_start: float,
     """Sample x_b = G x_a + sqrt(V) eta at the checkpoints under the stiffness kbar.
 
     kbar is linear between t_nodes, so np.interp is exact at the
-    checkpoints inserted among them.  Substep k of the variance flow on
-    that grid maps s -> a_k s + b_k; with L the running sum of log(a_k),
-    the substeps from checkpoint a to b compose to G^2 = exp(L_b - L_a) and
-    V = sum_k b_k exp(L_b - L_k), so nothing cancels as D -> 0.  Only
-    differences of L are exponentiated, so G^2 and V keep their relative
-    precision however far the variance has contracted since t0.  Both
-    particle blocks read the (G, sqrt(V)) table.  A substep past RK4's
-    stability bound raises IntegrationError at its start
-    (analog._variance_steps), and a law that is not positive and finite
-    at b.
+    checkpoints inserted among them.  G^2 and V of each checkpoint
+    interval are the variance flow's law on that grid
+    (analog._variance_law), which keeps its relative precision however far
+    the variance has contracted since t0.  Both particle blocks read the
+    (G, sqrt(V)) table.  A substep past RK4's stability bound raises
+    IntegrationError at its start, and a law that is not positive and
+    finite at b.
     """
     ckpts = cfg.checkpoints
     if ckpts[0] < t_nodes[0] or ckpts[-1] > t_nodes[-1]:
         raise ValueError("checkpoints must lie within the protocol support")
     t = np.union1d(t_nodes, ckpts)
-    _, _, ends, maps = _variance_steps(
-        TimeProtocol(t, np.interp(t, t_nodes, kbar), "classical"), c, cfg.dt)
-    # a checkpoint at t0 draws nothing; node j > 0 of t ends substep
-    # ends[j - 1] - 1, so cuts[i] substeps lie before the i-th later checkpoint
+    # a checkpoint at t0 draws nothing
     j = np.searchsorted(t, ckpts)
     start = int(j[0] == 0)
-    cuts = ends[j[start:] - 1]
-    n = cuts[-1] if cuts.size else 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_a = np.cumsum(np.log1p(maps[0, :n]))
-        log_end = log_a[cuts - 1]
-        gain2 = np.exp(np.diff(log_end, prepend=0.0))
-        carry = np.exp(np.repeat(log_end, np.diff(cuts, prepend=0)) - log_a)
-        noise_var = np.add.reduceat(maps[1, :n] * carry, np.concatenate(([0], cuts))[:-1])
-        bad = np.flatnonzero(~(np.isfinite(gain2) & np.isfinite(noise_var)
-                               & (gain2 > 0.0) & (noise_var > 0.0)))
+    gain2, noise_var = _variance_law(
+        TimeProtocol(t, np.interp(t, t_nodes, kbar), "classical"), c, cfg.dt, j[start:])
+    bad = np.flatnonzero(~(np.isfinite(gain2) & np.isfinite(noise_var)
+                           & (gain2 > 0.0) & (noise_var > 0.0)))
     if bad.size:
         k, t_bad = bad[0], float(ckpts[bad[0] + start])
         raise IntegrationError(f"ensemble law G^2={gain2[k]:.6g}, V={noise_var[k]:.6g} "

@@ -9,6 +9,7 @@ from swifttrap import (
     InfeasibleProtocolError,
     IntegrationError,
     OptimizationProblem,
+    PhysConsts,
     SGridProtocol,
     TimeProtocol,
     chen_polynomial,
@@ -37,7 +38,7 @@ from swifttrap.analog import (
     _schedule_cells,
 )
 from swifttrap.costs import _over_gap
-from test_model import _recursive_scan, same_bits
+from test_dynamics import same_bits
 
 
 def _pinned_analytic(amplitude=0.5, n=2001):
@@ -173,15 +174,23 @@ def test_evolve_variance_matches_stepping_reference(consts, dt):
     assert np.max(np.abs(traj.s - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("dt", [None, 0.013, 0.5])
-def test_evolve_variance_is_the_recursive_scan_to_the_bit(consts, dt, monkeypatch):
-    t = np.linspace(0.0, 3.0, 37) ** 1.3
-    proto = TimeProtocol(t, 0.9 + 1.8 * np.sin(2.0 * t), "classical")
-    got = evolve_variance(proto, 1.0, consts, dt)
-    monkeypatch.setattr(analog, "_prefix_step_maps", _recursive_scan)
-    want = evolve_variance(proto, 1.0, consts, dt)
-    for name in ("t", "s", "sdot"):
-        assert same_bits(getattr(got, name), getattr(want, name)), name
+def test_evolve_variance_keeps_its_precision_after_a_long_contraction():
+    # D = 1e-12: a hold at kbar = gamma contracts s from 1 towards D, and
+    # s = D + (1 - D) e^-2t falls far below the rounding of s_start; the
+    # law telescoped node by node keeps s's relative precision throughout
+    c = PhysConsts(hbar=1e-12, m=0.5)
+    tn = np.linspace(0.0, 30.0, 301)
+    traj = evolve_variance(TimeProtocol(tn, np.ones_like(tn), "classical"), 1.0, c, 1e-3)
+    exact = c.D + (1.0 - c.D) * np.exp(-2.0 * tn)
+    assert np.max(np.abs(traj.s / exact - 1.0)) <= 1e-9
+
+
+def test_evolve_variance_holds_past_the_exponent_range(consts):
+    # a 400-long hold at kbar = gamma integrates (2/gamma) kbar to 800,
+    # past exp's range, so no step may exponentiate the running sum itself
+    tn = np.linspace(0.0, 400.0, 4001)
+    traj = evolve_variance(TimeProtocol(tn, np.ones_like(tn), "classical"), 1.0, consts)
+    assert np.max(np.abs(traj.s - 1.0)) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

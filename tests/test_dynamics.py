@@ -17,9 +17,106 @@ from swifttrap import (
     integrate_ermakov,
     wigner_at,
 )
-from swifttrap.dynamics import _gouy_angle
+from swifttrap.dynamics import _gouy_angle, _prefix_step_maps
 from swifttrap.model import _node_substeps
-from test_model import _recursive_scan, same_bits
+
+
+# ---------------------------------------------------------------------------
+# prefix product of step maps
+# ---------------------------------------------------------------------------
+
+def _sequential_products(e):
+    """P_k = (I + E_k) ... (I + E_0), multiplied left to right in time."""
+    out = np.empty((e.shape[1], 2, 2))
+    p = np.eye(2)
+    for k in range(e.shape[1]):
+        p = (np.eye(2) + e[:, k].reshape(2, 2)) @ p
+        out[k] = p
+    return out
+
+
+@pytest.mark.parametrize("sizes", [list(range(1, 71)), [1023, 1024, 1025, 10001]],
+                         ids=["1-70", "large"])
+def test_prefix_step_maps_match_sequential_product(sizes):
+    rng = np.random.default_rng(5)
+    for n in sizes:
+        # steps small enough that the product stays of order one
+        e = rng.normal(scale=0.5 / np.sqrt(n), size=(4, n))
+        want = _sequential_products(e)
+        got = _prefix_step_maps(e)
+        assert got.shape == (4, n)
+        got_full = np.eye(2) + got.T.reshape(n, 2, 2)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got_full - want)) <= 1e-13 * scale, n
+
+
+def test_prefix_step_maps_keep_affine_maps_affine():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 37, 1025):
+        e = np.zeros((4, n))
+        e[:2] = rng.normal(scale=0.5 / np.sqrt(n), size=(2, n))
+        got = _prefix_step_maps(e.copy())
+        assert np.all(got[2:] == 0.0), n
+        want = _sequential_products(e)
+        assert np.max(np.abs(1.0 + got[0] - want[:, 0, 0])) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got[1] - want[:, 0, 1])) <= 1e-13 * np.max(np.abs(want))
+
+
+def _recursive_compose(a, b):
+    """(I + A)(I + B) - I = A + B + AB for stacked maps, A the later."""
+    a, b = a.reshape(2, 2, -1), b.reshape(2, 2, -1)
+    ab = a[:, 0, None] * b[0, None] + a[:, 1, None] * b[1, None]
+    return (a + b + ab).reshape(4, -1)
+
+
+def _recursive_scan(e):
+    """The scan in its recursive form, one fresh array per level: compose
+    neighbouring pairs, scan them, finish the even-indexed products."""
+    n = e.shape[1]
+    out = np.empty_like(e)
+    out[:, 0] = e[:, 0]
+    if n > 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, 1::2] = _recursive_scan(_recursive_compose(e[:, 1::2], e[:, 0:n - 1:2]))
+            out[:, 2::2] = _recursive_compose(e[:, 2::2], out[:, 1:n - 1:2])
+    return out
+
+
+def same_bits(a, b):
+    """Bitwise equality of two float arrays (tells -0.0 from 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["general", "affine"])
+def test_in_place_scan_is_the_recursive_scan_to_the_bit(affine):
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 71), 1023, 1024, 1025, 10001]:
+        e = rng.normal(scale=0.5 / np.sqrt(n), size=(4, n))
+        if affine:
+            e[2:] = 0.0
+        want = _recursive_scan(e)
+        got = _prefix_step_maps(e)
+        assert got is e, n
+        assert same_bits(got, want), n
+
+
+def test_scan_allocates_only_its_scratch():
+    # two (2, 2, n // 2) scratch arrays, the input's size; the recursive
+    # form allocates about three times that.  The scan shrinks numpy's ufunc
+    # buffer while it runs and must hand the caller's size back
+    e = np.random.default_rng(8).normal(scale=0.005, size=(4, 10001))
+    bufsize = np.getbufsize()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _prefix_step_maps(e)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * e.nbytes
+    assert np.getbufsize() == bufsize
 
 
 def _const_quantum(kappa, span=5.0, n=51):
