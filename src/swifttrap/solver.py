@@ -51,7 +51,8 @@ side: the outer (mu -> 0) root g_out^-4 = (Q / P)^2, P = w s (for work
 the Schmiedl-Seifert optimum of analytic_work_optimal), and the end layer
 gap ~ C tau^(2/3), C^3 = (9/2) s P / (2 mu), so Newton runs in its
 quadratic basin from the first steps.  Each step's system is solved by
-odd-even cyclic reduction in numpy (_solve_tridiagonal), without
+odd-even cyclic reduction, a recursion that halves it (one decoupled row
+pads an even size) down to a Thomas sweep (_solve_tridiagonal), without
 pivoting: H is symmetric positive definite on the feasible set.
 
 What depends on the grid (s_i, s_f, n) alone is memoized by
@@ -205,7 +206,7 @@ def _graded_nodes(s_i: float, s_f: float, n: int) -> np.ndarray:
     return s
 
 
-# largest system that cyclic reduction hands over to a Thomas sweep
+# largest system that cyclic reduction solves by a Thomas sweep
 _DIRECT_SIZE = 64
 
 
@@ -213,13 +214,13 @@ def _solve_tridiagonal(diag, off, rhs):
     """Solve off[i-1] x[i-1] + diag[i] x[i] + off[i] x[i+1] = rhs[i].
 
     The system is symmetric; the reduction carries the couplings C = -off.
-    Odd-even cyclic reduction (Hockney, J. ACM 12, 95 (1965)) eliminates
-    the even-indexed rows, halving the system, until at most _DIRECT_SIZE
-    unknowns remain for a Thomas sweep; back-substitution recovers each
-    level.  Padding with decoupled rows x = 0 to a size q 2^L - 1 gives
-    every level odd size, so each level is a few whole-array operations
-    on one coupling array (a Schur complement stays symmetric), its
-    diagonal b and right-hand side d.
+    Odd-even cyclic reduction (Hockney, J. ACM 12, 95 (1965)), written as
+    the recursion it is (_reduce): a system larger than _DIRECT_SIZE
+    eliminates its even-indexed rows, solves the half-size system left on
+    the odd rows (a Schur complement stays symmetric) and recovers the even
+    rows from it; at most _DIRECT_SIZE unknowns, a Thomas sweep solves it.
+    An even-sized system first gains one decoupled row, C = 0, b = 1 and
+    d = 0, so that both of its ends are even rows.
 
     Neither stage pivots: both are Gaussian elimination on a symmetric
     permutation of the matrix, which is stable without pivoting when the
@@ -228,50 +229,41 @@ def _solve_tridiagonal(diag, off, rhs):
     term (sum_q c w / gap^3 times outer products of the shape functions)
     and of its penalty (a sum of squares), definite with both ends pinned.
     """
-    n = np.size(rhs)
-    levels = 0
-    while n + 1 > (_DIRECT_SIZE + 1) * 2**levels:
-        levels += 1
-    block = 2**levels
-    size = block * -(-(n + 1) // block) - 1
-    # C = -off: row i reads diag[i] x[i] - C[i-1] x[i-1] - C[i] x[i+1]
-    C, b, d = np.zeros(size), np.ones(size), np.zeros(size)
-    np.negative(off, out=C[:n - 1])
-    b[:n] = diag
-    d[:n] = rhs
+    C = np.zeros(np.size(rhs))
+    np.negative(off, out=C[:-1])
+    return _reduce(C, np.asarray(diag, dtype=float), np.asarray(rhs, dtype=float))
 
-    stack = []
-    for _ in range(levels):
-        stack.append((C, b, d))
-        Ce, be, de = C[0::2], b[0::2], d[0::2]
-        # row 2i + 1 couples to row 2i through C[2i], to 2i + 2 through C[2i + 1]
-        left = Ce[:-1] / be[:-1]
-        right = C[1::2] / be[1:]
-        C, b, d = (right * Ce[1:],
-                   b[1::2] - left * Ce[:-1] - right * C[1::2],
-                   d[1::2] + left * de[:-1] + right * de[1:])
 
-    # Thomas sweep on the remaining system
-    C, b, d = C.tolist(), b.tolist(), d.tolist()
-    for i in range(1, len(b)):
-        w = C[i - 1] / b[i - 1]
-        b[i] -= w * C[i - 1]
-        d[i] += w * d[i - 1]
-    x = [0.0] * len(b)
-    x[-1] = d[-1] / b[-1]
-    for i in range(len(b) - 2, -1, -1):
-        x[i] = (d[i] + C[i] * x[i + 1]) / b[i]
-
-    for C, b, d in reversed(stack):
-        # p[1 + i] = x[i], with x = 0 just outside both ends
-        p = np.zeros(b.size + 2)
-        p[2:-1:2] = x
-        outer = p[0::2]
-        # row 2i couples to row 2i - 1 through C[2i - 1] (row 0 to none)
-        left = np.concatenate(([0.0], C[1::2]))
-        p[1::2] = (d[0::2] + left * outer[:-1] + C[0::2] * outer[1:]) / b[0::2]
-        x = p[1:-1]
-    return np.asarray(x)[:n]
+def _reduce(C, b, d):
+    """Solve b[i] x[i] - C[i-1] x[i-1] - C[i] x[i+1] = d[i], C[-1] = 0."""
+    n = b.size
+    if n <= _DIRECT_SIZE:
+        C, b, d = C.tolist(), b.tolist(), d.tolist()
+        for i in range(1, n):
+            w = C[i - 1] / b[i - 1]
+            b[i] -= w * C[i - 1]
+            d[i] += w * d[i - 1]
+        x = [0.0] * n
+        x[-1] = d[-1] / b[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (d[i] + C[i] * x[i + 1]) / b[i]
+        return np.array(x)
+    if n % 2 == 0:
+        C, b, d = np.append(C, 0.0), np.append(b, 1.0), np.append(d, 0.0)
+    Ce, be, de = C[0::2], b[0::2], d[0::2]
+    # row 2i + 1 couples to row 2i through C[2i], to 2i + 2 through C[2i + 1]
+    left = Ce[:-1] / be[:-1]
+    right = C[1::2] / be[1:]
+    x = np.empty(b.size)
+    x[1::2] = _reduce(right * Ce[1:],
+                      b[1::2] - left * Ce[:-1] - right * C[1::2],
+                      d[1::2] + left * de[:-1] + right * de[1:])
+    # row 2i couples to row 2i - 1 through C[2i - 1], to 2i + 1 through C[2i]
+    x[0::2] = de
+    x[2::2] += C[1::2] * x[1::2]
+    x[:-1:2] += Ce[:-1] * x[1::2]
+    x[0::2] /= be
+    return x[:n]
 
 
 class _SolverGrid(NamedTuple):

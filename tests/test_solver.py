@@ -32,6 +32,7 @@ from swifttrap.solver import (
 )
 
 from conftest import REFERENCE_DURATIONS
+from test_dynamics import same_bits
 
 # durations produced by the implemented equations at the reference settings,
 # frozen as regression pins (the externally stated values are asserted, and
@@ -577,9 +578,7 @@ def _spd_system(rng, n):
     c = rng.choice([-1.0, 1.0], n + 1) * np.sqrt(a * b) * rng.uniform(0.0, 0.99, n + 1)
     # cell i joins nodes i - 1 and i; nodes -1 and n are pinned
     diag = b[:-1] + a[1:]
-    off = c[1:-1]
-    dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-    return diag, off, dense
+    return diag, c[1:-1]
 
 
 def test_solve_tridiagonal_matches_dense():
@@ -589,8 +588,10 @@ def test_solve_tridiagonal_matches_dense():
     assert sizes[0] <= _DIRECT_SIZE < sizes[-1]
     dominant = []
     for n in sizes:
-        diag, off, dense = _spd_system(rng, n)
-        assert np.all(np.linalg.eigvalsh(dense) > 0.0), n
+        diag, off = _spd_system(rng, n)
+        dense = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        # cholesky raises exactly when the matrix is not positive definite
+        np.linalg.cholesky(dense)
         rows = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
         dominant.append(np.all(diag > rows))
         rhs = rng.normal(size=n)
@@ -603,6 +604,59 @@ def test_solve_tridiagonal_matches_dense():
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), n
     # the draws reach systems without diagonal dominance
     assert not all(dominant)
+
+
+def _padded_reduction(diag, off, rhs):
+    """The reduction in its iterative form: padding with decoupled rows to
+    q 2^L - 1 rows, a stack of levels and a zero-padded back-substitution."""
+    n = np.size(rhs)
+    levels = 0
+    while n + 1 > (_DIRECT_SIZE + 1) * 2**levels:
+        levels += 1
+    block = 2**levels
+    size = block * -(-(n + 1) // block) - 1
+    C, b, d = np.zeros(size), np.ones(size), np.zeros(size)
+    np.negative(off, out=C[:n - 1])
+    b[:n] = diag
+    d[:n] = rhs
+    stack = []
+    for _ in range(levels):
+        stack.append((C, b, d))
+        Ce, be, de = C[0::2], b[0::2], d[0::2]
+        left = Ce[:-1] / be[:-1]
+        right = C[1::2] / be[1:]
+        C, b, d = (right * Ce[1:],
+                   b[1::2] - left * Ce[:-1] - right * C[1::2],
+                   d[1::2] + left * de[:-1] + right * de[1:])
+    C, b, d = C.tolist(), b.tolist(), d.tolist()
+    for i in range(1, len(b)):
+        w = C[i - 1] / b[i - 1]
+        b[i] -= w * C[i - 1]
+        d[i] += w * d[i - 1]
+    x = [0.0] * len(b)
+    x[-1] = d[-1] / b[-1]
+    for i in range(len(b) - 2, -1, -1):
+        x[i] = (d[i] + C[i] * x[i + 1]) / b[i]
+    for C, b, d in reversed(stack):
+        p = np.zeros(b.size + 2)
+        p[2:-1:2] = x
+        outer = p[0::2]
+        left = np.concatenate(([0.0], C[1::2]))
+        p[1::2] = (d[0::2] + left * outer[:-1] + C[0::2] * outer[1:]) / b[0::2]
+        x = p[1:-1]
+    return np.asarray(x)[:n]
+
+
+def test_recursion_is_the_padded_reduction_to_the_bit():
+    # a decoupled row's products are exact zeros, so one parity row per
+    # level leaves the coupled rows the arithmetic that padding to q 2^L - 1
+    # rows gives them; 1997 is the solver's own size on the default grid
+    rng = np.random.default_rng(12)
+    for n in [*range(1, 141), 1023, 1024, 1025, 1997, 2400]:
+        diag, off = _spd_system(rng, n)
+        rhs = rng.normal(size=n)
+        assert same_bits(_solve_tridiagonal(diag, off, rhs),
+                         _padded_reduction(diag, off, rhs)), n
 
 
 def test_newton_jacobians_diagonally_dominant(consts, monkeypatch):
